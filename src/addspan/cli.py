@@ -93,7 +93,11 @@ def fit_exponent(points: Sequence[tuple[int, int]]) -> ExponentFit:
 
 
 def _load_graph(path: str) -> Graph:
-    return parse_edge_list(FilePath(path).read_text(encoding="utf-8"))
+    try:
+        text = FilePath(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise GraphFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    return parse_edge_list(text)
 
 
 def _write_trace_csv(path: str, trace: CompletionTrace) -> None:

@@ -35,16 +35,6 @@ class Violation:
 
 
 @dataclass(frozen=True)
-class PotentialReport:
-    """Potential/cost snapshot of one subgraph state."""
-
-    v: int
-    c_edges: int
-    c_degsq: int
-    slack: int
-
-
-@dataclass(frozen=True)
 class StepRatioReport:
     """Per-step potential-gain per edge for a 6-spanner trace; reported,
     never asserted (the analysis hides its constant)."""
@@ -100,15 +90,6 @@ def cost_edges(h: "SubgraphState") -> int:
 def cost_degsq(h: "SubgraphState") -> int:
     """Sum of squared H-degrees."""
     return sum(d * d for d in h.deg)
-
-
-def potential_report(g: Graph, h: "SubgraphState", slack: int) -> PotentialReport:
-    return PotentialReport(
-        v=potential_v(g, h, slack),
-        c_edges=cost_edges(h),
-        c_degsq=cost_degsq(h),
-        slack=slack,
-    )
 
 
 def check_cauchy_bound(h: "SubgraphState") -> bool:

@@ -11,14 +11,16 @@ from typing import Iterable, Optional
 
 import numpy as np
 
+from .diagnostics import cost_degsq, cost_edges, potential_from_matrices
 from .graph import (
     UNREACHABLE,
     Edge,
     Graph,
     Path,
     apsp,
-    bfs_csr,
+    bfs_distances,
     canonical_edge,
+    insert_edge,
     shortest_path,
 )
 
@@ -33,8 +35,6 @@ class SubgraphState:
         self.host = host
         self.deg: list[int] = [0] * host.n
         self._edges: set[Edge] = set()
-        _, indices = host.csr
-        self._mask = np.zeros(len(indices), dtype=bool)
         for u, v in edges:
             self.add_edge(u, v)
 
@@ -60,20 +60,16 @@ class SubgraphState:
         e = canonical_edge(u, v)
         if e in self._edges:
             return False
-        slots = self.host.edge_slots.get(e)
-        if slots is None:
+        if e not in self.host.edges:
             raise ValueError(f"edge {e} is not an edge of the host graph")
         self._edges.add(e)
-        self._mask[slots[0]] = True
-        self._mask[slots[1]] = True
         self.deg[e[0]] += 1
         self.deg[e[1]] += 1
         return True
 
     def bfs_row(self, source: int) -> np.ndarray:
         """Hop distances within H from ``source``."""
-        indptr, indices = self.host.csr
-        return bfs_csr(self.host.n, indptr, indices, source, mask=self._mask)
+        return bfs_distances(self.to_graph(), source)
 
     def to_graph(self) -> Graph:
         return Graph.from_edges(self.host.n, self._edges)
@@ -167,38 +163,31 @@ def complete(
     of G into H.
 
     Pairs are scanned lexicographically in a single pass; disconnected pairs
-    of G are skipped (H never connects what G does not).  Mutates and
-    returns ``h`` together with the step trace.  With
+    of G are skipped (H never connects what G does not).  d_H is one APSP of
+    the seed, repaired in place by ``insert_edge`` for every new edge.
+    Mutates and returns ``h`` together with the step trace.  With
     ``record_potentials`` every step snapshots the potential/cost values
     (slack 3 + squared-degree cost for k=2, slack 5 + edge count for k=6),
-    at the price of one subgraph APSP per step.
+    read off the same d_H at the price of one O(n^2) potential sum per step.
     """
     if k < 0:
         raise ValueError("additive constant k must be non-negative")
     if h.host != g:
         raise ValueError("subgraph state does not belong to this graph")
-    from .diagnostics import potential_from_matrices
 
     slack = _slack_for(k)
-    cost_kind = "degsq" if k == 2 else "edges"
-
-    def current_cost() -> int:
-        if cost_kind == "degsq":
-            return sum(d * d for d in h.deg)
-        return h.edge_count
-
+    cost_kind, cost = ("degsq", cost_degsq) if k == 2 else ("edges", cost_edges)
     dg = apsp(g).dist
+    dh = apsp(h.to_graph()).dist
     seed_edges = h.edge_count
     steps: list[CompletionStep] = []
     v_cur: Optional[int] = None
     c_cur: Optional[int] = None
     if record_potentials:
-        v_cur = potential_from_matrices(dg, apsp(h.to_graph()).dist, slack)
-        c_cur = current_cost()
+        v_cur, c_cur = potential_from_matrices(dg, dh, slack), cost(h)
 
     for u in range(g.n):
-        dg_row = dg[u]
-        row = h.bfs_row(u)
+        dg_row, row = dg[u], dh[u]
         while True:
             viol = np.nonzero(
                 (dg_row != UNREACHABLE)
@@ -208,21 +197,28 @@ def complete(
             if viol.size == 0:
                 break
             v = int(viol[0])
+            d_h_before = int(row[v])
             path = shortest_path(g, u, v, distances=dg_row)
             added = 0
             for a, b in path.hops():
-                added += h.add_edge(a, b)
-            # a violating pair always contributes at least one missing edge
-            assert added >= 1
+                if h.add_edge(a, b):
+                    insert_edge(dh, a, b)
+                    added += 1
+            # a violating pair always has a path edge missing from H; none
+            # missing means d_H went stale and the scan would repeat the pair
+            if added == 0:
+                raise RuntimeError(
+                    f"pair ({u}, {v}) violates d_H <= d_G + {k} but its "
+                    "shortest path adds no edge: the repaired d_H is stale"
+                )
             v_after = c_after = None
             if record_potentials:
-                v_after = potential_from_matrices(dg, apsp(h.to_graph()).dist, slack)
-                c_after = current_cost()
+                v_after, c_after = potential_from_matrices(dg, dh, slack), cost(h)
             steps.append(
                 CompletionStep(
                     pair=(u, v),
                     d_g=int(dg_row[v]),
-                    d_h_before=int(row[v]),
+                    d_h_before=d_h_before,
                     path=path,
                     new_edges=added,
                     v_before=v_cur,
@@ -232,7 +228,6 @@ def complete(
                 )
             )
             v_cur, c_cur = v_after, c_after
-            row = h.bfs_row(u)
 
     trace = CompletionTrace(
         k=k,

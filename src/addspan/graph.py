@@ -1,5 +1,6 @@
 """Immutable unweighted undirected graphs: construction, generators, edge-list
-I/O and unweighted shortest-path machinery (BFS, APSP, deterministic paths).
+I/O and unweighted shortest-path machinery (BFS, APSP, repair of an APSP
+matrix after an edge insertion, deterministic paths).
 
 Nodes are dense integer ids 0..n-1.  Distances are hop counts; unreachable
 pairs carry the sentinel :data:`UNREACHABLE`.
@@ -135,8 +136,9 @@ class Path:
 
 def parse_edge_list(text: str, strict: bool = False) -> Graph:
     """Parse the edge-list format: optional header ``n <count>``, one edge
-    ``u v`` per line, ``#`` comments.  Duplicate and reversed duplicate edges
-    collapse; self-loops are rejected.
+    ``u v`` per line, ``#`` comments.  The count and node ids are ASCII
+    decimal digits.  Duplicate and reversed duplicate edges collapse;
+    self-loops are rejected.
 
     With ``strict=True`` a header is mandatory and node ids must lie below the
     declared count; otherwise n is inferred as max(header n, 1 + max id).
@@ -150,18 +152,19 @@ def parse_edge_list(text: str, strict: bool = False) -> Graph:
             continue
         tokens = line.split()
         if tokens[0] == "n" and header_n is None and not edges:
-            if len(tokens) != 2 or not tokens[1].isdigit():
+            # str.isdigit alone admits "²" and "١", and int() admits "١" and "1_0"
+            if len(tokens) != 2 or not (tokens[1].isascii() and tokens[1].isdigit()):
                 raise GraphFormatError(f"line {lineno}: malformed header {line!r}")
             header_n = int(tokens[1])
             continue
         if len(tokens) != 2:
             raise GraphFormatError(f"line {lineno}: expected 'u v', got {line!r}")
-        try:
-            u, v = int(tokens[0]), int(tokens[1])
-        except ValueError:
-            raise GraphFormatError(f"line {lineno}: non-integer token in {line!r}") from None
-        if u < 0 or v < 0:
-            raise GraphFormatError(f"line {lineno}: negative node id in {line!r}")
+        a, b = tokens
+        if not (a.isascii() and a.isdigit() and b.isascii() and b.isdigit()):
+            raise GraphFormatError(
+                f"line {lineno}: node ids must be ASCII digits 0-9, got {line!r}"
+            )
+        u, v = int(a), int(b)
         if u == v:
             raise GraphFormatError(f"line {lineno}: self-loop on node {u}")
         if strict and header_n is not None and (u >= header_n or v >= header_n):
@@ -281,16 +284,13 @@ NAMED_FAMILIES = ("path", "cycle", "complete", "star", "grid")
 # BFS / APSP / deterministic shortest paths
 # ---------------------------------------------------------------------------
 
-def bfs_csr(
-    n: int,
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    source: int,
-    mask: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Level-synchronous BFS over a CSR adjacency; ``mask`` (over directed
-    edge slots) restricts traversal to a subgraph."""
-    dist = np.full(n, UNREACHABLE, dtype=np.int64)
+def bfs_distances(g: Graph, source: int) -> np.ndarray:
+    """Hop distances from ``source`` to every node (UNREACHABLE where none),
+    by level-synchronous BFS over the CSR adjacency."""
+    if not 0 <= source < g.n:
+        raise ValueError(f"source {source} out of range 0..{g.n - 1}")
+    indptr, indices = g.csr
+    dist = np.full(g.n, UNREACHABLE, dtype=np.int64)
     dist[source] = 0
     frontier = np.array([source], dtype=np.int64)
     d = 0
@@ -302,8 +302,6 @@ def bfs_csr(
             break
         cum = np.concatenate(([0], np.cumsum(counts)))
         idx = np.arange(total, dtype=np.int64) + np.repeat(starts - cum[:-1], counts)
-        if mask is not None:
-            idx = idx[mask[idx]]
         neigh = indices[idx]
         newly = np.unique(neigh[dist[neigh] == UNREACHABLE])
         if newly.size == 0:
@@ -312,14 +310,6 @@ def bfs_csr(
         dist[newly] = d
         frontier = newly
     return dist
-
-
-def bfs_distances(g: Graph, source: int) -> np.ndarray:
-    """Hop distances from ``source`` to every node (UNREACHABLE where none)."""
-    if not 0 <= source < g.n:
-        raise ValueError(f"source {source} out of range 0..{g.n - 1}")
-    indptr, indices = g.csr
-    return bfs_csr(g.n, indptr, indices, source)
 
 
 def apsp(g: Graph) -> DistanceMatrix:
@@ -347,6 +337,27 @@ def apsp(g: Graph) -> DistanceMatrix:
         reached |= frontier
         frontier = (frontier.astype(np.float32) @ adj > 0) & ~reached
     return DistanceMatrix(n, dist)
+
+
+def insert_edge(dist: np.ndarray, a: int, b: int) -> None:
+    """Repair the all-pairs matrix ``dist`` in place after the edge (a, b)
+    joins the graph it describes.
+
+    A shortest path crosses the new edge at most once, so the new d(x, y) is
+    min(d(x, y), d(x, a) + 1 + d(b, y)) or the same with a and b swapped.  The
+    a-to-b crossing can only shorten pairs with d(x, a) + 1 < d(x, b) and
+    d(b, y) + 1 < d(a, y) (Ramalingam & Reps 1996), so only that block and
+    its transpose are written; both are computed from the rows of a and b as
+    they were before the insertion, which keeps ``dist`` symmetric.
+    """
+    da, db = dist[a].copy(), dist[b].copy()
+    near_a = np.nonzero((da != UNREACHABLE) & ((db == UNREACHABLE) | (da + 1 < db)))[0]
+    near_b = np.nonzero((db != UNREACHABLE) & ((da == UNREACHABLE) | (db + 1 < da)))[0]
+    block = dist[np.ix_(near_a, near_b)]
+    via = da[near_a, None] + 1 + db[None, near_b]
+    block = np.where((block == UNREACHABLE) | (via < block), via, block)
+    dist[np.ix_(near_a, near_b)] = block
+    dist[np.ix_(near_b, near_a)] = block.T
 
 
 def shortest_path(

@@ -62,3 +62,63 @@ def dist_matrix_to_float(dist: np.ndarray) -> list[list[float]]:
         [math.inf if x < 0 else float(x) for x in row]
         for row in dist.tolist()
     ]
+
+
+def reference_complete(g: Graph, seed_edges, k: int) -> tuple[frozenset, list[tuple]]:
+    """Naive completion: one lexicographic pass over pairs u < v, inserting
+    the lowest-id shortest G-path whenever d_H(u, v) > d_G(u, v) + k, with a
+    fresh Floyd-Warshall of H after every insertion.
+
+    Returns H's final edges and one tuple per step: (pair, d_g, d_h_before,
+    path nodes, new_edges, v_before, v_after, c_before, c_after), with
+    d_h_before = math.inf for pairs disconnected in H.
+    """
+    n = g.n
+    slack = {2: 3, 6: 5}.get(k, max(k - 1, 0))
+    neighbors = [set() for _ in range(n)]
+    for a, b in g.edges:
+        neighbors[a].add(b)
+        neighbors[b].add(a)
+    dg = floyd_warshall(g)
+    h = {(min(a, b), max(a, b)) for a, b in seed_edges}
+
+    def dist_h() -> list[list[float]]:
+        return floyd_warshall(Graph.from_edges(n, h))
+
+    def potential(dh) -> int:
+        return sum(
+            max(0, int(dg[u][v] - dh[u][v]) + slack)
+            for u in range(n) for v in range(u + 1, n)
+            if dg[u][v] != math.inf and dh[u][v] != math.inf
+        )
+
+    def cost() -> int:
+        if k != 2:
+            return len(h)
+        deg = [0] * n
+        for a, b in h:
+            deg[a] += 1
+            deg[b] += 1
+        return sum(d * d for d in deg)
+
+    dh = dist_h()
+    v_cur, c_cur = potential(dh), cost()
+    steps = []
+    for u in range(n):
+        for v in range(u + 1, n):
+            if dg[u][v] == math.inf or dh[u][v] <= dg[u][v] + k:
+                continue
+            nodes = [v]
+            while nodes[-1] != u:
+                nodes.append(min(x for x in neighbors[nodes[-1]]
+                                 if dg[u][x] == dg[u][nodes[-1]] - 1))
+            nodes.reverse()
+            hops = {(min(a, b), max(a, b)) for a, b in zip(nodes, nodes[1:])}
+            new_edges = len(hops - h)
+            h |= hops
+            d_h_before, dh = dh[u][v], dist_h()
+            v_after, c_after = potential(dh), cost()
+            steps.append(((u, v), int(dg[u][v]), d_h_before, tuple(nodes),
+                          new_edges, v_cur, v_after, c_cur, c_after))
+            v_cur, c_cur = v_after, c_after
+    return frozenset(h), steps

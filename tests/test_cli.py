@@ -114,6 +114,30 @@ class TestBuild:
         assert open(files[0][1], "rb").read() == open(files[1][1], "rb").read()
 
 
+class TestInputContract:
+    @pytest.mark.parametrize("text", [
+        "n \u00b2\n0 1\n",  # superscript two passes str.isdigit
+        "\u0661 2\n",  # Arabic-Indic one is accepted by int()
+        "0 1_0\n",  # int() reads 1_0 as 10
+    ], ids=["superscript-header", "arabic-indic-id", "underscore-id"])
+    def test_non_ascii_digits_rejected(self, tmp_path, capsys, text):
+        g = tmp_path / "g.txt"
+        g.write_text(text, encoding="utf-8")
+        assert run(["build", "--input", str(g), "--k", "2",
+                    "--out", str(tmp_path / "sp.txt")]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_non_utf8_file_rejected(self, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\xff")
+        good = write_graph(tmp_path, "p2.txt", "0 1\n")
+        assert run(["build", "--input", str(bad), "--k", "2",
+                    "--out", str(tmp_path / "sp.txt")]) == 2
+        assert run(["verify", "--graph", str(bad), "--spanner", good, "--k", "2"]) == 2
+        assert run(["verify", "--graph", good, "--spanner", str(bad), "--k", "2"]) == 2
+        assert capsys.readouterr().err.count("not UTF-8") == 3
+
+
 class TestVerify:
     def test_valid(self, tmp_path):
         g = write_graph(tmp_path, "k4.txt", "n 4\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")

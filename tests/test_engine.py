@@ -20,8 +20,26 @@ from addspan import (
     seed_empty,
     verify_spanner,
 )
+from addspan import engine
 
 from conftest import random_tree
+from oracles import reference_complete
+
+
+def disjoint_union(a: Graph, b: Graph) -> Graph:
+    return Graph.from_edges(
+        a.n + b.n, [*a.edges, *((u + a.n, v + a.n) for u, v in b.edges)]
+    )
+
+
+_small_gnp = st.builds(
+    gen_gnp, st.integers(0, 14), st.sampled_from((0.15, 0.3, 0.6)), st.integers(0, 2 ** 32)
+)
+completion_graphs = st.one_of(
+    _small_gnp,
+    st.builds(random_tree, st.integers(1, 16), st.integers(0, 2 ** 32)),
+    st.builds(disjoint_union, _small_gnp, _small_gnp),
+)
 
 
 class TestSeeds:
@@ -198,6 +216,27 @@ class TestComplete:
             )
             prev = cur
         assert state.edges() == h.edges()
+
+
+class TestReferenceCompletion:
+    @given(completion_graphs, st.sampled_from((0, 1, 2, 4, 6)), st.booleans())
+    @settings(max_examples=120, deadline=None)
+    def test_matches_reference_complete(self, g, k, capped):
+        seed = seed_degree_capped(g, default_cap(g.n)) if capped and g.n else seed_empty(g)
+        ref_edges, ref_steps = reference_complete(g, seed.edges(), k)
+        h, trace = complete(g, seed, k, record_potentials=True)
+        assert h.edges() == ref_edges
+        assert [
+            (s.pair, s.d_g, math.inf if s.d_h_before == UNREACHABLE else s.d_h_before,
+             s.path.nodes, s.new_edges, s.v_before, s.v_after, s.c_before, s.c_after)
+            for s in trace.steps
+        ] == ref_steps
+
+    def test_stale_distances_raise_instead_of_looping(self, monkeypatch):
+        monkeypatch.setattr(engine, "insert_edge", lambda dist, a, b: None)
+        g = gen_named("cycle", 5)
+        with pytest.raises(RuntimeError, match="stale"):
+            complete(g, seed_empty(g), 2)
 
 
 class TestBuilders:

@@ -18,7 +18,7 @@ from addspan import (
     serialize_edge_list,
     shortest_path,
 )
-from addspan.graph import SplitMix64, _splitmix64_floats
+from addspan.graph import SplitMix64, _splitmix64_floats, insert_edge
 
 from oracles import floyd_warshall, dist_matrix_to_float
 
@@ -191,6 +191,19 @@ class TestDistances:
         f = np.where(d < 0, math.inf, d.astype(float))
         for k in range(g.n):
             assert (f <= f[:, [k]] + f[[k], :] + 1e-9).all()
+
+    @given(small_graphs(), st.data())
+    @settings(max_examples=80)
+    def test_insert_edge_matches_apsp(self, g, data):
+        # from no edges, every insertion either joins two components or
+        # closes a cycle inside one
+        order = data.draw(st.permutations(g.sorted_edges()))
+        flips = data.draw(st.lists(st.booleans(), min_size=len(order), max_size=len(order)))
+        dist = apsp(Graph.from_edges(g.n, [])).dist
+        for i, ((a, b), flip) in enumerate(zip(order, flips)):
+            insert_edge(dist, *((b, a) if flip else (a, b)))
+            assert (dist == dist.T).all()
+            assert dist.tolist() == apsp(Graph.from_edges(g.n, order[:i + 1])).dist.tolist()
 
 
 class TestShortestPath:
