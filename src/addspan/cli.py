@@ -7,26 +7,13 @@ from __future__ import annotations
 
 import argparse
 import csv
-import math
 import sys
-import time
-from dataclasses import dataclass
 from pathlib import Path as FilePath
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .diagnostics import verify_spanner
-from .engine import (
-    CompletionTrace,
-    SubgraphState,
-    build_2_spanner,
-    build_6_spanner,
-    complete,
-    seed_empty,
-)
+from .engine import CompletionTrace, SubgraphState, build_spanner
 from .graph import (
-    UNREACHABLE,
     Graph,
     GraphFormatError,
     NAMED_FAMILIES,
@@ -35,6 +22,7 @@ from .graph import (
     parse_edge_list,
     serialize_edge_list,
 )
+from .sweep import fit_exponent, run_sweep
 
 TRACE_COLUMNS = [
     "step", "u", "v", "d_g", "d_h_before", "new_edges",
@@ -45,51 +33,6 @@ SWEEP_COLUMNS = [
     "final_edges", "ratio_32", "ratio_43", "steps", "wall_time_ms",
 ]
 VIOLATION_COLUMNS = ["u", "v", "d_g", "d_h", "excess"]
-
-
-@dataclass(frozen=True)
-class SweepRecord:
-    """One benchmark row of a size-scaling sweep."""
-
-    family: str
-    n: int
-    p_or_param: str
-    seed: int
-    k: int
-    input_edges: int
-    seed_edges: int
-    final_edges: int
-    ratio_32: float
-    ratio_43: float
-    steps: int
-    wall_time_ms: float
-
-
-@dataclass(frozen=True)
-class ExponentFit:
-    """Least-squares fit of log(m) against log(n)."""
-
-    slope: float
-    intercept: float
-    r2: float
-    points: int
-
-
-def fit_exponent(points: Sequence[tuple[int, int]]) -> ExponentFit:
-    """Ordinary least squares on (log n, log m); needs >= 3 points with
-    >= 3 distinct n and all m >= 1."""
-    if len(points) < 3 or len({n for n, _ in points}) < 3:
-        raise ValueError("exponent fit needs at least 3 points with distinct n")
-    if any(m < 1 for _, m in points):
-        raise ValueError("exponent fit needs all edge counts >= 1")
-    x = np.log([n for n, _ in points])
-    y = np.log([m for _, m in points])
-    slope, intercept = np.polyfit(x, y, 1)
-    pred = slope * x + intercept
-    ss_res = float(np.sum((y - pred) ** 2))
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
-    return ExponentFit(float(slope), float(intercept), r2, len(points))
 
 
 def _load_graph(path: str) -> Graph:
@@ -134,25 +77,18 @@ def _cmd_build(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     k = args.k
-    record = args.trace_out is not None
-    if k == 2:
-        h, trace = build_2_spanner(g, record_potentials=record)
-    elif k == 6:
-        h, trace = build_6_spanner(g, record_potentials=record)
-    elif args.unsafe_k:
-        h, trace = complete(g, seed_empty(g), k, record_potentials=record)
-    else:
+    if k not in (2, 6) and not args.unsafe_k:
         print(
             "error: only k=2 and k=6 carry a size guarantee; "
             "pass --unsafe-k to run other values with an empty seed",
             file=sys.stderr,
         )
         return 2
-    if not args.no_selfcheck:
-        violations = verify_spanner(g, h, k)
-        if violations:
-            print(f"error: self-check found {len(violations)} violations", file=sys.stderr)
-            return 1
+    h, trace = build_spanner(g, k, record_potentials=args.trace_out is not None)
+    violations = verify_spanner(g, h, k)
+    if violations:
+        print(f"error: self-check found {len(violations)} violations", file=sys.stderr)
+        return 1
     FilePath(args.out).write_text(serialize_edge_list(h.to_graph()), encoding="utf-8")
     if args.trace_out:
         _write_trace_csv(args.trace_out, trace)
@@ -183,53 +119,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         return 1
     print(f"valid additive {args.k}-spanner")
     return 0
-
-
-def run_sweep(
-    family: str,
-    n_values: Sequence[int],
-    p_values: Sequence[Optional[float]],
-    seeds: int,
-    k: int,
-) -> list[SweepRecord]:
-    """Build one spanner per (n, p, seed) point; non-gnp families ignore p
-    and seed (they are deterministic) and emit one row per n."""
-    records = []
-    for n in sorted(n_values):
-        for p in p_values:
-            for seed in range(seeds):
-                if family == "gnp":
-                    g = gen_gnp(n, p, seed)
-                    p_str = repr(p)
-                else:
-                    if seed > 0 or p is not None:
-                        continue
-                    g = gen_named(family, n)
-                    p_str = ""
-                t0 = time.perf_counter()
-                if k == 2:
-                    _, trace = build_2_spanner(g)
-                elif k == 6:
-                    _, trace = build_6_spanner(g)
-                else:
-                    _, trace = complete(g, seed_empty(g), k)
-                wall_ms = (time.perf_counter() - t0) * 1000.0
-                m = trace.final_edge_count
-                records.append(SweepRecord(
-                    family=family,
-                    n=g.n,
-                    p_or_param=p_str,
-                    seed=seed,
-                    k=k,
-                    input_edges=g.edge_count,
-                    seed_edges=trace.seed_edge_count,
-                    final_edges=m,
-                    ratio_32=m / g.n ** 1.5,
-                    ratio_43=m / g.n ** (4 / 3),
-                    steps=len(trace.steps),
-                    wall_time_ms=wall_ms,
-                ))
-    return records
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -297,8 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--trace-out", default=None, help="write per-step CSV trace")
     p_build.add_argument("--unsafe-k", action="store_true",
                          help="allow k outside {2, 6} (empty seed, no size guarantee)")
-    p_build.add_argument("--no-selfcheck", action="store_true",
-                         help="skip the built-in spanner verification")
     p_build.set_defaults(func=_cmd_build)
 
     p_verify = sub.add_parser("verify", help="verify a spanner file against a graph file")

@@ -64,15 +64,11 @@ def verify_spanner(g: Graph, h: "SubgraphState", k: int) -> list[Violation]:
 
 def potential_from_matrices(dg: np.ndarray, dh: np.ndarray, slack: int) -> int:
     """Sum over unordered distinct pairs of max(0, d_G - d_H + slack); pairs
-    unreachable in either graph contribute 0."""
-    n = dg.shape[0]
-    if n < 2:
-        return 0
-    iu, iv = np.triu_indices(n, k=1)
-    a, b = dg[iu, iv], dh[iu, iv]
-    ok = (a != UNREACHABLE) & (b != UNREACHABLE)
-    vals = np.maximum(a - b + slack, 0)
-    return int(vals[ok].sum())
+    unreachable in either graph contribute 0.  ``slack`` must be >= 0."""
+    vals = np.maximum(dg - dh + slack, 0)
+    vals[(dg == UNREACHABLE) | (dh == UNREACHABLE)] = 0
+    # each diagonal entry holds slack and every pair is counted twice
+    return (int(vals.sum()) - dg.shape[0] * slack) // 2
 
 
 def potential_v(g: Graph, h: "SubgraphState", slack: int) -> int:

@@ -52,9 +52,6 @@ class SubgraphState:
     def edges(self) -> frozenset[Edge]:
         return frozenset(self._edges)
 
-    def sorted_edges(self) -> list[Edge]:
-        return sorted(self._edges)
-
     def add_edge(self, u: int, v: int) -> bool:
         """Insert a host edge into H; returns True iff it was new."""
         e = canonical_edge(u, v)
@@ -256,3 +253,15 @@ def build_6_spanner(
     then completion with k=6."""
     cap = default_cap(g.n) if g.n >= 1 else 0
     return complete(g, seed_degree_capped(g, cap), 6, record_potentials=record_potentials)
+
+
+def build_spanner(
+    g: Graph, k: int, *, record_potentials: bool = False
+) -> tuple[SubgraphState, CompletionTrace]:
+    """The additive k-spanner pipeline for k = 2 or 6; any other k completes
+    an empty seed, with no size guarantee."""
+    if k == 2:
+        return build_2_spanner(g, record_potentials=record_potentials)
+    if k == 6:
+        return build_6_spanner(g, record_potentials=record_potentials)
+    return complete(g, seed_empty(g), k, record_potentials=record_potentials)

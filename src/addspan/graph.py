@@ -7,6 +7,7 @@ pairs carry the sentinel :data:`UNREACHABLE`.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Optional
@@ -16,11 +17,15 @@ import numpy as np
 #: Sentinel stored in distance rows/matrices for unreachable pairs.
 UNREACHABLE = -1
 
+#: Largest node count accepted, checked before anything sized by n is
+#: allocated: a build keeps int64 n x n distance matrices, 512 MiB each here.
+MAX_NODES = 1 << 13
+
 Edge = tuple[int, int]
 
 
 class GraphFormatError(ValueError):
-    """Malformed edge-list input: bad tokens, self-loops, ids out of range."""
+    """Malformed or oversized input: bad tokens, self-loops, ids out of range."""
 
 
 class NoPathError(ValueError):
@@ -31,59 +36,87 @@ def canonical_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
-@dataclass(frozen=True)
-class Graph:
-    """Simple undirected unweighted graph.
+def _check_node_count(n: int) -> None:
+    if n > MAX_NODES:
+        raise GraphFormatError(f"{n} nodes exceed the limit of {MAX_NODES}")
 
-    ``edges`` holds canonical pairs (u, v) with u < v; ``adjacency`` is a
-    per-node tuple of neighbor ids sorted ascending.  Instances are immutable
-    and safe for concurrent reads.
+
+@dataclass(frozen=True, eq=False)
+class Graph:
+    """Simple undirected unweighted graph in CSR form.
+
+    The neighbors of node v are ``indices[indptr[v]:indptr[v + 1]]``, sorted
+    ascending.  ``edges`` (pairs u < v), ``adjacency`` and ``sorted_edges()``
+    are views derived from the arrays.  Nothing writes the arrays after
+    construction, so instances are safe for concurrent reads.
     """
 
     n: int
-    edges: frozenset[Edge]
-    adjacency: tuple[tuple[int, ...], ...]
+    indptr: np.ndarray
+    indices: np.ndarray
 
     @classmethod
-    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
+    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]] | np.ndarray) -> "Graph":
+        """Graph on nodes 0..n-1 from pairs (u, v) in any order; duplicate
+        and reversed pairs collapse.  ``edges`` may be an (m, 2) array."""
         if n < 0:
             raise ValueError("node count must be non-negative")
-        canon: set[Edge] = set()
-        for u, v in edges:
-            if u == v:
-                raise GraphFormatError(f"self-loop on node {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphFormatError(f"edge ({u}, {v}) outside node range 0..{n - 1}")
-            canon.add(canonical_edge(u, v))
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for u, v in canon:
-            adj[u].append(v)
-            adj[v].append(u)
-        return cls(n, frozenset(canon), tuple(tuple(sorted(a)) for a in adj))
+        _check_node_count(n)
+        if not isinstance(edges, np.ndarray):
+            edges = list(edges)
+        try:
+            pairs = np.array(edges, dtype=np.int64).reshape(len(edges), 2)
+        except OverflowError:  # ids beyond int64 are out of range; find the first
+            pairs = np.array(edges, dtype=object).reshape(len(edges), 2)
+        u, v = pairs[:, 0], pairs[:, 1]
+        bad = np.flatnonzero((u == v) | (u < 0) | (v < 0) | (u >= n) | (v >= n))
+        if bad.size:
+            a, b = int(u[bad[0]]), int(v[bad[0]])
+            if a == b:
+                raise GraphFormatError(f"self-loop on node {a}")
+            raise GraphFormatError(f"edge ({a}, {b}) outside node range 0..{n - 1}")
+        codes = np.unique(np.concatenate((u * n + v, v * n + u)))
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(codes // n, minlength=n), out=indptr[1:])
+        return cls(n, indptr, codes % n)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return (
+            self.n == other.n
+            and np.array_equal(self.indptr, other.indptr)
+            and np.array_equal(self.indices, other.indices)
+        )
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return self.indices.size // 2
 
     def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
+        return int(self.indptr[v + 1] - self.indptr[v])
 
     def has_edge(self, u: int, v: int) -> bool:
         return canonical_edge(u, v) in self.edges
 
     def sorted_edges(self) -> list[Edge]:
-        return sorted(self.edges)
+        src = np.repeat(np.arange(self.n), np.diff(self.indptr))
+        keep = src < self.indices
+        return list(zip(src[keep].tolist(), self.indices[keep].tolist()))
+
+    @cached_property
+    def edges(self) -> frozenset[Edge]:
+        return frozenset(self.sorted_edges())
+
+    @cached_property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        ptr, flat = self.indptr.tolist(), self.indices.tolist()
+        return tuple(tuple(flat[ptr[v]:ptr[v + 1]]) for v in range(self.n))
 
     @cached_property
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
         """Adjacency in CSR form: (indptr, indices), neighbors sorted."""
-        indptr = np.zeros(self.n + 1, dtype=np.int64)
-        for v, neigh in enumerate(self.adjacency):
-            indptr[v + 1] = indptr[v] + len(neigh)
-        indices = np.empty(int(indptr[-1]), dtype=np.int64)
-        for v, neigh in enumerate(self.adjacency):
-            indices[indptr[v]:indptr[v + 1]] = neigh
-        return indptr, indices
+        return self.indptr, self.indices
 
     @cached_property
     def edge_slots(self) -> dict[Edge, tuple[int, int]]:
@@ -134,14 +167,11 @@ class Path:
 # Parsing / serialization
 # ---------------------------------------------------------------------------
 
-def parse_edge_list(text: str, strict: bool = False) -> Graph:
+def parse_edge_list(text: str) -> Graph:
     """Parse the edge-list format: optional header ``n <count>``, one edge
     ``u v`` per line, ``#`` comments.  The count and node ids are ASCII
-    decimal digits.  Duplicate and reversed duplicate edges collapse;
-    self-loops are rejected.
-
-    With ``strict=True`` a header is mandatory and node ids must lie below the
-    declared count; otherwise n is inferred as max(header n, 1 + max id).
+    decimal digits; n is max(header n, 1 + max id).  Duplicate and reversed
+    duplicate edges collapse; self-loops are rejected.
     """
     header_n: Optional[int] = None
     edges: list[Edge] = []
@@ -167,14 +197,8 @@ def parse_edge_list(text: str, strict: bool = False) -> Graph:
         u, v = int(a), int(b)
         if u == v:
             raise GraphFormatError(f"line {lineno}: self-loop on node {u}")
-        if strict and header_n is not None and (u >= header_n or v >= header_n):
-            raise GraphFormatError(
-                f"line {lineno}: node id beyond declared count {header_n}"
-            )
-        edges.append(canonical_edge(u, v))
+        edges.append((u, v))
         max_id = max(max_id, u, v)
-    if strict and header_n is None:
-        raise GraphFormatError("strict mode requires an 'n <count>' header")
     n = max(header_n or 0, max_id + 1)
     return Graph.from_edges(n, edges)
 
@@ -236,17 +260,18 @@ def gen_gnp(n: int, p: float, seed: int) -> Graph:
         raise ValueError(f"edge probability p={p} outside [0, 1]")
     if n < 0:
         raise ValueError("n must be non-negative")
+    _check_node_count(n)
     count = n * (n - 1) // 2
     draws = _splitmix64_floats(seed, count)
     iu, iv = np.triu_indices(n, k=1)
     keep = draws < p
-    edges = zip(iu[keep].tolist(), iv[keep].tolist())
-    return Graph.from_edges(n, edges)
+    return Graph.from_edges(n, np.column_stack((iu[keep], iv[keep])))
 
 
 def gen_named(family: str, n: int) -> Graph:
     """Standard families with canonical numbering: path, cycle, complete,
-    star (center 0), grid (n = side length, n*n nodes row-major)."""
+    star (center 0), grid (n = side length, n*n nodes row-major).  Edges are
+    generated lazily, so ``from_edges`` checks the node count first."""
     if family == "path":
         if n < 1:
             raise ValueError("path requires n >= 1")
@@ -266,14 +291,9 @@ def gen_named(family: str, n: int) -> Graph:
     if family == "grid":
         if n < 1:
             raise ValueError("grid requires side length n >= 1")
-        edges = []
-        for r in range(n):
-            for c in range(n):
-                if c + 1 < n:
-                    edges.append((r * n + c, r * n + c + 1))
-                if r + 1 < n:
-                    edges.append((r * n + c, (r + 1) * n + c))
-        return Graph.from_edges(n * n, edges)
+        right = ((v, v + 1) for v in range(n * n) if v % n < n - 1)
+        down = ((v, v + n) for v in range(n * n - n))
+        return Graph.from_edges(n * n, itertools.chain(right, down))
     raise ValueError(f"unknown family {family!r}")
 
 
@@ -324,10 +344,7 @@ def apsp(g: Graph) -> DistanceMatrix:
         return DistanceMatrix(0, dist)
     np.fill_diagonal(dist, 0)
     adj = np.zeros((n, n), dtype=np.float32)
-    if g.edges:
-        arr = np.array(g.sorted_edges(), dtype=np.int64)
-        adj[arr[:, 0], arr[:, 1]] = 1.0
-        adj[arr[:, 1], arr[:, 0]] = 1.0
+    adj[np.repeat(np.arange(n), np.diff(g.indptr)), g.indices] = 1.0
     reached = np.eye(n, dtype=bool)
     frontier = (adj > 0) & ~reached
     d = 0

@@ -5,7 +5,29 @@ import math
 
 import numpy as np
 
-from addspan import Graph
+from addspan import UNREACHABLE, Graph
+
+
+def naive_neighbors(n: int, edges) -> dict[int, set[int]]:
+    """Dict-of-sets adjacency of the simple undirected graph on 0..n-1 with
+    the given pairs, in either direction and possibly repeated."""
+    neighbors: dict[int, set[int]] = {v: set() for v in range(n)}
+    for u, v in edges:
+        neighbors[u].add(v)
+        neighbors[v].add(u)
+    return neighbors
+
+
+def potential_triu(dg: np.ndarray, dh: np.ndarray, slack: int) -> int:
+    """max(0, d_G - d_H + slack) summed over the pairs u < v of the upper
+    triangle, skipping pairs unreachable in either graph."""
+    n = dg.shape[0]
+    if n < 2:
+        return 0
+    iu, iv = np.triu_indices(n, k=1)
+    a, b = dg[iu, iv], dh[iu, iv]
+    ok = (a != UNREACHABLE) & (b != UNREACHABLE)
+    return int(np.maximum(a - b + slack, 0)[ok].sum())
 
 
 def floyd_warshall(g: Graph) -> list[list[float]]:

@@ -1,7 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import addspan
 from addspan import fit_exponent
 from addspan.cli import SWEEP_COLUMNS, TRACE_COLUMNS, main
 
@@ -136,6 +142,42 @@ class TestInputContract:
         assert run(["verify", "--graph", str(bad), "--spanner", good, "--k", "2"]) == 2
         assert run(["verify", "--graph", good, "--spanner", str(bad), "--k", "2"]) == 2
         assert capsys.readouterr().err.count("not UTF-8") == 3
+
+    @pytest.mark.parametrize("text", [
+        "0 1000000000000\n",
+        "n 99999999999\n",
+        "0 " + "9" * 40 + "\n",
+    ], ids=["huge-id", "huge-header", "40-digit-id"])
+    def test_node_ceiling(self, tmp_path, capsys, text):
+        g = write_graph(tmp_path, "g.txt", text)
+        good = write_graph(tmp_path, "p2.txt", "0 1\n")
+        t0 = time.perf_counter()
+        assert run(["build", "--input", g, "--k", "2", "--out", str(tmp_path / "sp.txt")]) == 2
+        assert run(["verify", "--graph", g, "--spanner", good, "--k", "2"]) == 2
+        assert run(["verify", "--graph", good, "--spanner", g, "--k", "2"]) == 2
+        assert time.perf_counter() - t0 < 1.0
+        assert capsys.readouterr().err.count("exceed the limit") == 3
+
+    def test_gen_node_ceiling(self, tmp_path, capsys):
+        out = str(tmp_path / "g.txt")
+        t0 = time.perf_counter()
+        assert run(["gen", "--family", "grid", "--n", "100000", "--out", out]) == 2
+        assert run(["gen", "--family", "gnp", "--n", "100000", "--p", "0.5", "--out", out]) == 2
+        assert time.perf_counter() - t0 < 1.0
+        assert capsys.readouterr().err.count("exceed the limit") == 2
+
+
+class TestModuleEntry:
+    def test_no_warnings_as_main_module(self, tmp_path):
+        # the package must not import addspan.cli, or runpy warns that the
+        # module was already imported before running it as __main__
+        env = dict(os.environ, PYTHONPATH=str(Path(addspan.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "addspan.cli", "gen", "--family", "path",
+             "--n", "3", "--out", str(tmp_path / "p3.txt")],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
 
 
 class TestVerify:

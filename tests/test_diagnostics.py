@@ -9,6 +9,7 @@ from addspan import (
     Graph,
     SubgraphState,
     TraceContractError,
+    apsp,
     build_2_spanner,
     build_6_spanner,
     check_2spanner_step_law,
@@ -21,8 +22,9 @@ from addspan import (
     potential_v,
     verify_spanner,
 )
+from addspan.diagnostics import potential_from_matrices
 
-from oracles import matrix_power_distances
+from oracles import matrix_power_distances, potential_triu
 
 
 def _star4_state():
@@ -98,6 +100,19 @@ class TestPotential:
     def test_full_graph_counts_connected_pairs(self):
         g = Graph.from_edges(4, [(0, 1), (2, 3)])
         assert potential_v(g, SubgraphState(g, g.edges), 5) == 2 * 5
+
+    @given(
+        st.builds(gen_gnp, st.integers(0, 12), st.sampled_from((0.1, 0.3, 0.7)),
+                  st.integers(0, 2 ** 32)),
+        st.sampled_from((0, 1, 3, 5, 9)),
+        st.data(),
+    )
+    @settings(max_examples=80)
+    def test_full_matrix_sum_matches_pairwise(self, g, slack, data):
+        # sparse G and random subsets H cover pairs unreachable in one or both
+        h = data.draw(st.lists(st.sampled_from(g.sorted_edges()), unique=True)) if g.edges else []
+        dg, dh = apsp(g).dist, apsp(Graph.from_edges(g.n, h)).dist
+        assert potential_from_matrices(dg, dh, slack) == potential_triu(dg, dh, slack)
 
     def test_negative_slack_rejected(self):
         g = gen_named("path", 3)

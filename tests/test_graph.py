@@ -1,8 +1,9 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from addspan import (
@@ -18,9 +19,9 @@ from addspan import (
     serialize_edge_list,
     shortest_path,
 )
-from addspan.graph import SplitMix64, _splitmix64_floats, insert_edge
+from addspan.graph import MAX_NODES, SplitMix64, _splitmix64_floats, insert_edge
 
-from oracles import floyd_warshall, dist_matrix_to_float
+from oracles import floyd_warshall, dist_matrix_to_float, naive_neighbors
 
 
 @st.composite
@@ -31,6 +32,25 @@ def small_graphs(draw, max_n=10):
     candidates = [(u, v) for u in range(n) for v in range(u + 1, n)]
     edges = draw(st.lists(st.sampled_from(candidates), unique=True, max_size=len(candidates)))
     return Graph.from_edges(n, edges)
+
+
+@st.composite
+def edge_inputs(draw, max_n=10):
+    """(n, pairs): pairs may repeat an edge in either direction, and nodes
+    may be left isolated."""
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    if n < 2:
+        return n, []
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
+    return n, draw(st.lists(pair, max_size=2 * n))
+
+
+# the forms of edge input ``Graph.from_edges`` accepts
+EDGE_FORMS = {
+    "list": list,
+    "generator": lambda pairs: (p for p in pairs),
+    "array": lambda pairs: np.array(pairs, dtype=np.int64).reshape(-1, 2),
+}
 
 
 class TestParsing:
@@ -59,14 +79,6 @@ class TestParsing:
 
     def test_n_inferred_from_ids(self):
         assert parse_edge_list("0 7").n == 8
-
-    def test_strict_requires_header(self):
-        with pytest.raises(GraphFormatError):
-            parse_edge_list("0 1", strict=True)
-
-    def test_strict_rejects_out_of_range(self):
-        with pytest.raises(GraphFormatError):
-            parse_edge_list("n 2\n0 5", strict=True)
 
     def test_serialize_simple(self):
         assert serialize_edge_list(Graph.from_edges(2, [(0, 1)])) == "n 2\n0 1\n"
@@ -132,18 +144,52 @@ class TestGenerators:
 
 
 class TestGraphInvariants:
-    @given(small_graphs())
-    def test_adjacency_consistent(self, g):
-        for v, neigh in enumerate(g.adjacency):
-            assert list(neigh) == sorted(neigh)
-            for w in neigh:
-                assert v in g.adjacency[w]
-                assert (min(v, w), max(v, w)) in g.edges
-        assert g.edge_count * 2 == sum(len(a) for a in g.adjacency)
+    @given(edge_inputs(), st.sampled_from(sorted(EDGE_FORMS)))
+    @example((0, []), "array")
+    @example((6, [(3, 1), (1, 3), (1, 3), (4, 0)]), "generator")
+    def test_adjacency_consistent(self, case, form):
+        n, pairs = case
+        g = Graph.from_edges(n, EDGE_FORMS[form](pairs))
+        neighbors = naive_neighbors(n, pairs)
+        adjacency = tuple(tuple(sorted(neighbors[v])) for v in range(n))
+        assert g.adjacency == adjacency
+        assert g.edges == {(v, w) for v in range(n) for w in neighbors[v] if v < w}
+        assert g.sorted_edges() == sorted(g.edges)
+        views = [*itertools.chain(*g.adjacency), *itertools.chain(*g.sorted_edges())]
+        assert all(type(x) is int for x in views)
+        indptr = [0, *itertools.accumulate(len(a) for a in adjacency)]
+        indices = list(itertools.chain(*adjacency))
+        assert [a.tolist() for a in g.csr] == [indptr, indices]
+        assert [g.degree(v) for v in range(n)] == [len(a) for a in adjacency]
+        assert g.edge_count == len(g.edges)
+        assert g == Graph(n, np.array(indptr, dtype=np.int64), np.array(indices, dtype=np.int64))
+        assert g != Graph.from_edges(n + 1, pairs)
+        if pairs:
+            assert g != Graph.from_edges(n, g.sorted_edges()[1:])
+
+    def test_equal_degrees_different_neighbors(self):
+        assert Graph.from_edges(4, [(0, 1), (2, 3)]) != Graph.from_edges(4, [(0, 2), (1, 3)])
 
     def test_rejects_out_of_range(self):
         with pytest.raises(GraphFormatError):
             Graph.from_edges(3, [(0, 5)])
+
+    @pytest.mark.parametrize("edges, message", [
+        ([(0, 1), (2, 2), (0, 5)], r"self-loop on node 2$"),
+        ([(0, 1), (0, 5), (2, 2)], r"edge \(0, 5\) outside node range 0\.\.2$"),
+        ([(7, 7), (0, 5)], r"self-loop on node 7$"),
+        ([(2, -1)], r"edge \(2, -1\) outside"),
+        ([(1, 0), (0, 10 ** 40)], r"edge \(0, 10{40}\) outside"),
+        (np.array([[0, 1], [1, 3], [4, 4]]), r"edge \(1, 3\) outside"),
+    ], ids=["loop-first", "range-first", "loop-out-of-range", "negative", "beyond-int64", "array"])
+    def test_first_bad_edge_reported(self, edges, message):
+        with pytest.raises(GraphFormatError, match=message):
+            Graph.from_edges(3, edges)
+
+    def test_node_ceiling(self):
+        assert Graph.from_edges(MAX_NODES, []).n == MAX_NODES
+        with pytest.raises(GraphFormatError, match="limit"):
+            Graph.from_edges(MAX_NODES + 1, [])
 
 
 class TestDistances:
