@@ -121,16 +121,23 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    n_values = sorted({int(t) for t in args.n.split(",")})
-    if args.family == "gnp":
-        p_values: list[Optional[float]] = [float(t) for t in args.p.split(",")] if args.p else []
-        if not p_values:
-            print("error: --p is required for family gnp", file=sys.stderr)
-            return 2
-    else:
-        p_values = [None]
+def _parse_list(flag: str, text: str, kind: type) -> list:
     try:
+        return [kind(t) for t in text.split(",")]
+    except ValueError:
+        raise ValueError(
+            f"{flag} must be a comma-separated list of {kind.__name__} values, got {text!r}"
+        ) from None
+
+
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    try:
+        n_values = sorted(set(_parse_list("--n", args.n, int)))
+        p_values: list[Optional[float]] = [None]
+        if args.family == "gnp":
+            if not args.p:
+                raise ValueError("--p is required for family gnp")
+            p_values = _parse_list("--p", args.p, float)
         records = run_sweep(args.family, n_values, p_values, args.seeds, args.k)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -207,6 +214,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    # build, verify and sweep take --k; check it before reading any input
+    if getattr(args, "k", 0) < 0:
+        print("error: additive constant k must be non-negative", file=sys.stderr)
+        return 2
     return args.func(args)
 
 

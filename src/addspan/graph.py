@@ -141,13 +141,6 @@ class DistanceMatrix:
     n: int
     dist: np.ndarray
 
-    def __getitem__(self, pair: tuple[int, int]) -> int:
-        u, v = pair
-        return int(self.dist[u, v])
-
-    def row(self, u: int) -> np.ndarray:
-        return self.dist[u]
-
 
 @dataclass(frozen=True)
 class Path:
@@ -304,56 +297,36 @@ NAMED_FAMILIES = ("path", "cycle", "complete", "star", "grid")
 # BFS / APSP / deterministic shortest paths
 # ---------------------------------------------------------------------------
 
-def bfs_distances(g: Graph, source: int) -> np.ndarray:
-    """Hop distances from ``source`` to every node (UNREACHABLE where none),
-    by level-synchronous BFS over the CSR adjacency."""
-    if not 0 <= source < g.n:
-        raise ValueError(f"source {source} out of range 0..{g.n - 1}")
-    indptr, indices = g.csr
-    dist = np.full(g.n, UNREACHABLE, dtype=np.int64)
-    dist[source] = 0
-    frontier = np.array([source], dtype=np.int64)
-    d = 0
-    while frontier.size:
-        starts = indptr[frontier]
-        counts = indptr[frontier + 1] - starts
-        total = int(counts.sum())
-        if total == 0:
-            break
-        cum = np.concatenate(([0], np.cumsum(counts)))
-        idx = np.arange(total, dtype=np.int64) + np.repeat(starts - cum[:-1], counts)
-        neigh = indices[idx]
-        newly = np.unique(neigh[dist[neigh] == UNREACHABLE])
-        if newly.size == 0:
-            break
-        d += 1
-        dist[newly] = d
-        frontier = newly
-    return dist
-
-
-def apsp(g: Graph) -> DistanceMatrix:
-    """All-pairs hop distances.
-
-    Computed by dense level-synchronous frontier expansion (boolean matrix
-    products); row u equals ``bfs_distances(g, u)`` exactly.
-    """
-    n = g.n
-    dist = np.full((n, n), UNREACHABLE, dtype=np.int64)
-    if n == 0:
-        return DistanceMatrix(0, dist)
-    np.fill_diagonal(dist, 0)
-    adj = np.zeros((n, n), dtype=np.float32)
-    adj[np.repeat(np.arange(n), np.diff(g.indptr)), g.indices] = 1.0
-    reached = np.eye(n, dtype=bool)
-    frontier = (adj > 0) & ~reached
+def _hop_distances(g: Graph, sources: np.ndarray) -> np.ndarray:
+    """Hop distances from each node of ``sources`` (one row each) to every
+    node, UNREACHABLE where none, by dense level-synchronous frontier
+    expansion: one boolean matrix product per BFS level."""
+    dist = np.full((sources.size, g.n), UNREACHABLE, dtype=np.int64)
+    dist[np.arange(sources.size), sources] = 0
+    adj = np.zeros((g.n, g.n), dtype=np.float32)
+    adj[np.repeat(np.arange(g.n), np.diff(g.indptr)), g.indices] = 1.0
+    reached = dist == 0
+    frontier = (adj[sources] > 0) & ~reached
     d = 0
     while frontier.any():
         d += 1
         dist[frontier] = d
         reached |= frontier
         frontier = (frontier.astype(np.float32) @ adj > 0) & ~reached
-    return DistanceMatrix(n, dist)
+    return dist
+
+
+def bfs_distances(g: Graph, source: int) -> np.ndarray:
+    """Hop distances from ``source`` to every node (UNREACHABLE where none);
+    equal to row ``source`` of ``apsp(g)``."""
+    if not 0 <= source < g.n:
+        raise ValueError(f"source {source} out of range 0..{g.n - 1}")
+    return _hop_distances(g, np.array([source]))[0]
+
+
+def apsp(g: Graph) -> DistanceMatrix:
+    """All-pairs hop distances: ``dist[u]`` is the hop-distance row of u."""
+    return DistanceMatrix(g.n, _hop_distances(g, np.arange(g.n)))
 
 
 def insert_edge(dist: np.ndarray, a: int, b: int) -> None:
@@ -377,27 +350,25 @@ def insert_edge(dist: np.ndarray, a: int, b: int) -> None:
     dist[np.ix_(near_b, near_a)] = block.T
 
 
-def shortest_path(
-    g: Graph, u: int, v: int, distances: Optional[np.ndarray] = None
-) -> Path:
+def shortest_path(g: Graph, u: int, v: int, distances: np.ndarray) -> Path:
     """Deterministic shortest u-v path.
 
     Tie-break: level-synchronous BFS from u whose parent rule picks, for each
     node, the lowest-id neighbor on the previous level.  Equivalently the
     path is reconstructed backwards from v choosing the smallest predecessor
-    at each hop.  ``distances`` may supply a precomputed BFS row from u.
+    at each hop.  ``distances`` is the hop-distance row of u, as given by
+    ``bfs_distances(g, u)`` or ``apsp(g).dist[u]``.
     """
     for x in (u, v):
         if not 0 <= x < g.n:
             raise ValueError(f"node {x} out of range 0..{g.n - 1}")
-    row = bfs_distances(g, u) if distances is None else distances
-    if row[v] == UNREACHABLE:
+    if distances[v] == UNREACHABLE:
         raise NoPathError(f"no path from {u} to {v}")
     nodes = [v]
-    cur, d = v, int(row[v])
+    cur, d = v, int(distances[v])
     while d > 0:
         for x in g.adjacency[cur]:
-            if row[x] == d - 1:
+            if distances[x] == d - 1:
                 cur = x
                 break
         nodes.append(cur)

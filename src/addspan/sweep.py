@@ -66,6 +66,8 @@ def run_sweep(
 ) -> list[SweepRecord]:
     """Build one spanner per (n, p, seed) point; non-gnp families ignore p
     and seed (they are deterministic) and emit one row per n."""
+    if any(n < 1 for n in n_values):  # the size ratios divide by n
+        raise ValueError("sweep node counts must be at least 1")
     records = []
     for n in sorted(n_values):
         for p in p_values:

@@ -116,8 +116,8 @@ class TestBuild:
             assert run(["build", "--input", g, "--k", "2", "--out", out,
                         "--trace-out", trace]) == 0
             files.append((out, trace))
-        assert open(files[0][0], "rb").read() == open(files[1][0], "rb").read()
-        assert open(files[0][1], "rb").read() == open(files[1][1], "rb").read()
+        assert Path(files[0][0]).read_bytes() == Path(files[1][0]).read_bytes()
+        assert Path(files[0][1]).read_bytes() == Path(files[1][1]).read_bytes()
 
 
 class TestInputContract:
@@ -157,6 +157,18 @@ class TestInputContract:
         assert run(["verify", "--graph", good, "--spanner", g, "--k", "2"]) == 2
         assert time.perf_counter() - t0 < 1.0
         assert capsys.readouterr().err.count("exceed the limit") == 3
+
+    def test_negative_k_rejected(self, tmp_path, capsys):
+        g = write_graph(tmp_path, "p3.txt", "0 1\n1 2\n")
+        out = tmp_path / "out"
+        for argv in (["build", "--input", g, "--out", str(out), "--unsafe-k"],
+                     ["verify", "--graph", g, "--spanner", g],
+                     ["sweep", "--family", "path", "--n", "3", "--out", str(out)]):
+            assert run([*argv, "--k", "-1"]) == 2
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: additive constant k must be non-negative\n" * 3
 
     def test_gen_node_ceiling(self, tmp_path, capsys):
         out = str(tmp_path / "g.txt")
@@ -229,6 +241,19 @@ class TestSweep:
     def test_gnp_requires_p(self, tmp_path):
         assert run(["sweep", "--family", "gnp", "--n", "8,12,16",
                     "--out", str(tmp_path / "s.csv")]) == 2
+
+    @pytest.mark.parametrize("n, p, message", [
+        ("8,abc", "0.5", "--n must be a comma-separated list of int values, got '8,abc'"),
+        ("8,12,16", "abc", "--p must be a comma-separated list of float values, got 'abc'"),
+        ("0,4,8", "0.5", "sweep node counts must be at least 1"),
+        ("8,12,16", "0.5,", "--p must be a comma-separated list of float values"),
+    ], ids=["bad-n", "bad-p", "zero-n", "empty-p-item"])
+    def test_bad_lists_rejected(self, tmp_path, capsys, n, p, message):
+        out = tmp_path / "s.csv"
+        assert run(["sweep", "--family", "gnp", "--n", n, "--p", p, "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
 
     def test_records_are_consistent(self, tmp_path):
         out = tmp_path / "sweep.csv"

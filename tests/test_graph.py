@@ -207,27 +207,30 @@ class TestDistances:
             bfs_distances(gen_named("path", 3), 3)
 
     def test_apsp_k3(self):
-        d = apsp(gen_named("complete", 3))
+        d = apsp(gen_named("complete", 3)).dist
         assert all(d[u, v] == 1 for u in range(3) for v in range(3) if u != v)
 
     def test_apsp_disconnected(self):
-        d = apsp(Graph.from_edges(2, []))
+        d = apsp(Graph.from_edges(2, [])).dist
         assert d[0, 1] == UNREACHABLE and d[0, 0] == 0
 
     def test_apsp_p4(self):
-        assert apsp(gen_named("path", 4))[0, 3] == 3
+        assert apsp(gen_named("path", 4)).dist[0, 3] == 3
 
     @given(small_graphs())
     @settings(max_examples=60)
     def test_apsp_rows_equal_bfs(self, g):
         d = apsp(g)
         for u in range(g.n):
-            assert d.row(u).tolist() == bfs_distances(g, u).tolist()
+            assert d.dist[u].tolist() == bfs_distances(g, u).tolist()
 
     @given(small_graphs())
     @settings(max_examples=60)
     def test_apsp_matches_floyd_warshall(self, g):
-        assert dist_matrix_to_float(apsp(g).dist) == floyd_warshall(g)
+        fw = floyd_warshall(g)
+        assert dist_matrix_to_float(apsp(g).dist) == fw
+        rows = [bfs_distances(g, u) for u in range(g.n)]
+        assert dist_matrix_to_float(np.array(rows).reshape(g.n, g.n)) == fw
 
     @given(small_graphs())
     @settings(max_examples=40)
@@ -254,18 +257,21 @@ class TestDistances:
 
 class TestShortestPath:
     def test_unique_path(self):
-        assert shortest_path(gen_named("path", 3), 0, 2).nodes == (0, 1, 2)
+        g = gen_named("path", 3)
+        assert shortest_path(g, 0, 2, bfs_distances(g, 0)).nodes == (0, 1, 2)
 
     def test_c4_tie_break_prefers_low_parent(self):
         g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-        assert shortest_path(g, 0, 2).nodes == (0, 1, 2)
+        assert shortest_path(g, 0, 2, bfs_distances(g, 0)).nodes == (0, 1, 2)
 
     def test_no_path_error(self):
         with pytest.raises(NoPathError):
-            shortest_path(Graph.from_edges(4, [(0, 1), (2, 3)]), 0, 3)
+            g = Graph.from_edges(4, [(0, 1), (2, 3)])
+            shortest_path(g, 0, 3, bfs_distances(g, 0))
 
     def test_trivial_path(self):
-        assert shortest_path(gen_named("path", 3), 1, 1).nodes == (1,)
+        g = gen_named("path", 3)
+        assert shortest_path(g, 1, 1, bfs_distances(g, 1)).nodes == (1,)
 
     @given(small_graphs(), st.integers(0, 9), st.integers(0, 9))
     @settings(max_examples=80)
@@ -277,9 +283,9 @@ class TestShortestPath:
         dist = bfs_distances(g, u)
         if dist[v] == UNREACHABLE:
             with pytest.raises(NoPathError):
-                shortest_path(g, u, v)
+                shortest_path(g, u, v, dist)
             return
-        p = shortest_path(g, u, v)
+        p = shortest_path(g, u, v, dist)
         assert p.nodes[0] == u and p.nodes[-1] == v
         assert p.length == dist[v]
         assert len(set(p.nodes)) == len(p.nodes)
@@ -299,6 +305,7 @@ class TestShortestPath:
             return
         u %= g.n
         v %= g.n
-        if bfs_distances(g, u)[v] == UNREACHABLE:
+        dist = bfs_distances(g, u)
+        if dist[v] == UNREACHABLE:
             return
-        assert shortest_path(g, u, v) == shortest_path(g, u, v)
+        assert shortest_path(g, u, v, dist) == shortest_path(g, u, v, dist)
