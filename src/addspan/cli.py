@@ -2,6 +2,9 @@
 and run size-scaling sweeps with a log-log exponent fit.
 
 Exit codes: 0 success, 1 verification failure, 2 input contract failure.
+Commands signal an input contract failure by raising ValueError (bad
+arguments or file contents) or OSError (unreadable input, unwritable output);
+``main`` turns either into one ``error:`` line and exit code 2.
 """
 from __future__ import annotations
 
@@ -17,6 +20,7 @@ from .graph import (
     Graph,
     GraphFormatError,
     NAMED_FAMILIES,
+    check_k,
     gen_gnp,
     gen_named,
     parse_edge_list,
@@ -55,35 +59,25 @@ def _write_trace_csv(path: str, trace: CompletionTrace) -> None:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    try:
-        if args.family == "gnp":
-            if args.p is None:
-                raise ValueError("--p is required for family gnp")
-            g = gen_gnp(args.n, args.p, args.seed)
-        else:
-            g = gen_named(args.family, args.n)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if args.family == "gnp":
+        if args.p is None:
+            raise ValueError("--p is required for family gnp")
+        g = gen_gnp(args.n, args.p, args.seed)
+    else:
+        g = gen_named(args.family, args.n)
     FilePath(args.out).write_text(serialize_edge_list(g), encoding="utf-8")
     print(f"n={g.n} m={g.edge_count}")
     return 0
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
-    try:
-        g = _load_graph(args.input)
-    except (OSError, GraphFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    g = _load_graph(args.input)
     k = args.k
     if k not in (2, 6) and not args.unsafe_k:
-        print(
-            "error: only k=2 and k=6 carry a size guarantee; "
-            "pass --unsafe-k to run other values with an empty seed",
-            file=sys.stderr,
+        raise ValueError(
+            "only k=2 and k=6 carry a size guarantee; "
+            "pass --unsafe-k to run other values with an empty seed"
         )
-        return 2
     h, trace = build_spanner(g, k, record_potentials=args.trace_out is not None)
     violations = verify_spanner(g, h, k)
     if violations:
@@ -100,15 +94,10 @@ def _cmd_build(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        g = _load_graph(args.graph)
-        s = _load_graph(args.spanner)
-    except (OSError, GraphFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    g = _load_graph(args.graph)
+    s = _load_graph(args.spanner)
     if s.n > g.n or not s.edges <= g.edges:
-        print("error: spanner is not a subgraph of the input graph", file=sys.stderr)
-        return 2
+        raise ValueError("spanner is not a subgraph of the input graph")
     h = SubgraphState(g, s.edges)
     violations = verify_spanner(g, h, args.k)
     if violations:
@@ -131,17 +120,13 @@ def _parse_list(flag: str, text: str, kind: type) -> list:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    try:
-        n_values = sorted(set(_parse_list("--n", args.n, int)))
-        p_values: list[Optional[float]] = [None]
-        if args.family == "gnp":
-            if not args.p:
-                raise ValueError("--p is required for family gnp")
-            p_values = _parse_list("--p", args.p, float)
-        records = run_sweep(args.family, n_values, p_values, args.seeds, args.k)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    n_values = sorted(set(_parse_list("--n", args.n, int)))
+    p_values: list[Optional[float]] = [None]
+    if args.family == "gnp":
+        if not args.p:
+            raise ValueError("--p is required for family gnp")
+        p_values = _parse_list("--p", args.p, float)
+    records = run_sweep(args.family, n_values, p_values, args.seeds, args.k)
     with open(args.out, "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(SWEEP_COLUMNS)
@@ -214,11 +199,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    # build, verify and sweep take --k; check it before reading any input
-    if getattr(args, "k", 0) < 0:
-        print("error: additive constant k must be non-negative", file=sys.stderr)
+    try:
+        # build, verify and sweep take --k; check it before reading any input
+        check_k(getattr(args, "k", 0))
+        return args.func(args)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
-    return args.func(args)
 
 
 def entry() -> None:

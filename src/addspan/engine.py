@@ -13,13 +13,14 @@ import numpy as np
 
 from .diagnostics import cost_degsq, cost_edges, potential_from_matrices
 from .graph import (
-    UNREACHABLE,
     Edge,
     Graph,
     Path,
     apsp,
     bfs_distances,
     canonical_edge,
+    check_k,
+    exceeds,
     insert_edge,
     shortest_path,
 )
@@ -100,8 +101,6 @@ class CompletionTrace:
 
     k: int
     n: int
-    slack: int
-    cost_kind: str  # "edges" or "degsq"
     seed_edge_count: int
     final_edge_count: int
     potentials_recorded: bool
@@ -167,29 +166,27 @@ def complete(
     (slack 3 + squared-degree cost for k=2, slack 5 + edge count for k=6),
     read off the same d_H at the price of one O(n^2) potential sum per step.
     """
-    if k < 0:
-        raise ValueError("additive constant k must be non-negative")
+    check_k(k)
     if h.host != g:
         raise ValueError("subgraph state does not belong to this graph")
 
     slack = _slack_for(k)
-    cost_kind, cost = ("degsq", cost_degsq) if k == 2 else ("edges", cost_edges)
+    cost = cost_degsq if k == 2 else cost_edges
     dg = apsp(g).dist
     dh = apsp(h.to_graph()).dist
     seed_edges = h.edge_count
     steps: list[CompletionStep] = []
-    v_cur: Optional[int] = None
-    c_cur: Optional[int] = None
-    if record_potentials:
-        v_cur, c_cur = potential_from_matrices(dg, dh, slack), cost(h)
 
+    def snapshot() -> tuple[Optional[int], Optional[int]]:
+        if not record_potentials:
+            return None, None
+        return potential_from_matrices(dg, dh, slack), cost(h)
+
+    v_cur, c_cur = snapshot()
     for u in range(g.n):
         dg_row, row = dg[u], dh[u]
         while True:
-            viol = np.nonzero(
-                (dg_row != UNREACHABLE)
-                & ((row == UNREACHABLE) | (row > dg_row + k))
-            )[0]
+            viol = np.nonzero(exceeds(dg_row, row, k))[0]
             viol = viol[viol > u]
             if viol.size == 0:
                 break
@@ -208,9 +205,7 @@ def complete(
                     f"pair ({u}, {v}) violates d_H <= d_G + {k} but its "
                     "shortest path adds no edge: the repaired d_H is stale"
                 )
-            v_after = c_after = None
-            if record_potentials:
-                v_after, c_after = potential_from_matrices(dg, dh, slack), cost(h)
+            v_after, c_after = snapshot()
             steps.append(
                 CompletionStep(
                     pair=(u, v),
@@ -229,8 +224,6 @@ def complete(
     trace = CompletionTrace(
         k=k,
         n=g.n,
-        slack=slack,
-        cost_kind=cost_kind,
         seed_edge_count=seed_edges,
         final_edge_count=h.edge_count,
         potentials_recorded=record_potentials,

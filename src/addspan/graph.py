@@ -21,6 +21,10 @@ UNREACHABLE = -1
 #: allocated: a build keeps int64 n x n distance matrices, 512 MiB each here.
 MAX_NODES = 1 << 13
 
+#: Largest additive constant k accepted.  For n <= MAX_NODES, d_G + k and the
+#: potential sum (n^2 terms of at most n + k + 1 each) fit in int64.
+MAX_K = 2 ** 31 - 1
+
 Edge = tuple[int, int]
 
 
@@ -39,6 +43,14 @@ def canonical_edge(u: int, v: int) -> Edge:
 def _check_node_count(n: int) -> None:
     if n > MAX_NODES:
         raise GraphFormatError(f"{n} nodes exceed the limit of {MAX_NODES}")
+
+
+def check_k(k: int) -> None:
+    """Reject an additive constant outside 0..MAX_K with a ValueError."""
+    if k < 0:
+        raise ValueError("additive constant k must be non-negative")
+    if k > MAX_K:
+        raise ValueError(f"additive constant k must be at most {MAX_K}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,7 +180,6 @@ def parse_edge_list(text: str) -> Graph:
     """
     header_n: Optional[int] = None
     edges: list[Edge] = []
-    max_id = -1
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -191,7 +202,7 @@ def parse_edge_list(text: str) -> Graph:
         if u == v:
             raise GraphFormatError(f"line {lineno}: self-loop on node {u}")
         edges.append((u, v))
-        max_id = max(max_id, u, v)
+    max_id = max(itertools.chain.from_iterable(edges), default=-1)
     n = max(header_n or 0, max_id + 1)
     return Graph.from_edges(n, edges)
 
@@ -348,6 +359,13 @@ def insert_edge(dist: np.ndarray, a: int, b: int) -> None:
     block = np.where((block == UNREACHABLE) | (via < block), via, block)
     dist[np.ix_(near_a, near_b)] = block
     dist[np.ix_(near_b, near_a)] = block.T
+
+
+def exceeds(dg: np.ndarray, dh: np.ndarray, k: int) -> np.ndarray:
+    """The additive-spanner pair rule: mask of the pairs connected in G with
+    d_H UNREACHABLE or d_H > d_G + k.  ``dg`` and ``dh`` are matching
+    distance rows or matrices; ``k`` is at most MAX_K, so d_G + k fits int64."""
+    return (dg != UNREACHABLE) & ((dh == UNREACHABLE) | (dh > dg + k))
 
 
 def shortest_path(g: Graph, u: int, v: int, distances: np.ndarray) -> Path:

@@ -10,6 +10,7 @@ import pytest
 import addspan
 from addspan import fit_exponent
 from addspan.cli import SWEEP_COLUMNS, TRACE_COLUMNS, main
+from addspan.graph import MAX_K
 
 
 def run(args):
@@ -169,6 +170,36 @@ class TestInputContract:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: additive constant k must be non-negative\n" * 3
+
+    def test_k_ceiling(self, tmp_path, capsys):
+        g = write_graph(tmp_path, "p3.txt", "0 1\n1 2\n")
+        out = str(tmp_path / "out")
+        huge = str(10 ** 20)  # beyond int64
+        # 2**55 fits int64, but on a few hundred nodes the potential sum would wrap
+        for argv in (["verify", "--graph", g, "--spanner", g, "--k", huge],
+                     ["build", "--input", g, "--out", out, "--unsafe-k", "--k", huge],
+                     ["build", "--input", g, "--out", out, "--unsafe-k",
+                      "--trace-out", out, "--k", str(2 ** 55)]):
+            assert run(argv) == 2
+        assert not Path(out).exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: additive constant k must be at most {MAX_K}\n" * 3
+
+    @pytest.mark.parametrize("command", ["build-out", "build-trace-out", "gen", "sweep"])
+    def test_unwritable_output(self, tmp_path, capsys, command):
+        g = write_graph(tmp_path, "p3.txt", "0 1\n1 2\n")
+        missing = str(tmp_path / "missing" / "x.txt")
+        argv = {
+            "build-out": ["build", "--input", g, "--k", "2", "--out", missing],
+            "build-trace-out": ["build", "--input", g, "--k", "2",
+                                "--out", str(tmp_path / "sp.txt"), "--trace-out", missing],
+            "gen": ["gen", "--family", "path", "--n", "3", "--out", missing],
+            "sweep": ["sweep", "--family", "path", "--n", "3", "--out", missing],
+        }[command]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and missing in err
 
     def test_gen_node_ceiling(self, tmp_path, capsys):
         out = str(tmp_path / "g.txt")

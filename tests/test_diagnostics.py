@@ -23,6 +23,7 @@ from addspan import (
     verify_spanner,
 )
 from addspan.diagnostics import potential_from_matrices
+from addspan.graph import MAX_K
 
 from oracles import matrix_power_distances, potential_triu
 
@@ -55,6 +56,15 @@ class TestVerify:
         violations = verify_spanner(g, h, 2)
         assert violations
         assert all(v.d_h == UNREACHABLE and v.excess == math.inf for v in violations)
+
+    def test_k_range(self):
+        # beyond MAX_K, d_G + k could wrap in int64 and flag pairs of a valid spanner
+        g = gen_named("path", 3)
+        h = SubgraphState(g, g.edges)
+        assert verify_spanner(g, h, MAX_K) == []
+        for k in (-1, MAX_K + 1, 2 ** 63 - 1, 10 ** 20):
+            with pytest.raises(ValueError):
+                verify_spanner(g, h, k)
 
     def test_sorted_lexicographically(self):
         g = gen_named("star", 6)

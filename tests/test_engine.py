@@ -21,6 +21,7 @@ from addspan import (
     verify_spanner,
 )
 from addspan import engine
+from addspan.graph import MAX_K
 
 from conftest import random_tree
 from oracles import reference_complete
@@ -164,6 +165,11 @@ class TestComplete:
         with pytest.raises(ValueError):
             complete(g, seed_empty(g), -1)
 
+    def test_rejects_k_above_ceiling(self):
+        g = gen_named("path", 3)
+        with pytest.raises(ValueError, match="at most"):
+            complete(g, seed_empty(g), MAX_K + 1)
+
     @pytest.mark.parametrize("seed", range(6))
     def test_idempotent_and_single_pass_sound(self, seed):
         g = gen_gnp(18, 0.3, seed)
@@ -231,6 +237,17 @@ class TestReferenceCompletion:
              s.path.nodes, s.new_edges, s.v_before, s.v_after, s.c_before, s.c_after)
             for s in trace.steps
         ] == ref_steps
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_reference_at_k_ceiling(self, seed):
+        # slack k - 1 is largest here; potentials must not wrap in int64
+        g = disjoint_union(gen_gnp(7, 0.4, seed), gen_named("path", 5))
+        ref_edges, ref_steps = reference_complete(g, frozenset(), MAX_K)
+        h, trace = complete(g, seed_empty(g), MAX_K, record_potentials=True)
+        assert h.edges() == ref_edges
+        assert [(s.pair, s.v_before, s.v_after) for s in trace.steps] == [
+            (r[0], r[5], r[6]) for r in ref_steps
+        ]
 
     def test_stale_distances_raise_instead_of_looping(self, monkeypatch):
         monkeypatch.setattr(engine, "insert_edge", lambda dist, a, b: None)
