@@ -75,13 +75,6 @@ def potential_from_matrices(dg: np.ndarray, dh: np.ndarray, slack: int) -> int:
     return (int(vals.sum()) - dg.shape[0] * slack) // 2
 
 
-def potential_v(g: Graph, h: "SubgraphState", slack: int) -> int:
-    """Potential of H against its host (see ``potential_from_matrices``)."""
-    if slack < 0:
-        raise ValueError("slack must be non-negative")
-    return potential_from_matrices(apsp(g).dist, apsp(h.to_graph()).dist, slack)
-
-
 def cost_edges(h: "SubgraphState") -> int:
     """Edge-count cost of H."""
     return h.edge_count

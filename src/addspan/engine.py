@@ -6,6 +6,7 @@ violating pair behind.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -29,13 +30,17 @@ from .graph import (
 class SubgraphState:
     """Mutable edge subset H of a fixed host graph G with degree bookkeeping.
 
-    The node set always equals the host's; edges may only be host edges.
+    The node set always equals the host's; edges may only be host edges.  H
+    is one flag per slot of ``host.indices``: an edge's two slots (v in the
+    row of u, u in the row of v) are flagged together, so ``to_graph`` is the
+    host's CSR with the unflagged slots dropped.  ``deg`` holds the H-degrees.
     """
 
     def __init__(self, host: Graph, edges: Iterable[tuple[int, int]] = ()):
         self.host = host
         self.deg: list[int] = [0] * host.n
-        self._edges: set[Edge] = set()
+        self._row_start: list[int] = host.indptr.tolist()
+        self._in_h = bytearray(host.indices.size)
         for u, v in edges:
             self.add_edge(u, v)
 
@@ -45,24 +50,35 @@ class SubgraphState:
 
     @property
     def edge_count(self) -> int:
-        return len(self._edges)
+        return sum(self.deg) // 2
+
+    def _slot(self, u: int, v: int) -> int:
+        """Index of v in the row of u in ``host.indices``, or -1 if (u, v) is
+        not a host edge.  Plain Python, no numpy call: completion makes one
+        lookup per path edge."""
+        if not 0 <= u < self.host.n:  # a negative u would pick a row from the end
+            return -1
+        row = self.host.adjacency[u]
+        i = bisect_left(row, v)
+        return self._row_start[u] + i if i < len(row) and row[i] == v else -1
 
     def has_edge(self, u: int, v: int) -> bool:
-        return canonical_edge(u, v) in self._edges
+        i = self._slot(u, v)
+        return i >= 0 and self._in_h[i] == 1
 
     def edges(self) -> frozenset[Edge]:
-        return frozenset(self._edges)
+        return frozenset(self.to_graph().sorted_edges())
 
     def add_edge(self, u: int, v: int) -> bool:
         """Insert a host edge into H; returns True iff it was new."""
-        e = canonical_edge(u, v)
-        if e in self._edges:
+        i = self._slot(u, v)
+        if i < 0:
+            raise ValueError(f"edge {canonical_edge(u, v)} is not an edge of the host graph")
+        if self._in_h[i]:
             return False
-        if e not in self.host.edges:
-            raise ValueError(f"edge {e} is not an edge of the host graph")
-        self._edges.add(e)
-        self.deg[e[0]] += 1
-        self.deg[e[1]] += 1
+        self._in_h[i] = self._in_h[self._slot(v, u)] = 1
+        self.deg[u] += 1
+        self.deg[v] += 1
         return True
 
     def bfs_row(self, source: int) -> np.ndarray:
@@ -70,10 +86,11 @@ class SubgraphState:
         return bfs_distances(self.to_graph(), source)
 
     def to_graph(self) -> Graph:
-        return Graph.from_edges(self.host.n, self._edges)
+        indptr = np.concatenate(([0], np.cumsum(self.deg, dtype=np.int64)))
+        return Graph(self.n, indptr, self.host.indices[np.frombuffer(self._in_h, dtype=bool)])
 
     def copy(self) -> "SubgraphState":
-        return SubgraphState(self.host, self._edges)
+        return SubgraphState(self.host, self.to_graph().sorted_edges())
 
 
 @dataclass(frozen=True)
@@ -130,11 +147,7 @@ def seed_degree_capped(g: Graph, cap: int) -> SubgraphState:
     its host edges present."""
     if cap < 0:
         raise ValueError("cap must be non-negative")
-    selected: set[Edge] = set()
-    for v in range(g.n):
-        for w in g.adjacency[v][:cap]:
-            selected.add(canonical_edge(v, w))
-    return SubgraphState(g, selected)
+    return SubgraphState(g, ((v, w) for v in range(g.n) for w in g.adjacency[v][:cap]))
 
 
 def _slack_for(k: int) -> int:

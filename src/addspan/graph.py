@@ -58,9 +58,10 @@ class Graph:
     """Simple undirected unweighted graph in CSR form.
 
     The neighbors of node v are ``indices[indptr[v]:indptr[v + 1]]``, sorted
-    ascending.  ``edges`` (pairs u < v), ``adjacency`` and ``sorted_edges()``
-    are views derived from the arrays.  Nothing writes the arrays after
-    construction, so instances are safe for concurrent reads.
+    ascending.  ``sorted_edges()`` (pairs u < v) and ``adjacency`` (the rows
+    as tuples of Python ints) are views derived from the arrays.  Nothing
+    writes the arrays after construction, so instances are safe for
+    concurrent reads.
     """
 
     n: int
@@ -108,17 +109,10 @@ class Graph:
     def degree(self, v: int) -> int:
         return int(self.indptr[v + 1] - self.indptr[v])
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return canonical_edge(u, v) in self.edges
-
     def sorted_edges(self) -> list[Edge]:
         src = np.repeat(np.arange(self.n), np.diff(self.indptr))
         keep = src < self.indices
         return list(zip(src[keep].tolist(), self.indices[keep].tolist()))
-
-    @cached_property
-    def edges(self) -> frozenset[Edge]:
-        return frozenset(self.sorted_edges())
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
@@ -222,30 +216,10 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
 
-class SplitMix64:
-    """splitmix64 pseudo-random stream.
-
-    Fixed algorithm so that a seed reproduces the same graph on every
-    platform and Python version.  Floats are drawn as 53-bit mantissas in
-    [0, 1).
-    """
-
-    def __init__(self, seed: int):
-        self._state = seed & _MASK64
-
-    def next_u64(self) -> int:
-        self._state = (self._state + _GOLDEN) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
-
-    def next_float(self) -> float:
-        return (self.next_u64() >> 11) * 2.0 ** -53
-
-
 def _splitmix64_floats(seed: int, count: int) -> np.ndarray:
-    """Vectorized splitmix64: the i-th output of SplitMix64(seed)."""
+    """The first ``count`` floats of the splitmix64 stream of ``seed``, each
+    a 53-bit mantissa in [0, 1); a fixed algorithm, so a seed reproduces the
+    same graph on every platform and Python version."""
     with np.errstate(over="ignore"):
         states = np.uint64(seed & _MASK64) + np.arange(
             1, count + 1, dtype=np.uint64

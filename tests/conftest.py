@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 
@@ -38,6 +39,28 @@ def random_tree(n: int, seed: int) -> Graph:
     return Graph.from_edges(n, ((rng.randrange(i), i) for i in range(1, n)))
 
 
+def clique_chain(t: int, s: int) -> Graph:
+    """t cliques of s nodes in a row, each joined to the next by a bridge
+    between their gateways.  Gateways take the top ids (clique i's is
+    n - 1 - i), the other members ids from 0 up, clique by clique.  With
+    s > cap + 1 every node's cap lowest-id neighbors lie in its own clique,
+    so the capped seed drops every bridge and the 6-spanner completion has
+    to put each one back: t - 1 steps."""
+    n = t * s
+
+    def node(i: int, j: int) -> int:  # member j of clique i; j = s - 1 is the gateway
+        return n - 1 - i if j == s - 1 else i * (s - 1) + j
+
+    pairs = list(itertools.combinations(range(s), 2))
+    cliques = ((node(i, a), node(i, b)) for i in range(t) for a, b in pairs)
+    bridges = ((node(i, s - 1), node(i + 1, s - 1)) for i in range(t - 1))
+    return Graph.from_edges(n, itertools.chain(cliques, bridges))
+
+
+# (t, s) of the chains in the shared corpus
+CHAIN_SHAPES = ((4, 6), (8, 6), (10, 5))
+
+
 @dataclass
 class BuiltCase:
     label: str
@@ -54,6 +77,7 @@ def corpus_graphs() -> list[tuple[str, Graph]]:
         (f"gnp-n{n}-p{p}-s{s}", gen_gnp(n, p, s)) for n, p, s in gnp_corpus_params()
     ]
     graphs.extend(named_corpus_graphs())
+    graphs.extend((f"chain-{t}x{s}", clique_chain(t, s)) for t, s in CHAIN_SHAPES)
     return graphs
 
 

@@ -5,7 +5,8 @@ import math
 
 import numpy as np
 
-from addspan import UNREACHABLE, Graph
+from addspan import UNREACHABLE, Graph, SubgraphState, apsp
+from addspan.diagnostics import potential_from_matrices
 
 
 def naive_neighbors(n: int, edges) -> dict[int, set[int]]:
@@ -16,6 +17,44 @@ def naive_neighbors(n: int, edges) -> dict[int, set[int]]:
         neighbors[u].add(v)
         neighbors[v].add(u)
     return neighbors
+
+
+def capped_seed(g: Graph, cap: int) -> set[tuple[int, int]]:
+    """The degree-capped seed: each node's ``cap`` lowest-id neighbors,
+    unioned, as pairs u < v."""
+    neighbors = naive_neighbors(g.n, g.sorted_edges())
+    return {
+        (min(v, w), max(v, w))
+        for v in range(g.n) for w in sorted(neighbors[v])[:cap]
+    }
+
+
+class SplitMix64:
+    """Scalar splitmix64 stream, the reference for the vectorised one that
+    ``gen_gnp`` draws from.  Floats are 53-bit mantissas in [0, 1)."""
+
+    MASK64 = (1 << 64) - 1
+    GOLDEN = 0x9E3779B97F4A7C15
+
+    def __init__(self, seed: int):
+        self._state = seed & self.MASK64
+
+    def next_u64(self) -> int:
+        self._state = (self._state + self.GOLDEN) & self.MASK64
+        z = self._state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & self.MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & self.MASK64
+        return z ^ (z >> 31)
+
+    def next_float(self) -> float:
+        return (self.next_u64() >> 11) * 2.0 ** -53
+
+
+def potential_v(g: Graph, h: SubgraphState, slack: int) -> int:
+    """Potential of H against its host (see ``potential_from_matrices``)."""
+    if slack < 0:
+        raise ValueError("slack must be non-negative")
+    return potential_from_matrices(apsp(g).dist, apsp(h.to_graph()).dist, slack)
 
 
 def potential_triu(dg: np.ndarray, dh: np.ndarray, slack: int) -> int:
@@ -36,7 +75,7 @@ def floyd_warshall(g: Graph) -> list[list[float]]:
     d = [[math.inf] * n for _ in range(n)]
     for i in range(n):
         d[i][i] = 0.0
-    for u, v in g.edges:
+    for u, v in g.sorted_edges():
         d[u][v] = 1.0
         d[v][u] = 1.0
     for k in range(n):
@@ -58,7 +97,7 @@ def matrix_power_distances(g: Graph) -> list[list[float]]:
     exponent whose power has a nonzero (u, v) entry."""
     n = g.n
     a = np.zeros((n, n), dtype=np.int64)
-    for u, v in g.edges:
+    for u, v in g.sorted_edges():
         a[u, v] = 1
         a[v, u] = 1
     d = [[math.inf] * n for _ in range(n)]
@@ -98,7 +137,7 @@ def reference_complete(g: Graph, seed_edges, k: int) -> tuple[frozenset, list[tu
     n = g.n
     slack = {2: 3, 6: 5}.get(k, max(k - 1, 0))
     neighbors = [set() for _ in range(n)]
-    for a, b in g.edges:
+    for a, b in g.sorted_edges():
         neighbors[a].add(b)
         neighbors[b].add(a)
     dg = floyd_warshall(g)

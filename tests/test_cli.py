@@ -242,6 +242,16 @@ class TestVerify:
         s = write_graph(tmp_path, "bad.txt", "n 5\n0 4\n")
         assert run(["verify", "--graph", g, "--spanner", s, "--k", "2"]) == 2
 
+    # an in-range edge that g lacks; every edge in g but more nodes
+    @pytest.mark.parametrize("spanner", ["n 3\n0 2\n", "n 4\n0 1\n"])
+    def test_not_subgraph_message(self, tmp_path, capsys, spanner):
+        g = write_graph(tmp_path, "p3.txt", "n 3\n0 1\n1 2\n")
+        s = write_graph(tmp_path, "bad.txt", spanner)
+        assert run(["verify", "--graph", g, "--spanner", s, "--k", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: spanner is not a subgraph of the input graph\n"
+        assert captured.out == ""
+
 
 class TestSweep:
     def test_small_sweep_csv_and_fit(self, tmp_path, capsys):

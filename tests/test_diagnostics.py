@@ -19,13 +19,12 @@ from addspan import (
     gen_gnp,
     gen_named,
     measure_6spanner_step_ratio,
-    potential_v,
     verify_spanner,
 )
 from addspan.diagnostics import potential_from_matrices
 from addspan.graph import MAX_K
 
-from oracles import matrix_power_distances, potential_triu
+from oracles import matrix_power_distances, potential_triu, potential_v
 
 
 def _star4_state():
@@ -40,7 +39,7 @@ class TestVerify:
 
     def test_c5_minus_edge(self):
         g = gen_named("cycle", 5)
-        h = SubgraphState(g, set(g.edges) - {(0, 4)})
+        h = SubgraphState(g, set(g.sorted_edges()) - {(0, 4)})
         violations = verify_spanner(g, h, 2)
         assert len(violations) == 1
         x = violations[0]
@@ -48,7 +47,7 @@ class TestVerify:
 
     def test_identity_subgraph(self):
         g = gen_gnp(15, 0.3, 1)
-        assert verify_spanner(g, SubgraphState(g, g.edges), 0) == []
+        assert verify_spanner(g, SubgraphState(g, g.sorted_edges()), 0) == []
 
     def test_disconnected_subgraph_reports_infinite_excess(self):
         g = gen_named("path", 3)
@@ -60,7 +59,7 @@ class TestVerify:
     def test_k_range(self):
         # beyond MAX_K, d_G + k could wrap in int64 and flag pairs of a valid spanner
         g = gen_named("path", 3)
-        h = SubgraphState(g, g.edges)
+        h = SubgraphState(g, g.sorted_edges())
         assert verify_spanner(g, h, MAX_K) == []
         for k in (-1, MAX_K + 1, 2 ** 63 - 1, 10 ** 20):
             with pytest.raises(ValueError):
@@ -91,7 +90,7 @@ class TestVerify:
 class TestPotential:
     def test_full_k3(self):
         g = gen_named("complete", 3)
-        assert potential_v(g, SubgraphState(g, g.edges), 3) == 9
+        assert potential_v(g, SubgraphState(g, g.sorted_edges()), 3) == 9
 
     def test_empty_subgraph(self):
         g = gen_named("complete", 3)
@@ -104,12 +103,12 @@ class TestPotential:
     def test_upper_bound(self):
         for seed in range(5):
             g = gen_gnp(12, 0.4, seed)
-            h = SubgraphState(g, g.edges)
+            h = SubgraphState(g, g.sorted_edges())
             assert 0 <= potential_v(g, h, 3) <= 3 * g.n * (g.n - 1) // 2
 
     def test_full_graph_counts_connected_pairs(self):
         g = Graph.from_edges(4, [(0, 1), (2, 3)])
-        assert potential_v(g, SubgraphState(g, g.edges), 5) == 2 * 5
+        assert potential_v(g, SubgraphState(g, g.sorted_edges()), 5) == 2 * 5
 
     @given(
         st.builds(gen_gnp, st.integers(0, 12), st.sampled_from((0.1, 0.3, 0.7)),
@@ -120,7 +119,8 @@ class TestPotential:
     @settings(max_examples=80)
     def test_full_matrix_sum_matches_pairwise(self, g, slack, data):
         # sparse G and random subsets H cover pairs unreachable in one or both
-        h = data.draw(st.lists(st.sampled_from(g.sorted_edges()), unique=True)) if g.edges else []
+        edges = g.sorted_edges()
+        h = data.draw(st.lists(st.sampled_from(edges), unique=True)) if edges else []
         dg, dh = apsp(g).dist, apsp(Graph.from_edges(g.n, h)).dist
         assert potential_from_matrices(dg, dh, slack) == potential_triu(dg, dh, slack)
 
@@ -133,7 +133,7 @@ class TestPotential:
 class TestCosts:
     def test_cost_edges(self):
         g = gen_named("cycle", 5)
-        assert cost_edges(SubgraphState(g, g.edges)) == 5
+        assert cost_edges(SubgraphState(g, g.sorted_edges())) == 5
         assert cost_edges(SubgraphState(g, [])) == 0
 
     def test_cost_degsq_star(self):
@@ -142,13 +142,13 @@ class TestCosts:
 
     def test_cost_degsq_cycle(self):
         g = gen_named("cycle", 5)
-        assert cost_degsq(SubgraphState(g, g.edges)) == 20
+        assert cost_degsq(SubgraphState(g, g.sorted_edges())) == 20
 
 
 class TestCauchyBound:
     def test_regular_graph_tight(self):
         g = gen_named("cycle", 5)
-        h = SubgraphState(g, g.edges)
+        h = SubgraphState(g, g.sorted_edges())
         assert g.n * cost_degsq(h) == 4 * cost_edges(h) ** 2
         assert check_cauchy_bound(h)
 
@@ -163,7 +163,7 @@ class TestCauchyBound:
     @settings(max_examples=60)
     def test_always_holds(self, seed, n):
         g = gen_gnp(n, 0.5, seed)
-        assert check_cauchy_bound(SubgraphState(g, g.edges))
+        assert check_cauchy_bound(SubgraphState(g, g.sorted_edges()))
 
 
 class TestStepLaw:

@@ -23,13 +23,13 @@ from addspan import (
 from addspan import engine
 from addspan.graph import MAX_K
 
-from conftest import random_tree
-from oracles import reference_complete
+from conftest import clique_chain, random_tree
+from oracles import capped_seed, reference_complete
 
 
 def disjoint_union(a: Graph, b: Graph) -> Graph:
     return Graph.from_edges(
-        a.n + b.n, [*a.edges, *((u + a.n, v + a.n) for u, v in b.edges)]
+        a.n + b.n, [*a.sorted_edges(), *((u + a.n, v + a.n) for u, v in b.sorted_edges())]
     )
 
 
@@ -58,7 +58,7 @@ class TestSeeds:
     def test_degree_capped_cap_at_least_max_degree(self):
         g = gen_gnp(20, 0.4, 7)
         h = seed_degree_capped(g, max((g.degree(v) for v in range(g.n)), default=0))
-        assert h.edges() == g.edges
+        assert h.edges() == set(g.sorted_edges())
 
     def test_degree_capped_zero(self):
         assert seed_degree_capped(gen_gnp(10, 0.5, 3), 0).edge_count == 0
@@ -71,6 +71,17 @@ class TestSeeds:
         for v in range(g.n):
             if h.deg[v] < cap:
                 assert all(h.has_edge(v, w) for w in g.adjacency[v])
+
+    @given(completion_graphs)
+    @settings(max_examples=80, deadline=None)
+    def test_matches_capped_seed_oracle(self, g):
+        max_degree = max((g.degree(v) for v in range(g.n)), default=0)
+        for cap in range(max_degree + 2):
+            h = seed_degree_capped(g, cap)
+            expected = capped_seed(g, cap)
+            assert h.edges() == expected
+            assert h.deg == [sum(v in e for e in expected) for v in range(g.n)]
+            assert h.edge_count == len(expected)
 
     def test_seed_size_bound(self):
         for seed in range(5):
@@ -111,6 +122,44 @@ class TestSubgraphState:
         h = SubgraphState(g, [(0, 1), (2, 3)])
         assert h.bfs_row(0).tolist() == [0, 1, UNREACHABLE, UNREACHABLE]
 
+    @given(completion_graphs, st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_edge_set_oracle(self, g, data):
+        host = g.sorted_edges()
+        ids = st.integers(-2, g.n + 1)
+        pairs = st.tuples(ids, ids)
+        if host:  # host edges in either direction, besides arbitrary pairs
+            flips = st.tuples(st.sampled_from(host), st.booleans())
+            pairs = st.one_of(pairs, flips.map(lambda x: x[0][::-1] if x[1] else x[0]))
+        drawn = data.draw(st.lists(pairs, max_size=3 * g.n + 3))
+        h, edges, deg = SubgraphState(g), set(), [0] * g.n
+        for u, v in drawn:
+            e = (min(u, v), max(u, v))
+            if e not in host:
+                with pytest.raises(ValueError) as exc:
+                    h.add_edge(u, v)
+                assert str(exc.value) == f"edge {e} is not an edge of the host graph"
+                continue
+            assert h.add_edge(u, v) is (e not in edges)
+            if e not in edges:
+                edges.add(e)
+                deg[u] += 1
+                deg[v] += 1
+        nodes = range(-2, g.n + 2)
+        assert all(h.has_edge(u, v) is ((min(u, v), max(u, v)) in edges)
+                   for u in nodes for v in nodes)
+        assert h.edges() == edges
+        assert h.deg == deg
+        assert h.edge_count == len(edges)
+        assert h.to_graph() == Graph.from_edges(g.n, h.edges())
+        c = h.copy()
+        assert c.edges() == edges and c.deg == deg
+        missing = sorted(set(host) - edges)
+        if missing:
+            c.add_edge(*missing[0])
+            assert c.edge_count == len(edges) + 1
+            assert h.edges() == edges and h.deg == deg and not h.has_edge(*missing[0])
+
     def test_copy_is_independent(self):
         g = gen_named("path", 3)
         h = SubgraphState(g, [(0, 1)])
@@ -133,7 +182,7 @@ class TestComplete:
     def test_tree_completes_to_itself(self, k, seed):
         t = random_tree(12, seed)
         h, _ = complete(t, seed_empty(t), k)
-        assert h.edges() == t.edges
+        assert h.edges() == set(t.sorted_edges())
 
     def test_c5_k2_needs_all_edges(self):
         g = gen_named("cycle", 5)
@@ -152,7 +201,7 @@ class TestComplete:
     def test_disconnected_pairs_skipped(self):
         g = Graph.from_edges(4, [(0, 1), (2, 3)])
         h, trace = build_2_spanner(g)
-        assert h.edges() == g.edges
+        assert h.edges() == set(g.sorted_edges())
         assert verify_spanner(g, h, 2) == []
 
     def test_rejects_foreign_state(self):
@@ -185,7 +234,7 @@ class TestComplete:
         for k, builder in ((2, build_2_spanner), (6, build_6_spanner)):
             h, trace = builder(g)
             assert verify_spanner(g, h, k) == []
-            assert h.edges() <= g.edges
+            assert h.edges() <= set(g.sorted_edges())
             assert trace.final_edge_count == trace.seed_edge_count + sum(
                 s.new_edges for s in trace.steps
             )
@@ -248,6 +297,23 @@ class TestReferenceCompletion:
         assert [(s.pair, s.v_before, s.v_after) for s in trace.steps] == [
             (r[0], r[5], r[6]) for r in ref_steps
         ]
+
+    @pytest.mark.parametrize("t", [2, 3, 4, 5])
+    @pytest.mark.parametrize("s", [4, 5, 6, 7])
+    def test_matches_reference_on_clique_chains(self, t, s):
+        # the capped seed drops every bridge, so each one costs a k=6 step
+        g = clique_chain(t, s)
+        assert s > default_cap(g.n) + 1
+        seed = seed_degree_capped(g, default_cap(g.n))
+        ref_edges, ref_steps = reference_complete(g, seed.edges(), 6)
+        h, trace = complete(g, seed, 6, record_potentials=True)
+        assert len(trace.steps) == t - 1
+        assert h.edges() == ref_edges
+        assert [
+            (x.pair, x.d_g, math.inf if x.d_h_before == UNREACHABLE else x.d_h_before,
+             x.path.nodes, x.new_edges, x.v_before, x.v_after, x.c_before, x.c_after)
+            for x in trace.steps
+        ] == ref_steps
 
     def test_stale_distances_raise_instead_of_looping(self, monkeypatch):
         monkeypatch.setattr(engine, "insert_edge", lambda dist, a, b: None)
