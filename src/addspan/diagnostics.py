@@ -45,13 +45,17 @@ class StepRatioReport:
     n_two_thirds: float
 
 
-def verify_spanner(g: Graph, h: "SubgraphState", k: int) -> list[Violation]:
-    """Exact check of d_H(u, v) <= d_G(u, v) + k for all pairs via full APSP
-    on both graphs.  Pairs disconnected in G are skipped; k must lie in
-    0..MAX_K.  Empty result means H is a valid additive k-spanner."""
+def verify_spanner(g: Graph, h: Graph, k: int) -> list[Violation]:
+    """Exact check that H is an additive k-spanner of G via full APSP on both
+    graphs: ValueError unless H is a subgraph of G (H may lack trailing
+    isolated nodes of G), else the pairs with d_H(u, v) > d_G(u, v) + k, empty
+    when H is valid.  Pairs disconnected in G are skipped; k lies in 0..MAX_K."""
     check_k(k)
-    dg = apsp(g).dist
-    dh = apsp(h.to_graph()).dist
+    dg = apsp(g).dist if h.n <= g.n else None  # no APSP for an H on more nodes
+    if dg is None or (dg[np.repeat(np.arange(h.n), np.diff(h.indptr)), h.indices] != 1).any():
+        raise ValueError("spanner is not a subgraph of the input graph")
+    indptr = np.concatenate((h.indptr, np.full(g.n - h.n, h.indptr[-1])))  # isolated tail
+    dh = apsp(Graph(g.n, indptr, h.indices)).dist
     out = []
     for u, v in np.argwhere(np.triu(exceeds(dg, dh, k), 1)):
         u, v = int(u), int(v)

@@ -54,8 +54,8 @@ class SubgraphState:
 
     def _slot(self, u: int, v: int) -> int:
         """Index of v in the row of u in ``host.indices``, or -1 if (u, v) is
-        not a host edge.  Plain Python, no numpy call: completion makes one
-        lookup per path edge."""
+        not a host edge.  Plain Python, no numpy call: completion makes two
+        lookups per new edge."""
         if not 0 <= u < self.host.n:  # a negative u would pick a row from the end
             return -1
         row = self.host.adjacency[u]
@@ -208,7 +208,8 @@ def complete(
             path = shortest_path(g, u, v, distances=dg_row)
             added = 0
             for a, b in path.hops():
-                if h.add_edge(a, b):
+                # the repaired d_H is exact: d_H(a, b) = 1 iff (a, b) is in H
+                if dh[a, b] != 1 and h.add_edge(a, b):
                     insert_edge(dh, a, b)
                     added += 1
             # a violating pair always has a path edge missing from H; none

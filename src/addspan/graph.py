@@ -88,10 +88,10 @@ class Graph:
             if a == b:
                 raise GraphFormatError(f"self-loop on node {a}")
             raise GraphFormatError(f"edge ({a}, {b}) outside node range 0..{n - 1}")
-        codes = np.unique(np.concatenate((u * n + v, v * n + u)))
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(codes // n, minlength=n), out=indptr[1:])
-        return cls(n, indptr, codes % n)
+        # sort and drop repeats: np.unique's hash path is many times slower
+        codes = np.sort(np.concatenate((u * n + v, v * n + u)))
+        codes = codes[np.diff(codes, prepend=-1) != 0]
+        return cls(n, np.searchsorted(codes, np.arange(n + 1) * n), codes % n)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
@@ -107,6 +107,8 @@ class Graph:
         return self.indices.size // 2
 
     def degree(self, v: int) -> int:
+        if not 0 <= v < self.n:
+            raise ValueError(f"node {v} out of range 0..{self.n - 1}")
         return int(self.indptr[v + 1] - self.indptr[v])
 
     def sorted_edges(self) -> list[Edge]:

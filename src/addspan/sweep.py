@@ -68,6 +68,8 @@ def run_sweep(
     and seed (they are deterministic) and emit one row per n."""
     if any(n < 1 for n in n_values):  # the size ratios divide by n
         raise ValueError("sweep node counts must be at least 1")
+    if seeds < 1:
+        raise ValueError("sweep seeds must be at least 1")
     records = []
     for n in sorted(n_values):
         for p in p_values:

@@ -39,9 +39,9 @@ def report(num, name, ok):
 def test_criterion_1_spanner_correctness(built_corpus):
     failures = []
     for case in built_corpus:
-        if verify_spanner(case.graph, case.h2, 2):
+        if verify_spanner(case.graph, case.h2.to_graph(), 2):
             failures.append((case.label, 2))
-        if verify_spanner(case.graph, case.h6, 6):
+        if verify_spanner(case.graph, case.h6.to_graph(), 6):
             failures.append((case.label, 6))
     report(1, "spanner correctness (k=2 and k=6, zero violations)", not failures)
 

@@ -296,6 +296,25 @@ class TestSweep:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
 
+    def test_repeated_p_builds_once(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        assert run(["sweep", "--family", "gnp", "--n", "8,12,16", "--p", "0.5,0.3,0.5",
+                    "--seeds", "1", "--k", "2", "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [(r[1], r[2]) for r in rows] == [
+            (n, p) for n in ("8", "12", "16") for p in ("0.5", "0.3")
+        ]
+        labels = [line.split(" k=")[0] for line in capsys.readouterr().out.splitlines()]
+        assert labels == ["family=gnp p=0.5", "family=gnp p=0.3"]
+
+    @pytest.mark.parametrize("family", ["gnp", "path"])
+    def test_zero_seeds_rejected(self, tmp_path, capsys, family):
+        out = tmp_path / "s.csv"
+        assert run(["sweep", "--family", family, "--n", "8,12,16", "--p", "0.5",
+                    "--seeds", "0", "--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == "error: sweep seeds must be at least 1\n"
+
     def test_records_are_consistent(self, tmp_path):
         out = tmp_path / "sweep.csv"
         assert run(["sweep", "--family", "gnp", "--n", "10,14,18", "--p", "0.3",

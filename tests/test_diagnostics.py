@@ -35,24 +35,24 @@ def _star4_state():
 class TestVerify:
     def test_k4_star_valid(self):
         g, h = _star4_state()
-        assert verify_spanner(g, h, 2) == []
+        assert verify_spanner(g, h.to_graph(), 2) == []
 
     def test_c5_minus_edge(self):
         g = gen_named("cycle", 5)
         h = SubgraphState(g, set(g.sorted_edges()) - {(0, 4)})
-        violations = verify_spanner(g, h, 2)
+        violations = verify_spanner(g, h.to_graph(), 2)
         assert len(violations) == 1
         x = violations[0]
         assert (x.u, x.v, x.d_g, x.d_h, x.excess) == (0, 4, 1, 4, 3.0)
 
     def test_identity_subgraph(self):
         g = gen_gnp(15, 0.3, 1)
-        assert verify_spanner(g, SubgraphState(g, g.sorted_edges()), 0) == []
+        assert verify_spanner(g, SubgraphState(g, g.sorted_edges()).to_graph(), 0) == []
 
     def test_disconnected_subgraph_reports_infinite_excess(self):
         g = gen_named("path", 3)
         h = SubgraphState(g, [(0, 1)])
-        violations = verify_spanner(g, h, 2)
+        violations = verify_spanner(g, h.to_graph(), 2)
         assert violations
         assert all(v.d_h == UNREACHABLE and v.excess == math.inf for v in violations)
 
@@ -60,14 +60,33 @@ class TestVerify:
         # beyond MAX_K, d_G + k could wrap in int64 and flag pairs of a valid spanner
         g = gen_named("path", 3)
         h = SubgraphState(g, g.sorted_edges())
-        assert verify_spanner(g, h, MAX_K) == []
+        assert verify_spanner(g, h.to_graph(), MAX_K) == []
         for k in (-1, MAX_K + 1, 2 ** 63 - 1, 10 ** 20):
             with pytest.raises(ValueError):
-                verify_spanner(g, h, k)
+                verify_spanner(g, h.to_graph(), k)
+
+    # H has a non-edge of G at distance 2, an edge between two components
+    # of G, or more nodes than G
+    @pytest.mark.parametrize("g, h", [
+        (gen_named("path", 3), gen_named("complete", 3)),
+        (gen_named("path", 3), Graph.from_edges(3, [(0, 2)])),
+        (Graph.from_edges(4, [(0, 1), (2, 3)]), Graph.from_edges(4, [(1, 2)])),
+        (gen_named("path", 3), gen_named("path", 4)),
+    ], ids=["triangle-on-path", "distance-2", "across-components", "more-nodes"])
+    def test_not_subgraph_rejected(self, g, h):
+        with pytest.raises(ValueError, match="^spanner is not a subgraph of the input graph$"):
+            verify_spanner(g, h, 0)
+
+    def test_fewer_nodes_are_isolated(self):
+        g = Graph.from_edges(5, [(0, 1), (1, 2), (3, 4)])
+        assert verify_spanner(g, gen_named("path", 3), 0) == verify_spanner(
+            g, Graph.from_edges(5, [(0, 1), (1, 2)]), 0
+        ) != []
+        assert verify_spanner(Graph.from_edges(5, [(0, 1)]), Graph.from_edges(2, [(0, 1)]), 0) == []
 
     def test_sorted_lexicographically(self):
         g = gen_named("star", 6)
-        violations = verify_spanner(g, SubgraphState(g, []), 2)
+        violations = verify_spanner(g, SubgraphState(g, []).to_graph(), 2)
         pairs = [(v.u, v.v) for v in violations]
         assert pairs == sorted(pairs)
 
@@ -84,7 +103,7 @@ class TestVerify:
             for v in range(u + 1, g.n)
             if oracle_g[u][v] < math.inf and oracle_h[u][v] > oracle_g[u][v] + k
         ]
-        assert [(x.u, x.v) for x in verify_spanner(g, h, k)] == expected
+        assert [(x.u, x.v) for x in verify_spanner(g, h.to_graph(), k)] == expected
 
 
 class TestPotential:

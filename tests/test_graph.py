@@ -166,6 +166,13 @@ class TestGraphInvariants:
         if pairs:
             assert g != Graph.from_edges(n, g.sorted_edges()[1:])
 
+    def test_degree_range(self):
+        # -1 would index the last row; n would run past indptr
+        g = gen_named("path", 4)
+        for v in (-1, 4):
+            with pytest.raises(ValueError, match=f"^node {v} out of range 0..3$"):
+                g.degree(v)
+
     def test_equal_degrees_different_neighbors(self):
         assert Graph.from_edges(4, [(0, 1), (2, 3)]) != Graph.from_edges(4, [(0, 2), (1, 3)])
 
