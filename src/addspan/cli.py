@@ -17,13 +17,11 @@ from typing import Sequence
 from .diagnostics import verify_spanner
 from .engine import CompletionTrace, build_spanner
 from .graph import (
-    Graph,
-    GraphFormatError,
     NAMED_FAMILIES,
     check_k,
     gen_gnp,
     gen_named,
-    parse_edge_list,
+    read_edge_list,
     serialize_edge_list,
 )
 from .sweep import fit_exponent, run_sweep
@@ -37,14 +35,6 @@ SWEEP_COLUMNS = [
     "final_edges", "ratio_32", "ratio_43", "steps", "wall_time_ms",
 ]
 VIOLATION_COLUMNS = ["u", "v", "d_g", "d_h", "excess"]
-
-
-def _load_graph(path: str) -> Graph:
-    try:
-        text = FilePath(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise GraphFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    return parse_edge_list(text)
 
 
 def _write_trace_csv(path: str, trace: CompletionTrace) -> None:
@@ -71,7 +61,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
-    g = _load_graph(args.input)
+    g = read_edge_list(args.input)
     k = args.k
     if k not in (2, 6) and not args.unsafe_k:
         raise ValueError(
@@ -95,7 +85,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    violations = verify_spanner(_load_graph(args.graph), _load_graph(args.spanner), args.k)
+    violations = verify_spanner(read_edge_list(args.graph), read_edge_list(args.spanner), args.k)
     if violations:
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(VIOLATION_COLUMNS)
@@ -116,12 +106,10 @@ def _parse_list(flag: str, text: str, kind: type) -> list:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    n_values = sorted(set(_parse_list("--n", args.n, int)))
-    p_values: list[float | None] = [None]
-    if args.family == "gnp":
-        if not args.p:
-            raise ValueError("--p is required for family gnp")
-        p_values = list(dict.fromkeys(_parse_list("--p", args.p, float)))
+    n_values = _parse_list("--n", args.n, int)
+    if args.family == "gnp" and not args.p:
+        raise ValueError("--p is required for family gnp")
+    p_values = _parse_list("--p", args.p, float) if args.family == "gnp" else []
     records = run_sweep(args.family, n_values, p_values, args.seeds, args.k)
     with open(args.out, "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f, lineterminator="\n")

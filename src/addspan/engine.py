@@ -150,14 +150,10 @@ def seed_degree_capped(g: Graph, cap: int) -> SubgraphState:
     return SubgraphState(g, ((v, w) for v in range(g.n) for w in g.adjacency[v][:cap]))
 
 
-def _slack_for(k: int) -> int:
-    # 2- and 6-spanner analyses use slack 3 and 5 respectively; generic k
-    # falls back to k - 1 (clamped), reported only.
-    if k == 2:
-        return 3
-    if k == 6:
-        return 5
-    return max(k - 1, 0)
+#: The potential convention, k -> (slack, cost): the 2- and 6-spanner analyses
+#: use slack 3 with the squared-degree cost and slack 5 with the edge count;
+#: any other k falls back to (max(k - 1, 0), edge count), reported only.
+_CONVENTIONS = {2: (3, cost_degsq), 6: (5, cost_edges)}
 
 
 def complete(
@@ -175,16 +171,16 @@ def complete(
     of G are skipped (H never connects what G does not).  d_H is one APSP of
     the seed, repaired in place by ``insert_edge`` for every new edge.
     Mutates and returns ``h`` together with the step trace.  With
-    ``record_potentials`` every step snapshots the potential/cost values
-    (slack 3 + squared-degree cost for k=2, slack 5 + edge count for k=6),
-    read off the same d_H at the price of one O(n^2) potential sum per step.
+    ``record_potentials`` every step snapshots the potential and cost of
+    ``_CONVENTIONS``, read off the same d_H at the price of one O(n^2)
+    potential sum per step.  After every step d_H(u, v) must equal d_G(u, v);
+    a repaired d_H that breaks this raises RuntimeError.
     """
     check_k(k)
     if h.host != g:
         raise ValueError("subgraph state does not belong to this graph")
 
-    slack = _slack_for(k)
-    cost = cost_degsq if k == 2 else cost_edges
+    slack, cost = _CONVENTIONS.get(k, (max(k - 1, 0), cost_edges))
     dg = apsp(g).dist
     dh = apsp(h.to_graph()).dist
     seed_edges = h.edge_count
@@ -212,12 +208,12 @@ def complete(
                 if dh[a, b] != 1 and h.add_edge(a, b):
                     insert_edge(dh, a, b)
                     added += 1
-            # a violating pair always has a path edge missing from H; none
-            # missing means d_H went stale and the scan would repeat the pair
-            if added == 0:
+            # H now holds a shortest u-v path of G; a longer d_H would make the
+            # scan repeat the pair, and a shorter one is below what G allows
+            if row[v] != dg_row[v]:
                 raise RuntimeError(
-                    f"pair ({u}, {v}) violates d_H <= d_G + {k} but its "
-                    "shortest path adds no edge: the repaired d_H is stale"
+                    f"pair ({u}, {v}) has d_H = {row[v]} but d_G = {dg_row[v]} after "
+                    "its shortest path was inserted: the repaired d_H is stale"
                 )
             v_after, c_after = snapshot()
             steps.append(

@@ -70,17 +70,21 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]] | np.ndarray) -> "Graph":
-        """Graph on nodes 0..n-1 from pairs (u, v) in any order; duplicate
-        and reversed pairs collapse.  ``edges`` may be an (m, 2) array."""
+        """Graph on nodes 0..n-1 from integer pairs (u, v) in any order;
+        duplicate and reversed pairs collapse.  ``edges`` may be an (m, 2) array."""
         if n < 0:
             raise ValueError("node count must be non-negative")
         _check_node_count(n)
         if not isinstance(edges, np.ndarray):
             edges = list(edges)
-        try:
-            pairs = np.array(edges, dtype=np.int64).reshape(len(edges), 2)
-        except OverflowError:  # ids beyond int64 are out of range; find the first
-            pairs = np.array(edges, dtype=object).reshape(len(edges), 2)
+        pairs = np.asarray(edges)  # dtype inferred: a float or string id is not cast
+        if pairs.dtype.kind not in "iu":
+            # no edges, or ids beyond int64: keep them exact for the range check
+            pairs = np.array(edges, dtype=object)
+            for x in pairs.flat:
+                if not isinstance(x, (int, np.integer)):
+                    raise GraphFormatError(f"node id {x!r} is not an integer")
+        pairs = pairs.reshape(len(edges), 2)
         u, v = pairs[:, 0], pairs[:, 1]
         bad = np.flatnonzero((u == v) | (u < 0) | (v < 0) | (u >= n) | (v >= n))
         if bad.size:
@@ -88,6 +92,7 @@ class Graph:
             if a == b:
                 raise GraphFormatError(f"self-loop on node {a}")
             raise GraphFormatError(f"edge ({a}, {b}) outside node range 0..{n - 1}")
+        u, v = u.astype(np.int64, copy=False), v.astype(np.int64, copy=False)
         # sort and drop repeats: np.unique's hash path is many times slower
         codes = np.sort(np.concatenate((u * n + v, v * n + u)))
         codes = codes[np.diff(codes, prepend=-1) != 0]
@@ -175,13 +180,13 @@ def parse_edge_list(text: str) -> Graph:
     duplicate edges collapse; self-loops are rejected.
     """
     header_n: Optional[int] = None
-    edges: list[Edge] = []
+    ids: list[int] = []  # u0, v0, u1, v1, ...
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         tokens = line.split()
-        if tokens[0] == "n" and header_n is None and not edges:
+        if tokens[0] == "n" and header_n is None and not ids:
             # str.isdigit alone admits "²" and "١", and int() admits "١" and "1_0"
             if len(tokens) != 2 or not (tokens[1].isascii() and tokens[1].isdigit()):
                 raise GraphFormatError(f"line {lineno}: malformed header {line!r}")
@@ -197,10 +202,20 @@ def parse_edge_list(text: str) -> Graph:
         u, v = int(a), int(b)
         if u == v:
             raise GraphFormatError(f"line {lineno}: self-loop on node {u}")
-        edges.append((u, v))
-    max_id = max(itertools.chain.from_iterable(edges), default=-1)
-    n = max(header_n or 0, max_id + 1)
-    return Graph.from_edges(n, edges)
+        ids += (u, v)
+    n = max(header_n or 0, max(ids, default=-1) + 1)
+    _check_node_count(n)  # before the ids meet an int64 array
+    return Graph.from_edges(n, np.array(ids, dtype=np.int64).reshape(-1, 2))
+
+
+def read_edge_list(path: str) -> Graph:
+    """Parse an edge-list file: UTF-8 text, a leading byte-order mark skipped."""
+    try:
+        with open(path, encoding="utf-8-sig") as f:
+            text = f.read()
+    except UnicodeDecodeError as exc:
+        raise GraphFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    return parse_edge_list(text)
 
 
 def serialize_edge_list(g: Graph) -> str:

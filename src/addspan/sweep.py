@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -60,44 +60,42 @@ def fit_exponent(points: Sequence[tuple[int, int]]) -> ExponentFit:
 def run_sweep(
     family: str,
     n_values: Sequence[int],
-    p_values: Sequence[Optional[float]],
+    p_values: Sequence[float],
     seeds: int,
     k: int,
 ) -> list[SweepRecord]:
-    """Build one spanner per (n, p, seed) point; non-gnp families ignore p
-    and seed (they are deterministic) and emit one row per n."""
+    """Build one spanner per distinct (n, p, seed) point, n ascending and p
+    in first-seen order.  The named families are deterministic: they ignore
+    p and seeds and emit one row per n."""
     if any(n < 1 for n in n_values):  # the size ratios divide by n
         raise ValueError("sweep node counts must be at least 1")
     if seeds < 1:
         raise ValueError("sweep seeds must be at least 1")
+    gnp = family == "gnp"
+    ns = sorted(set(n_values))
+    if gnp:
+        points = [(n, p, s) for n in ns for p in dict.fromkeys(p_values) for s in range(seeds)]
+    else:
+        points = [(n, None, 0) for n in ns]
     records = []
-    for n in sorted(n_values):
-        for p in p_values:
-            for seed in range(seeds):
-                if family == "gnp":
-                    g = gen_gnp(n, p, seed)
-                    p_str = repr(p)
-                else:
-                    if seed > 0 or p is not None:
-                        continue
-                    g = gen_named(family, n)
-                    p_str = ""
-                t0 = time.perf_counter()
-                _, trace = build_spanner(g, k)
-                wall_ms = (time.perf_counter() - t0) * 1000.0
-                m = trace.final_edge_count
-                records.append(SweepRecord(
-                    family=family,
-                    n=g.n,
-                    p_or_param=p_str,
-                    seed=seed,
-                    k=k,
-                    input_edges=g.edge_count,
-                    seed_edges=trace.seed_edge_count,
-                    final_edges=m,
-                    ratio_32=m / g.n ** 1.5,
-                    ratio_43=m / g.n ** (4 / 3),
-                    steps=len(trace.steps),
-                    wall_time_ms=wall_ms,
-                ))
+    for n, p, seed in points:
+        g = gen_gnp(n, p, seed) if gnp else gen_named(family, n)
+        t0 = time.perf_counter()
+        _, trace = build_spanner(g, k)
+        wall_ms = (time.perf_counter() - t0) * 1000.0
+        m = trace.final_edge_count
+        records.append(SweepRecord(
+            family=family,
+            n=g.n,
+            p_or_param=repr(p) if gnp else "",
+            seed=seed,
+            k=k,
+            input_edges=g.edge_count,
+            seed_edges=trace.seed_edge_count,
+            final_edges=m,
+            ratio_32=m / g.n ** 1.5,
+            ratio_43=m / g.n ** (4 / 3),
+            steps=len(trace.steps),
+            wall_time_ms=wall_ms,
+        ))
     return records

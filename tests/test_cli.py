@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import addspan
-from addspan import fit_exponent
+from addspan import fit_exponent, run_sweep
 from addspan.cli import SWEEP_COLUMNS, TRACE_COLUMNS, main
 from addspan.graph import MAX_K
 
@@ -143,6 +143,22 @@ class TestInputContract:
         assert run(["verify", "--graph", str(bad), "--spanner", good, "--k", "2"]) == 2
         assert run(["verify", "--graph", good, "--spanner", str(bad), "--k", "2"]) == 2
         assert capsys.readouterr().err.count("not UTF-8") == 3
+
+    def test_byte_order_mark_skipped(self, tmp_path, capsys):
+        text = "".join(f"{u} {v}\n" for u in range(10) for v in range(u + 1, 10) if (u * v) % 4)
+        plain = write_graph(tmp_path, "plain.txt", text)
+        bom = tmp_path / "bom.txt"
+        bom.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        outputs = []
+        for name, g in (("plain", plain), ("bom", str(bom))):
+            out, trace = tmp_path / f"{name}.sp", tmp_path / f"{name}.csv"
+            assert run(["build", "--input", g, "--k", "2", "--out", str(out),
+                        "--trace-out", str(trace)]) == 0
+            outputs.append((capsys.readouterr(), out.read_bytes(), trace.read_bytes()))
+        assert outputs[0] == outputs[1]
+        spanner = tmp_path / "bom.sp"
+        spanner.write_bytes(b"\xef\xbb\xbf" + spanner.read_bytes())
+        assert run(["verify", "--graph", str(bom), "--spanner", str(spanner), "--k", "2"]) == 0
 
     @pytest.mark.parametrize("text", [
         "0 1000000000000\n",
@@ -314,6 +330,17 @@ class TestSweep:
                     "--seeds", "0", "--out", str(out)]) == 2
         assert not out.exists()
         assert capsys.readouterr().err == "error: sweep seeds must be at least 1\n"
+
+    def test_named_family_ignores_p_and_seeds(self):
+        records = run_sweep("path", [4, 8, 16], [0.5, 0.3], 3, 2)
+        assert [(r.n, r.p_or_param, r.seed) for r in records] == [(n, "", 0) for n in (4, 8, 16)]
+        assert [r.final_edges for r in records] == [3, 7, 15]
+
+    def test_library_repeats_build_once(self):
+        records = run_sweep("gnp", [12, 8, 12], [0.5, 0.3, 0.5], 2, 2)
+        assert [(r.n, r.p_or_param, r.seed) for r in records] == [
+            (n, p, seed) for n in (8, 12) for p in ("0.5", "0.3") for seed in (0, 1)
+        ]
 
     def test_records_are_consistent(self, tmp_path):
         out = tmp_path / "sweep.csv"

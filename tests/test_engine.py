@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,7 +22,7 @@ from addspan import (
     verify_spanner,
 )
 from addspan import engine
-from addspan.graph import MAX_K
+from addspan.graph import MAX_K, insert_edge
 
 from conftest import clique_chain, random_tree
 from oracles import capped_seed, reference_complete
@@ -319,6 +320,20 @@ class TestReferenceCompletion:
         monkeypatch.setattr(engine, "insert_edge", lambda dist, a, b: None)
         g = gen_named("cycle", 5)
         with pytest.raises(RuntimeError, match="stale"):
+            complete(g, seed_empty(g), 2)
+
+    @pytest.mark.parametrize("g", [gen_named("cycle", 7), gen_gnp(30, 0.2, 0)],
+                             ids=["cycle-7", "gnp-30"])
+    def test_undercut_distances_raise_at_first_step(self, monkeypatch, g):
+        # every path edge is still new, so only the d_H = d_G check sees this
+        def undercut(dist, a, b):
+            insert_edge(dist, a, b)
+            dist[a, b] = dist[b, a] = 0
+
+        monkeypatch.setattr(engine, "insert_edge", undercut)
+        # the first pair scanned: 0 and the lowest node it can reach
+        first = int(np.flatnonzero(apsp(g).dist[0] > 0)[0])
+        with pytest.raises(RuntimeError, match=rf"^pair \(0, {first}\) .* stale"):
             complete(g, seed_empty(g), 2)
 
 

@@ -146,6 +146,7 @@ class TestGenerators:
 class TestGraphInvariants:
     @given(edge_inputs(), st.sampled_from(sorted(EDGE_FORMS)))
     @example((0, []), "array")
+    @example((2, []), "list")
     @example((6, [(3, 1), (1, 3), (1, 3), (4, 0)]), "generator")
     def test_adjacency_consistent(self, case, form):
         n, pairs = case
@@ -162,6 +163,7 @@ class TestGraphInvariants:
         assert [g.degree(v) for v in range(n)] == [len(a) for a in adjacency]
         assert g.edge_count == len(g.sorted_edges())
         assert g == Graph(n, np.array(indptr, dtype=np.int64), np.array(indices, dtype=np.int64))
+        assert g.indptr.dtype == g.indices.dtype == np.int64  # also with no edges
         assert g != Graph.from_edges(n + 1, pairs)
         if pairs:
             assert g != Graph.from_edges(n, g.sorted_edges()[1:])
@@ -187,7 +189,17 @@ class TestGraphInvariants:
         ([(2, -1)], r"edge \(2, -1\) outside"),
         ([(1, 0), (0, 10 ** 40)], r"edge \(0, 10{40}\) outside"),
         (np.array([[0, 1], [1, 3], [4, 4]]), r"edge \(1, 3\) outside"),
-    ], ids=["loop-first", "range-first", "loop-out-of-range", "negative", "beyond-int64", "array"])
+        # numpy infers float64 for these two; they must not read as non-integers
+        ([(0, 2 ** 63)], r"edge \(0, 9223372036854775808\) outside"),
+        ([(0, 2 ** 64 - 1)], r"edge \(0, 18446744073709551615\) outside"),
+        # an int64 cast would read (0.5, 2) as (0, 2) and "1" as 1
+        ([(0.5, 2)], r"node id 0\.5 is not an integer$"),
+        ([(1.9, 0)], r"node id 1\.9 is not an integer$"),
+        ([("1", "2")], r"node id '1' is not an integer$"),
+        (np.array([[0.0, 1.0], [1.0, 2.0]]), r"node id 0\.0 is not an integer$"),
+        ([(1, 2), (0.5, 10 ** 40)], r"node id 0\.5 is not an integer$"),
+    ], ids=["loop-first", "range-first", "loop-out-of-range", "negative", "beyond-int64", "array",
+            "2^63", "2^64-1", "half", "near-int", "strings", "float-array", "float-beyond-int64"])
     def test_first_bad_edge_reported(self, edges, message):
         with pytest.raises(GraphFormatError, match=message):
             Graph.from_edges(3, edges)
