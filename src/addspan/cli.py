@@ -15,7 +15,7 @@ from pathlib import Path as FilePath
 from typing import Sequence
 
 from .diagnostics import verify_spanner
-from .engine import CompletionTrace, build_spanner
+from .engine import CONVENTIONS, CompletionTrace, build_spanner
 from .graph import (
     NAMED_FAMILIES,
     check_k,
@@ -63,9 +63,9 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 def _cmd_build(args: argparse.Namespace) -> int:
     g = read_edge_list(args.input)
     k = args.k
-    if k not in (2, 6) and not args.unsafe_k:
+    if k not in CONVENTIONS and not args.unsafe_k:
         raise ValueError(
-            "only k=2 and k=6 carry a size guarantee; "
+            f"only {' and '.join(f'k={c}' for c in CONVENTIONS)} carry a size guarantee; "
             "pass --unsafe-k to run other values with an empty seed"
         )
     h, trace = build_spanner(g, k, record_potentials=args.trace_out is not None)
@@ -159,7 +159,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--out", required=True)
     p_build.add_argument("--trace-out", default=None, help="write per-step CSV trace")
     p_build.add_argument("--unsafe-k", action="store_true",
-                         help="allow k outside {2, 6} (empty seed, no size guarantee)")
+                         help=f"allow k outside {{{', '.join(map(str, CONVENTIONS))}}} "
+                         "(empty seed, no size guarantee)")
     p_build.set_defaults(func=_cmd_build)
 
     p_verify = sub.add_parser("verify", help="verify a spanner file against a graph file")

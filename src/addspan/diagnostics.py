@@ -1,18 +1,16 @@
-"""Brute-force spanner verification, potential/cost functions and trace-level
-invariant checks."""
+"""Brute-force spanner verification and trace-level invariant checks."""
 from __future__ import annotations
 
 import math
 import statistics
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .engine import CompletionTrace, SubgraphState, cost_degsq
+# unused here: perfbench's tracer looks the potential up as a name of this module
+from .engine import potential_from_matrices  # noqa: F401
 from .graph import UNREACHABLE, Graph, apsp, check_k, exceeds
-
-if TYPE_CHECKING:
-    from .engine import CompletionTrace, SubgraphState
 
 
 class TraceContractError(ValueError):
@@ -65,37 +63,13 @@ def verify_spanner(g: Graph, h: Graph, k: int) -> list[Violation]:
     return out
 
 
-def potential_from_matrices(dg: np.ndarray, dh: np.ndarray, slack: int) -> int:
-    """Sum over unordered distinct pairs of max(0, d_G - d_H + slack); pairs
-    unreachable in either graph contribute 0.  ``slack`` must be >= 0."""
-    # one n x n temporary, updated in place: with two more per call, some
-    # process memory layouts faulted their pages in afresh at every step
-    # (about 18k page faults per build of a G(150, 0.05) spanner)
-    vals = dg - dh
-    vals += slack
-    np.maximum(vals, 0, out=vals)
-    vals[(dg == UNREACHABLE) | (dh == UNREACHABLE)] = 0
-    # each diagonal entry holds slack and every pair is counted twice
-    return (int(vals.sum()) - dg.shape[0] * slack) // 2
-
-
-def cost_edges(h: "SubgraphState") -> int:
-    """Edge-count cost of H."""
-    return h.edge_count
-
-
-def cost_degsq(h: "SubgraphState") -> int:
-    """Sum of squared H-degrees."""
-    return sum(d * d for d in h.deg)
-
-
-def check_cauchy_bound(h: "SubgraphState") -> bool:
+def check_cauchy_bound(h: SubgraphState) -> bool:
     """n * (sum of squared degrees) >= 4 * m**2; exact algebra, so a False
     result signals an implementation bug."""
     return h.n * cost_degsq(h) >= 4 * h.edge_count ** 2
 
 
-def check_2spanner_step_law(trace: "CompletionTrace") -> list[int]:
+def check_2spanner_step_law(trace: CompletionTrace) -> list[int]:
     """Per-step change of (squared-degree cost - 12 * potential) along a
     2-spanner trace.  The companion assertion is that every delta is <= 0."""
     if trace.k != 2:
@@ -108,7 +82,7 @@ def check_2spanner_step_law(trace: "CompletionTrace") -> list[int]:
     ]
 
 
-def measure_6spanner_step_ratio(trace: "CompletionTrace") -> StepRatioReport:
+def measure_6spanner_step_ratio(trace: CompletionTrace) -> StepRatioReport:
     """Per-step potential gain per new edge on a 6-spanner trace, with
     n**(2/3) for context."""
     if trace.k != 6:

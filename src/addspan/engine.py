@@ -1,4 +1,5 @@
-"""Seed subgraphs and the additive-spanner completion loop.
+"""Seed subgraphs, the additive-spanner completion loop, and the potential
+and cost functions of its per-k convention.
 
 ``complete`` scans all unordered pairs in lexicographic order once; adding
 path edges never increases any subgraph distance, so a single pass leaves no
@@ -12,8 +13,8 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .diagnostics import cost_degsq, cost_edges, potential_from_matrices
 from .graph import (
+    UNREACHABLE,
     Edge,
     Graph,
     Path,
@@ -150,10 +151,35 @@ def seed_degree_capped(g: Graph, cap: int) -> SubgraphState:
     return SubgraphState(g, ((v, w) for v in range(g.n) for w in g.adjacency[v][:cap]))
 
 
+def potential_from_matrices(dg: np.ndarray, dh: np.ndarray, slack: int) -> int:
+    """Sum over unordered distinct pairs of max(0, d_G - d_H + slack); pairs
+    unreachable in either graph contribute 0.  ``slack`` must be >= 0."""
+    # one n x n temporary, updated in place: with two more per call, some
+    # process memory layouts faulted their pages in afresh at every step
+    # (about 18k page faults per build of a G(150, 0.05) spanner)
+    vals = dg - dh
+    vals += slack
+    np.maximum(vals, 0, out=vals)
+    vals[(dg == UNREACHABLE) | (dh == UNREACHABLE)] = 0
+    # each diagonal entry holds slack and every pair is counted twice
+    return (int(vals.sum()) - dg.shape[0] * slack) // 2
+
+
+def cost_edges(h: SubgraphState) -> int:
+    """Edge-count cost of H."""
+    return h.edge_count
+
+
+def cost_degsq(h: SubgraphState) -> int:
+    """Sum of squared H-degrees."""
+    return sum(d * d for d in h.deg)
+
+
 #: The potential convention, k -> (slack, cost): the 2- and 6-spanner analyses
 #: use slack 3 with the squared-degree cost and slack 5 with the edge count;
 #: any other k falls back to (max(k - 1, 0), edge count), reported only.
-_CONVENTIONS = {2: (3, cost_degsq), 6: (5, cost_edges)}
+#: These two k are also the only ones whose seed carries a size guarantee.
+CONVENTIONS = {2: (3, cost_degsq), 6: (5, cost_edges)}
 
 
 def complete(
@@ -172,7 +198,7 @@ def complete(
     the seed, repaired in place by ``insert_edge`` for every new edge.
     Mutates and returns ``h`` together with the step trace.  With
     ``record_potentials`` every step snapshots the potential and cost of
-    ``_CONVENTIONS``, read off the same d_H at the price of one O(n^2)
+    ``CONVENTIONS``, read off the same d_H at the price of one O(n^2)
     potential sum per step.  After every step d_H(u, v) must equal d_G(u, v);
     a repaired d_H that breaks this raises RuntimeError.
     """
@@ -180,7 +206,7 @@ def complete(
     if h.host != g:
         raise ValueError("subgraph state does not belong to this graph")
 
-    slack, cost = _CONVENTIONS.get(k, (max(k - 1, 0), cost_edges))
+    slack, cost = CONVENTIONS.get(k, (max(k - 1, 0), cost_edges))
     dg = apsp(g).dist
     dh = apsp(h.to_graph()).dist
     seed_edges = h.edge_count
@@ -216,55 +242,38 @@ def complete(
                     "its shortest path was inserted: the repaired d_H is stale"
                 )
             v_after, c_after = snapshot()
-            steps.append(
-                CompletionStep(
-                    pair=(u, v),
-                    d_g=int(dg_row[v]),
-                    d_h_before=d_h_before,
-                    path=path,
-                    new_edges=added,
-                    v_before=v_cur,
-                    v_after=v_after,
-                    c_before=c_cur,
-                    c_after=c_after,
-                )
-            )
+            steps.append(CompletionStep(
+                pair=(u, v), d_g=int(dg_row[v]), d_h_before=d_h_before, path=path,
+                new_edges=added, v_before=v_cur, v_after=v_after, c_before=c_cur, c_after=c_after,
+            ))
             v_cur, c_cur = v_after, c_after
 
-    trace = CompletionTrace(
-        k=k,
-        n=g.n,
-        seed_edge_count=seed_edges,
-        final_edge_count=h.edge_count,
-        potentials_recorded=record_potentials,
-        steps=steps,
+    return h, CompletionTrace(
+        k=k, n=g.n, seed_edge_count=seed_edges, final_edge_count=h.edge_count,
+        potentials_recorded=record_potentials, steps=steps,
     )
-    return h, trace
-
-
-def build_2_spanner(
-    g: Graph, *, record_potentials: bool = False
-) -> tuple[SubgraphState, CompletionTrace]:
-    """Additive 2-spanner: empty seed, then completion with k=2."""
-    return complete(g, seed_empty(g), 2, record_potentials=record_potentials)
-
-
-def build_6_spanner(
-    g: Graph, *, record_potentials: bool = False
-) -> tuple[SubgraphState, CompletionTrace]:
-    """Additive 6-spanner: degree-capped seed (cap = floor cube root of n),
-    then completion with k=6."""
-    cap = default_cap(g.n) if g.n >= 1 else 0
-    return complete(g, seed_degree_capped(g, cap), 6, record_potentials=record_potentials)
 
 
 def build_spanner(
     g: Graph, k: int, *, record_potentials: bool = False
 ) -> tuple[SubgraphState, CompletionTrace]:
-    """The additive k-spanner pipeline for k = 2 or 6; any other k completes
-    an empty seed, with no size guarantee."""
-    if k == 2:
-        return build_2_spanner(g, record_potentials=record_potentials)
-    if k == 6:
-        return build_6_spanner(g, record_potentials=record_potentials)
-    return complete(g, seed_empty(g), k, record_potentials=record_potentials)
+    """The additive k-spanner pipeline, the only place that picks a seed:
+    each node's floor(n^(1/3)) lowest-id edges for k = 6, no edges for any
+    other k, then completion.  Only k = 2 and k = 6 carry a size guarantee."""
+    cap = default_cap(g.n) if g.n else 0
+    h = seed_degree_capped(g, cap) if k == 6 else seed_empty(g)
+    return complete(g, h, k, record_potentials=record_potentials)
+
+
+def build_2_spanner(
+    g: Graph, *, record_potentials: bool = False
+) -> tuple[SubgraphState, CompletionTrace]:
+    """Additive 2-spanner: ``build_spanner`` with k=2."""
+    return build_spanner(g, 2, record_potentials=record_potentials)
+
+
+def build_6_spanner(
+    g: Graph, *, record_potentials: bool = False
+) -> tuple[SubgraphState, CompletionTrace]:
+    """Additive 6-spanner: ``build_spanner`` with k=6."""
+    return build_spanner(g, 6, record_potentials=record_potentials)

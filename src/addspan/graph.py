@@ -8,6 +8,7 @@ pairs carry the sentinel :data:`UNREACHABLE`.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Optional
@@ -46,7 +47,9 @@ def _check_node_count(n: int) -> None:
 
 
 def check_k(k: int) -> None:
-    """Reject an additive constant outside 0..MAX_K with a ValueError."""
+    """Reject an additive constant that is not an integer (a float, even NaN,
+    or a string) with a TypeError, and one outside 0..MAX_K with a ValueError."""
+    k = operator.index(k)
     if k < 0:
         raise ValueError("additive constant k must be non-negative")
     if k > MAX_K:

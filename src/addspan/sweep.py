@@ -2,6 +2,7 @@
 log-log least-squares fit of spanner size against n."""
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass
 from typing import Sequence
@@ -42,9 +43,11 @@ class ExponentFit:
 
 def fit_exponent(points: Sequence[tuple[int, int]]) -> ExponentFit:
     """Ordinary least squares on (log n, log m); needs >= 3 points with
-    >= 3 distinct n and all m >= 1."""
+    >= 3 distinct n, all n >= 1 and all m >= 1."""
     if len(points) < 3 or len({n for n, _ in points}) < 3:
         raise ValueError("exponent fit needs at least 3 points with distinct n")
+    if any(n < 1 for n, _ in points):
+        raise ValueError("exponent fit needs all node counts >= 1")
     if any(m < 1 for _, m in points):
         raise ValueError("exponent fit needs all edge counts >= 1")
     x = np.log([n for n, _ in points])
@@ -65,13 +68,17 @@ def run_sweep(
     k: int,
 ) -> list[SweepRecord]:
     """Build one spanner per distinct (n, p, seed) point, n ascending and p
-    in first-seen order.  The named families are deterministic: they ignore
-    p and seeds and emit one row per n."""
+    in first-seen order.  For gnp, p_values must be non-empty.  seeds is an
+    int of at least 1.  The named families are deterministic: they ignore p
+    and seeds and emit one row per n.  A value outside these ranges raises
+    ValueError; a value of the wrong type raises TypeError."""
     if any(n < 1 for n in n_values):  # the size ratios divide by n
         raise ValueError("sweep node counts must be at least 1")
-    if seeds < 1:
+    if operator.index(seeds) < 1:
         raise ValueError("sweep seeds must be at least 1")
     gnp = family == "gnp"
+    if gnp and not p_values:
+        raise ValueError("sweep p list must be non-empty for family gnp")
     ns = sorted(set(n_values))
     if gnp:
         points = [(n, p, s) for n in ns for p in dict.fromkeys(p_values) for s in range(seeds)]

@@ -6,7 +6,7 @@ import math
 import numpy as np
 
 from addspan import UNREACHABLE, Graph, SubgraphState, apsp
-from addspan.diagnostics import potential_from_matrices
+from addspan.engine import potential_from_matrices
 
 
 def naive_neighbors(n: int, edges) -> dict[int, set[int]]:

@@ -46,6 +46,11 @@ class TestFitExponent:
         with pytest.raises(ValueError):
             fit_exponent([(10, 0), (100, 5), (1000, 7)])
 
+    def test_rejects_zero_nodes(self):
+        # unchecked, log(0) warns and then fails inside the least-squares solver
+        with pytest.raises(ValueError, match="node counts"):
+            fit_exponent([(0, 1), (2, 4), (4, 16)])
+
 
 class TestGen:
     def test_complete(self, tmp_path, capsys):
@@ -335,6 +340,14 @@ class TestSweep:
         records = run_sweep("path", [4, 8, 16], [0.5, 0.3], 3, 2)
         assert [(r.n, r.p_or_param, r.seed) for r in records] == [(n, "", 0) for n in (4, 8, 16)]
         assert [r.final_edges for r in records] == [3, 7, 15]
+
+    def test_library_rejects_empty_p_list(self):
+        with pytest.raises(ValueError, match="p list"):
+            run_sweep("gnp", [8], [], 1, 2)
+
+    def test_library_rejects_non_integer_seeds(self):
+        with pytest.raises(TypeError):
+            run_sweep("path", [4, 8], [], 1.5, 2)
 
     def test_library_repeats_build_once(self):
         records = run_sweep("gnp", [12, 8, 12], [0.5, 0.3, 0.5], 2, 2)

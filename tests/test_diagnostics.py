@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,7 +22,7 @@ from addspan import (
     measure_6spanner_step_ratio,
     verify_spanner,
 )
-from addspan.diagnostics import potential_from_matrices
+from addspan.engine import potential_from_matrices
 from addspan.graph import MAX_K
 
 from oracles import matrix_power_distances, potential_triu, potential_v
@@ -64,6 +65,15 @@ class TestVerify:
         for k in (-1, MAX_K + 1, 2 ** 63 - 1, 10 ** 20):
             with pytest.raises(ValueError):
                 verify_spanner(g, h.to_graph(), k)
+
+    def test_k_must_be_an_integer(self):
+        # NaN compares false with every bound, so unchecked it reads as "no violations"
+        g, h = gen_named("cycle", 8), gen_named("path", 8)
+        assert len(verify_spanner(g, h, 0)) == 6
+        assert verify_spanner(g, h, np.int64(6)) == []
+        for k in (float("nan"), 2.0, "2"):
+            with pytest.raises(TypeError):
+                verify_spanner(g, h, k)
 
     # H has a non-edge of G at distance 2, an edge between two components
     # of G, or more nodes than G

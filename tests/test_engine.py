@@ -22,6 +22,7 @@ from addspan import (
     verify_spanner,
 )
 from addspan import engine
+from addspan.engine import build_spanner
 from addspan.graph import MAX_K, insert_edge
 
 from conftest import clique_chain, random_tree
@@ -220,6 +221,15 @@ class TestComplete:
         with pytest.raises(ValueError, match="at most"):
             complete(g, seed_empty(g), MAX_K + 1)
 
+    def test_rejects_non_integer_k(self):
+        g = gen_named("path", 5)
+        for k in (1.5, float("nan"), "2"):
+            # rejected up front, not by whichever numpy call first meets k
+            with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+                complete(g, seed_empty(g), k, record_potentials=True)
+        h, trace = complete(g, seed_empty(g), np.int64(2), record_potentials=True)
+        assert h.edge_count == 4 and len(trace.steps) == 4
+
     @pytest.mark.parametrize("seed", range(6))
     def test_idempotent_and_single_pass_sound(self, seed):
         g = gen_gnp(18, 0.3, seed)
@@ -287,6 +297,10 @@ class TestReferenceCompletion:
              s.path.nodes, s.new_edges, s.v_before, s.v_after, s.c_before, s.c_after)
             for s in trace.steps
         ] == ref_steps
+        if capped == (k == 6):  # the pipeline's own seed: capped for k = 6 only
+            built, built_trace = build_spanner(g, k, record_potentials=True)
+            assert built.edges() == ref_edges
+            assert built_trace == trace
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_reference_at_k_ceiling(self, seed):
