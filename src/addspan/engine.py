@@ -18,6 +18,7 @@ from .graph import (
     Edge,
     Graph,
     Path,
+    _index,
     apsp,
     bfs_distances,
     canonical_edge,
@@ -40,7 +41,6 @@ class SubgraphState:
     def __init__(self, host: Graph, edges: Iterable[tuple[int, int]] = ()):
         self.host = host
         self.deg: list[int] = [0] * host.n
-        self._row_start: list[int] = host.indptr.tolist()
         self._in_h = bytearray(host.indices.size)
         for u, v in edges:
             self.add_edge(u, v)
@@ -55,17 +55,12 @@ class SubgraphState:
 
     def _slot(self, u: int, v: int) -> int:
         """Index of v in the row of u in ``host.indices``, or -1 if (u, v) is
-        not a host edge.  Plain Python, no numpy call: completion makes two
-        lookups per new edge."""
+        not a host edge.  Called twice per seed edge and per new edge only."""
         if not 0 <= u < self.host.n:  # a negative u would pick a row from the end
             return -1
         row = self.host.adjacency[u]
         i = bisect_left(row, v)
-        return self._row_start[u] + i if i < len(row) and row[i] == v else -1
-
-    def has_edge(self, u: int, v: int) -> bool:
-        i = self._slot(u, v)
-        return i >= 0 and self._in_h[i] == 1
+        return int(self.host.indptr[u]) + i if i < len(row) and row[i] == v else -1
 
     def edges(self) -> frozenset[Edge]:
         return frozenset(self.to_graph().sorted_edges())
@@ -89,9 +84,6 @@ class SubgraphState:
     def to_graph(self) -> Graph:
         indptr = np.concatenate(([0], np.cumsum(self.deg, dtype=np.int64)))
         return Graph(self.n, indptr, self.host.indices[np.frombuffer(self._in_h, dtype=bool)])
-
-    def copy(self) -> "SubgraphState":
-        return SubgraphState(self.host, self.to_graph().sorted_edges())
 
 
 @dataclass(frozen=True)
@@ -127,9 +119,9 @@ class CompletionTrace:
 
 def default_cap(n: int) -> int:
     """Exact integer floor of the cube root: largest c with c**3 <= n."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    c = max(1, round(n ** (1 / 3)))
+    if _index(n) < 0:
+        raise ValueError("n must be non-negative")
+    c = round(n ** (1 / 3))
     while c ** 3 > n:
         c -= 1
     while (c + 1) ** 3 <= n:
@@ -145,8 +137,8 @@ def seed_empty(g: Graph) -> SubgraphState:
 def seed_degree_capped(g: Graph, cap: int) -> SubgraphState:
     """For each node pick its min(cap, deg) lowest-id incident edges; H is
     the union.  Guarantee: any node with H-degree below ``cap`` has all of
-    its host edges present."""
-    if cap < 0:
+    its host edges present.  Cap 0 is the empty seed."""
+    if _index(cap) < 0:
         raise ValueError("cap must be non-negative")
     return SubgraphState(g, ((v, w) for v in range(g.n) for w in g.adjacency[v][:cap]))
 
@@ -257,11 +249,10 @@ def complete(
 def build_spanner(
     g: Graph, k: int, *, record_potentials: bool = False
 ) -> tuple[SubgraphState, CompletionTrace]:
-    """The additive k-spanner pipeline, the only place that picks a seed:
-    each node's floor(n^(1/3)) lowest-id edges for k = 6, no edges for any
+    """The additive k-spanner pipeline, the only place that picks a seed: the
+    degree-capped seed, cap floor(n^(1/3)) for k = 6 and 0 (no edges) for any
     other k, then completion.  Only k = 2 and k = 6 carry a size guarantee."""
-    cap = default_cap(g.n) if g.n else 0
-    h = seed_degree_capped(g, cap) if k == 6 else seed_empty(g)
+    h = seed_degree_capped(g, default_cap(g.n) if k == 6 else 0)
     return complete(g, h, k, record_potentials=record_potentials)
 
 

@@ -41,15 +41,24 @@ def canonical_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
-def _check_node_count(n: int) -> None:
+def _index(x: int) -> int:
+    """The one rule for counts (n, k, cap, seeds): an int, numpy's included."""
+    if isinstance(x, bool):  # operator.index(True) is 1
+        raise TypeError("'bool' object cannot be interpreted as an integer")
+    return operator.index(x)
+
+
+def _check_node_count(n: int) -> int:
+    n = _index(n)
     if n > MAX_NODES:
         raise GraphFormatError(f"{n} nodes exceed the limit of {MAX_NODES}")
+    return n
 
 
 def check_k(k: int) -> None:
     """Reject an additive constant that is not an integer (a float, even NaN,
-    or a string) with a TypeError, and one outside 0..MAX_K with a ValueError."""
-    k = operator.index(k)
+    a string or a bool) with a TypeError, and one outside 0..MAX_K with a ValueError."""
+    k = _index(k)
     if k < 0:
         raise ValueError("additive constant k must be non-negative")
     if k > MAX_K:
@@ -75,9 +84,9 @@ class Graph:
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]] | np.ndarray) -> "Graph":
         """Graph on nodes 0..n-1 from integer pairs (u, v) in any order;
         duplicate and reversed pairs collapse.  ``edges`` may be an (m, 2) array."""
+        n = _check_node_count(n)
         if n < 0:
             raise ValueError("node count must be non-negative")
-        _check_node_count(n)
         if not isinstance(edges, np.ndarray):
             edges = list(edges)
         pairs = np.asarray(edges)  # dtype inferred: a float or string id is not cast
@@ -256,9 +265,9 @@ def gen_gnp(n: int, p: float, seed: int) -> Graph:
     order, is included iff the next splitmix64 float is below p."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability p={p} outside [0, 1]")
+    n = _check_node_count(n)
     if n < 0:
         raise ValueError("n must be non-negative")
-    _check_node_count(n)
     count = n * (n - 1) // 2
     draws = _splitmix64_floats(seed, count)
     iu, iv = np.triu_indices(n, k=1)
@@ -269,7 +278,7 @@ def gen_gnp(n: int, p: float, seed: int) -> Graph:
 def gen_named(family: str, n: int) -> Graph:
     """Standard families with canonical numbering: path, cycle, complete,
     star (center 0), grid (n = side length, n*n nodes row-major).  Edges are
-    generated lazily, so ``from_edges`` checks the node count first."""
+    generated lazily, so ``from_edges`` checks the node count (grid: n) first."""
     if family == "path":
         if n < 1:
             raise ValueError("path requires n >= 1")
@@ -291,7 +300,7 @@ def gen_named(family: str, n: int) -> Graph:
             raise ValueError("grid requires side length n >= 1")
         right = ((v, v + 1) for v in range(n * n) if v % n < n - 1)
         down = ((v, v + n) for v in range(n * n - n))
-        return Graph.from_edges(n * n, itertools.chain(right, down))
+        return Graph.from_edges(_index(n) * n, itertools.chain(right, down))
     raise ValueError(f"unknown family {family!r}")
 
 

@@ -2,7 +2,6 @@
 log-log least-squares fit of spanner size against n."""
 from __future__ import annotations
 
-import operator
 import time
 from dataclasses import dataclass
 from typing import Sequence
@@ -10,7 +9,7 @@ from typing import Sequence
 import numpy as np
 
 from .engine import build_spanner
-from .graph import gen_gnp, gen_named
+from .graph import _index, gen_gnp, gen_named
 
 
 @dataclass(frozen=True)
@@ -69,12 +68,12 @@ def run_sweep(
 ) -> list[SweepRecord]:
     """Build one spanner per distinct (n, p, seed) point, n ascending and p
     in first-seen order.  For gnp, p_values must be non-empty.  seeds is an
-    int of at least 1.  The named families are deterministic: they ignore p
-    and seeds and emit one row per n.  A value outside these ranges raises
-    ValueError; a value of the wrong type raises TypeError."""
+    int (not a bool) of at least 1.  The named families are deterministic:
+    they ignore p and seeds and emit one row per n.  A value outside these
+    ranges raises ValueError; a value of the wrong type raises TypeError."""
     if any(n < 1 for n in n_values):  # the size ratios divide by n
         raise ValueError("sweep node counts must be at least 1")
-    if operator.index(seeds) < 1:
+    if _index(seeds) < 1:
         raise ValueError("sweep seeds must be at least 1")
     gnp = family == "gnp"
     if gnp and not p_values:

@@ -9,6 +9,7 @@ import math
 import pytest
 
 from addspan import (
+    SubgraphState,
     apsp,
     bfs_distances,
     build_2_spanner,
@@ -59,17 +60,14 @@ def test_criterion_3_cauchy_bound(built_corpus):
     states = []
     for case in built_corpus:
         states.extend([case.h2, case.h6, seed_empty(case.graph),
-                       seed_degree_capped(case.graph, default_cap(max(case.graph.n, 1)))])
+                       seed_degree_capped(case.graph, default_cap(case.graph.n))])
     report(3, "Cauchy-Schwarz degree bound on every subgraph state",
            all(check_cauchy_bound(h) for h in states))
 
 
 def test_criterion_4_seed_size_bound(built_corpus):
-    ok = all(
-        case.trace6.seed_edge_count <= case.graph.n * default_cap(case.graph.n)
-        for case in built_corpus
-        if case.graph.n >= 1
-    )
+    ok = all(case.trace6.seed_edge_count <= case.graph.n * default_cap(case.graph.n)
+             for case in built_corpus)
     report(4, "6-spanner seed has at most n * floor(n^(1/3)) edges", ok)
 
 
@@ -103,7 +101,7 @@ def test_criterion_6_monotonicity_and_idempotence(built_corpus):
         for k, h_final, trace, seeder in (
             (2, case.h2, case.trace2, lambda: seed_empty(g)),
             (6, case.h6, case.trace6,
-             lambda: seed_degree_capped(g, default_cap(g.n) if g.n else 0)),
+             lambda: seed_degree_capped(g, default_cap(g.n))),
         ):
             state = seeder()
             prev = apsp(state.to_graph()).dist
@@ -119,7 +117,7 @@ def test_criterion_6_monotonicity_and_idempotence(built_corpus):
                 ok = ok and check_cauchy_bound(state)
                 prev = cur
             ok = ok and state.edges() == h_final.edges()
-            _, rerun = complete(g, h_final.copy(), k)
+            _, rerun = complete(g, SubgraphState(g, h_final.edges()), k)
             ok = ok and not rerun.steps
     report(6, f"per-step distance monotonicity + idempotence ({checked} graphs, n <= 12)",
            ok and checked > 0)

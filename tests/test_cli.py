@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import addspan
-from addspan import fit_exponent, run_sweep
+from addspan import CompletionTrace, fit_exponent, run_sweep, seed_empty
 from addspan.cli import SWEEP_COLUMNS, TRACE_COLUMNS, main
 from addspan.graph import MAX_K
 
@@ -110,6 +110,19 @@ class TestBuild:
         assert len(lines) == 4
         first = lines[1].split(",")
         assert first[:6] == ["0", "0", "1", "1", "-1", "1"]
+
+    def test_self_check_failure_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        # a builder that returns the empty seed leaves all 10 pairs of C5 unspanned
+        def broken(g, k, *, record_potentials=False):
+            return seed_empty(g), CompletionTrace(k, g.n, 0, 0, record_potentials)
+
+        monkeypatch.setattr(addspan.cli, "build_spanner", broken)
+        g = write_graph(tmp_path, "c5.txt", "0 1\n1 2\n2 3\n3 4\n0 4\n")
+        out, trace = tmp_path / "sp.txt", tmp_path / "trace.csv"
+        assert run(["build", "--input", g, "--k", "2", "--out", str(out),
+                    "--trace-out", str(trace)]) == 1
+        assert capsys.readouterr() == ("", "error: self-check found 10 violations\n")
+        assert not out.exists() and not trace.exists()
 
     def test_byte_identical_reruns(self, tmp_path):
         g = write_graph(tmp_path, "g.txt", "\n".join(

@@ -70,9 +70,10 @@ class TestSeeds:
         g = gen_gnp(25, 0.25, seed)
         cap = default_cap(g.n)
         h = seed_degree_capped(g, cap)
+        edges = h.edges()
         for v in range(g.n):
             if h.deg[v] < cap:
-                assert all(h.has_edge(v, w) for w in g.adjacency[v])
+                assert all((min(v, w), max(v, w)) in edges for w in g.adjacency[v])
 
     @given(completion_graphs)
     @settings(max_examples=80, deadline=None)
@@ -97,11 +98,13 @@ class TestDefaultCap:
     def test_examples(self, n, expected):
         assert default_cap(n) == expected
 
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            default_cap(0)
+    def test_zero_gives_zero_negative_raises(self):
+        # cap 0 is the empty seed, so the pipeline needs no n = 0 case
+        assert default_cap(0) == 0
+        with pytest.raises(ValueError, match="non-negative"):
+            default_cap(-1)
 
-    @given(st.integers(1, 10 ** 9))
+    @given(st.integers(0, 10 ** 9))
     def test_exact_integer_cube_root(self, n):
         c = default_cap(n)
         assert c ** 3 <= n < (c + 1) ** 3
@@ -147,27 +150,17 @@ class TestSubgraphState:
                 edges.add(e)
                 deg[u] += 1
                 deg[v] += 1
-        nodes = range(-2, g.n + 2)
-        assert all(h.has_edge(u, v) is ((min(u, v), max(u, v)) in edges)
-                   for u in nodes for v in nodes)
         assert h.edges() == edges
         assert h.deg == deg
         assert h.edge_count == len(edges)
         assert h.to_graph() == Graph.from_edges(g.n, h.edges())
-        c = h.copy()
+        c = SubgraphState(g, h.edges())
         assert c.edges() == edges and c.deg == deg
         missing = sorted(set(host) - edges)
         if missing:
             c.add_edge(*missing[0])
             assert c.edge_count == len(edges) + 1
-            assert h.edges() == edges and h.deg == deg and not h.has_edge(*missing[0])
-
-    def test_copy_is_independent(self):
-        g = gen_named("path", 3)
-        h = SubgraphState(g, [(0, 1)])
-        c = h.copy()
-        c.add_edge(1, 2)
-        assert h.edge_count == 1 and c.edge_count == 2
+            assert h.edges() == edges and h.deg == deg
 
 
 class TestComplete:
@@ -234,7 +227,7 @@ class TestComplete:
     def test_idempotent_and_single_pass_sound(self, seed):
         g = gen_gnp(18, 0.3, seed)
         h, _ = build_2_spanner(g)
-        again, trace = complete(g, h.copy(), 2)
+        again, trace = complete(g, SubgraphState(g, h.edges()), 2)
         assert not trace.steps
         assert again.edges() == h.edges()
         assert verify_spanner(g, h.to_graph(), 2) == []
@@ -288,7 +281,7 @@ class TestReferenceCompletion:
     @given(completion_graphs, st.sampled_from((0, 1, 2, 4, 6)), st.booleans())
     @settings(max_examples=120, deadline=None)
     def test_matches_reference_complete(self, g, k, capped):
-        seed = seed_degree_capped(g, default_cap(g.n)) if capped and g.n else seed_empty(g)
+        seed = seed_degree_capped(g, default_cap(g.n)) if capped else seed_empty(g)
         ref_edges, ref_steps = reference_complete(g, seed.edges(), k)
         h, trace = complete(g, seed, k, record_potentials=True)
         assert h.edges() == ref_edges

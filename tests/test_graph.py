@@ -13,13 +13,17 @@ from addspan import (
     NoPathError,
     apsp,
     bfs_distances,
+    default_cap,
     gen_gnp,
     gen_named,
     parse_edge_list,
+    run_sweep,
+    seed_degree_capped,
     serialize_edge_list,
     shortest_path,
+    verify_spanner,
 )
-from addspan.graph import MAX_NODES, _splitmix64_floats, insert_edge
+from addspan.graph import MAX_NODES, _splitmix64_floats, check_k, insert_edge
 
 from oracles import SplitMix64, floyd_warshall, dist_matrix_to_float, naive_neighbors
 
@@ -208,6 +212,30 @@ class TestGraphInvariants:
         assert Graph.from_edges(MAX_NODES, []).n == MAX_NODES
         with pytest.raises(GraphFormatError, match="limit"):
             Graph.from_edges(MAX_NODES + 1, [])
+
+    # one rule for every count: a bool is not 1, and a float is not rounded
+    @pytest.mark.parametrize("call", [
+        lambda: check_k(True),
+        lambda: verify_spanner(gen_named("cycle", 8), gen_named("path", 8), True),
+        lambda: Graph.from_edges(3.5, [(0, 1)]),
+        lambda: gen_gnp(4.0, 0.5, 1),
+        lambda: gen_named("path", True),
+        lambda: gen_named("grid", True),
+        lambda: default_cap(2.5),
+        lambda: seed_degree_capped(gen_named("path", 4), True),
+        lambda: run_sweep("gnp", [8], [0.5], True, 2),
+    ], ids=["check_k", "verify_spanner", "from_edges", "gen_gnp", "gen_named", "grid",
+            "default_cap", "seed_degree_capped", "run_sweep"])
+    def test_counts_must_be_integers(self, call):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            call()
+
+    def test_numpy_integer_counts_pass(self):
+        g = Graph.from_edges(np.int64(4), [(0, 1), (1, 2)])
+        assert type(g.n) is int and g == Graph.from_edges(4, [(0, 1), (1, 2)])
+        assert gen_gnp(np.int32(5), 1.0, 0) == gen_named("complete", 5)
+        assert default_cap(np.int64(27)) == 3
+        assert seed_degree_capped(gen_named("path", 4), np.int64(1)).edge_count == 3
 
 
 class TestDistances:
