@@ -18,9 +18,9 @@ from .graph import (
     Edge,
     Graph,
     Path,
+    _hop_distances,
     _index,
     apsp,
-    bfs_distances,
     canonical_edge,
     check_k,
     exceeds,
@@ -79,7 +79,7 @@ class SubgraphState:
 
     def bfs_row(self, source: int) -> np.ndarray:
         """Hop distances within H from ``source``."""
-        return bfs_distances(self.to_graph(), source)
+        return _hop_distances(self.to_graph(), np.array([source]))[0]
 
     def to_graph(self) -> Graph:
         indptr = np.concatenate(([0], np.cumsum(self.deg, dtype=np.int64)))

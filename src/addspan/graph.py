@@ -50,6 +50,8 @@ def _index(x: int) -> int:
 
 def _check_node_count(n: int) -> int:
     n = _index(n)
+    if n < 0:
+        raise ValueError("n must be non-negative")
     if n > MAX_NODES:
         raise GraphFormatError(f"{n} nodes exceed the limit of {MAX_NODES}")
     return n
@@ -85,8 +87,6 @@ class Graph:
         """Graph on nodes 0..n-1 from integer pairs (u, v) in any order;
         duplicate and reversed pairs collapse.  ``edges`` may be an (m, 2) array."""
         n = _check_node_count(n)
-        if n < 0:
-            raise ValueError("node count must be non-negative")
         if not isinstance(edges, np.ndarray):
             edges = list(edges)
         pairs = np.asarray(edges)  # dtype inferred: a float or string id is not cast
@@ -122,11 +122,6 @@ class Graph:
     @property
     def edge_count(self) -> int:
         return self.indices.size // 2
-
-    def degree(self, v: int) -> int:
-        if not 0 <= v < self.n:
-            raise ValueError(f"node {v} out of range 0..{self.n - 1}")
-        return int(self.indptr[v + 1] - self.indptr[v])
 
     def sorted_edges(self) -> list[Edge]:
         src = np.repeat(np.arange(self.n), np.diff(self.indptr))
@@ -185,6 +180,19 @@ class Path:
 # Parsing / serialization
 # ---------------------------------------------------------------------------
 
+_MAX_DIGITS = len(str(MAX_NODES))
+
+
+def _significant_digits(token: str, lineno: int) -> str:
+    """An ASCII-digit id or count without its leading zeros.  One with more digits
+    than MAX_NODES has is rejected unread: int() refuses 4300 digits or more."""
+    digits = token.lstrip("0") or "0"
+    if len(digits) > _MAX_DIGITS:
+        raise GraphFormatError(f"line {lineno}: an id or count of {len(digits)} digits "
+                               f"would exceed the limit of {MAX_NODES} nodes")
+    return digits
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse the edge-list format: optional header ``n <count>``, one edge
     ``u v`` per line, ``#`` comments.  The count and node ids are ASCII
@@ -202,7 +210,7 @@ def parse_edge_list(text: str) -> Graph:
             # str.isdigit alone admits "²" and "١", and int() admits "١" and "1_0"
             if len(tokens) != 2 or not (tokens[1].isascii() and tokens[1].isdigit()):
                 raise GraphFormatError(f"line {lineno}: malformed header {line!r}")
-            header_n = int(tokens[1])
+            header_n = int(_significant_digits(tokens[1], lineno))
             continue
         if len(tokens) != 2:
             raise GraphFormatError(f"line {lineno}: expected 'u v', got {line!r}")
@@ -211,12 +219,13 @@ def parse_edge_list(text: str) -> Graph:
             raise GraphFormatError(
                 f"line {lineno}: node ids must be ASCII digits 0-9, got {line!r}"
             )
+        if len(a) > _MAX_DIGITS or len(b) > _MAX_DIGITS:  # short ids need no stripping
+            a, b = _significant_digits(a, lineno), _significant_digits(b, lineno)
         u, v = int(a), int(b)
         if u == v:
             raise GraphFormatError(f"line {lineno}: self-loop on node {u}")
         ids += (u, v)
     n = max(header_n or 0, max(ids, default=-1) + 1)
-    _check_node_count(n)  # before the ids meet an int64 array
     return Graph.from_edges(n, np.array(ids, dtype=np.int64).reshape(-1, 2))
 
 
@@ -266,8 +275,6 @@ def gen_gnp(n: int, p: float, seed: int) -> Graph:
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability p={p} outside [0, 1]")
     n = _check_node_count(n)
-    if n < 0:
-        raise ValueError("n must be non-negative")
     count = n * (n - 1) // 2
     draws = _splitmix64_floats(seed, count)
     iu, iv = np.triu_indices(n, k=1)
@@ -330,14 +337,6 @@ def _hop_distances(g: Graph, sources: np.ndarray) -> np.ndarray:
     return dist
 
 
-def bfs_distances(g: Graph, source: int) -> np.ndarray:
-    """Hop distances from ``source`` to every node (UNREACHABLE where none);
-    equal to row ``source`` of ``apsp(g)``."""
-    if not 0 <= source < g.n:
-        raise ValueError(f"source {source} out of range 0..{g.n - 1}")
-    return _hop_distances(g, np.array([source]))[0]
-
-
 def apsp(g: Graph) -> DistanceMatrix:
     """All-pairs hop distances: ``dist[u]`` is the hop-distance row of u."""
     return DistanceMatrix(g.n, _hop_distances(g, np.arange(g.n)))
@@ -377,8 +376,8 @@ def shortest_path(g: Graph, u: int, v: int, distances: np.ndarray) -> Path:
     Tie-break: level-synchronous BFS from u whose parent rule picks, for each
     node, the lowest-id neighbor on the previous level.  Equivalently the
     path is reconstructed backwards from v choosing the smallest predecessor
-    at each hop.  ``distances`` is the hop-distance row of u, as given by
-    ``bfs_distances(g, u)`` or ``apsp(g).dist[u]``.
+    at each hop.  ``distances`` is the hop-distance row of u,
+    ``apsp(g).dist[u]``.
     """
     for x in (u, v):
         if not 0 <= x < g.n:

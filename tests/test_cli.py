@@ -74,6 +74,12 @@ class TestGen:
         assert run(["gen", "--family", "gnp", "--n", "5", "--p", "2.0",
                     "--seed", "1", "--out", out]) != 0
 
+    def test_negative_n(self, tmp_path, capsys):
+        out = tmp_path / "g.txt"
+        assert run(["gen", "--family", "gnp", "--n", "-1", "--p", "0.5", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: n must be non-negative\n"
+        assert not out.exists()
+
 
 class TestBuild:
     def test_k4_k2(self, tmp_path, capsys):
@@ -182,7 +188,9 @@ class TestInputContract:
         "0 1000000000000\n",
         "n 99999999999\n",
         "0 " + "9" * 40 + "\n",
-    ], ids=["huge-id", "huge-header", "40-digit-id"])
+        "0 " + "1" * 5000 + "\n",
+        "n " + "9" * 5000 + "\n",
+    ], ids=["huge-id", "huge-header", "40-digit-id", "5000-digit-id", "5000-digit-header"])
     def test_node_ceiling(self, tmp_path, capsys, text):
         g = write_graph(tmp_path, "g.txt", text)
         good = write_graph(tmp_path, "p2.txt", "0 1\n")
