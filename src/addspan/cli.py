@@ -15,7 +15,7 @@ from pathlib import Path as FilePath
 from typing import Sequence
 
 from .diagnostics import verify_spanner
-from .engine import CONVENTIONS, CompletionTrace, build_spanner
+from .engine import CompletionTrace, build_spanner
 from .graph import (
     NAMED_FAMILIES,
     check_k,
@@ -62,24 +62,19 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_build(args: argparse.Namespace) -> int:
     g = read_edge_list(args.input)
-    k = args.k
-    if k not in CONVENTIONS and not args.unsafe_k:
-        raise ValueError(
-            f"only {' and '.join(f'k={c}' for c in CONVENTIONS)} carry a size guarantee; "
-            "pass --unsafe-k to run other values with an empty seed"
-        )
-    h, trace = build_spanner(g, k, record_potentials=args.trace_out is not None)
+    h, trace = build_spanner(g, args.k, record_potentials=args.trace_out is not None)
     spanner = h.to_graph()
-    violations = verify_spanner(g, spanner, k)
+    violations = verify_spanner(g, spanner, args.k)
     if violations:
         print(f"error: self-check found {len(violations)} violations", file=sys.stderr)
         return 1
-    FilePath(args.out).write_text(serialize_edge_list(spanner), encoding="utf-8")
     if args.trace_out:
         _write_trace_csv(args.trace_out, trace)
+    # the spanner is written last, so its file exists only after a build that exits 0
+    FilePath(args.out).write_text(serialize_edge_list(spanner), encoding="utf-8")
     print(
         f"n={g.n} m_in={g.edge_count} m_seed={trace.seed_edge_count} "
-        f"m_out={trace.final_edge_count} steps={len(trace.steps)}"
+        f"m_out={spanner.edge_count} steps={len(trace.steps)}"
     )
     return 0
 
@@ -155,12 +150,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_build = sub.add_parser("build", help="build a spanner from an edge-list file")
     p_build.add_argument("--input", required=True)
-    p_build.add_argument("--k", type=int, required=True)
+    p_build.add_argument("--k", type=int, required=True,
+                         help="additive constant; only k=2 and k=6 carry a size guarantee")
     p_build.add_argument("--out", required=True)
     p_build.add_argument("--trace-out", default=None, help="write per-step CSV trace")
-    p_build.add_argument("--unsafe-k", action="store_true",
-                         help=f"allow k outside {{{', '.join(map(str, CONVENTIONS))}}} "
-                         "(empty seed, no size guarantee)")
     p_build.set_defaults(func=_cmd_build)
 
     p_verify = sub.add_parser("verify", help="verify a spanner file against a graph file")

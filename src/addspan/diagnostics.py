@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,17 +29,6 @@ class Violation:
     d_g: int
     d_h: int
     excess: float
-
-
-@dataclass(frozen=True)
-class StepRatioReport:
-    """Per-step potential-gain per edge for a 6-spanner trace; reported,
-    never asserted (the analysis hides its constant)."""
-
-    ratios: list[float]
-    minimum: float
-    median: float
-    n_two_thirds: float
 
 
 def verify_spanner(g: Graph, h: Graph, k: int) -> list[Violation]:
@@ -82,19 +70,11 @@ def check_2spanner_step_law(trace: CompletionTrace) -> list[int]:
     ]
 
 
-def measure_6spanner_step_ratio(trace: CompletionTrace) -> StepRatioReport:
-    """Per-step potential gain per new edge on a 6-spanner trace, with
-    n**(2/3) for context."""
+def measure_6spanner_step_ratio(trace: CompletionTrace) -> list[float]:
+    """Per-step potential gain per new edge along a 6-spanner trace; reported,
+    never asserted (the analysis hides its constant)."""
     if trace.k != 6:
         raise TraceContractError("ratio report needs a k=6 trace")
     if not trace.potentials_recorded:
         raise TraceContractError("trace was recorded without potentials")
-    ratios = [
-        (s.v_after - s.v_before) / (s.c_after - s.c_before) for s in trace.steps
-    ]
-    return StepRatioReport(
-        ratios=ratios,
-        minimum=min(ratios) if ratios else math.nan,
-        median=statistics.median(ratios) if ratios else math.nan,
-        n_two_thirds=trace.n ** (2 / 3),
-    )
+    return [(s.v_after - s.v_before) / (s.c_after - s.c_before) for s in trace.steps]

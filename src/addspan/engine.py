@@ -79,6 +79,8 @@ class SubgraphState:
 
     def bfs_row(self, source: int) -> np.ndarray:
         """Hop distances within H from ``source``."""
+        if not 0 <= source < self.n:  # numpy would read a negative source from the end
+            raise ValueError(f"node {source} out of range 0..{self.n - 1}")
         return _hop_distances(self.to_graph(), np.array([source]))[0]
 
     def to_graph(self) -> Graph:
@@ -107,12 +109,11 @@ class CompletionStep:
 
 @dataclass
 class CompletionTrace:
-    """Ordered record of all completion steps of one run."""
+    """Ordered record of all completion steps of one run.  The graph's n and
+    H's final edge count are read off ``g`` and ``h``, not copied here."""
 
     k: int
-    n: int
     seed_edge_count: int
-    final_edge_count: int
     potentials_recorded: bool
     steps: list[CompletionStep] = field(default_factory=list)
 
@@ -241,8 +242,7 @@ def complete(
             v_cur, c_cur = v_after, c_after
 
     return h, CompletionTrace(
-        k=k, n=g.n, seed_edge_count=seed_edges, final_edge_count=h.edge_count,
-        potentials_recorded=record_potentials, steps=steps,
+        k=k, seed_edge_count=seed_edges, potentials_recorded=record_potentials, steps=steps,
     )
 
 

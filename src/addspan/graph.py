@@ -181,6 +181,14 @@ class Path:
 # ---------------------------------------------------------------------------
 
 _MAX_DIGITS = len(str(MAX_NODES))
+_QUOTED_CHARS = 80
+
+
+def _quote(line: str) -> str:
+    """repr of a line for an error message, cut after _QUOTED_CHARS characters."""
+    if len(line) <= _QUOTED_CHARS:
+        return repr(line)
+    return f"{line[:_QUOTED_CHARS]!r}... ({len(line)} characters)"
 
 
 def _significant_digits(token: str, lineno: int) -> str:
@@ -209,15 +217,15 @@ def parse_edge_list(text: str) -> Graph:
         if tokens[0] == "n" and header_n is None and not ids:
             # str.isdigit alone admits "²" and "١", and int() admits "١" and "1_0"
             if len(tokens) != 2 or not (tokens[1].isascii() and tokens[1].isdigit()):
-                raise GraphFormatError(f"line {lineno}: malformed header {line!r}")
+                raise GraphFormatError(f"line {lineno}: malformed header {_quote(line)}")
             header_n = int(_significant_digits(tokens[1], lineno))
             continue
         if len(tokens) != 2:
-            raise GraphFormatError(f"line {lineno}: expected 'u v', got {line!r}")
+            raise GraphFormatError(f"line {lineno}: expected 'u v', got {_quote(line)}")
         a, b = tokens
         if not (a.isascii() and a.isdigit() and b.isascii() and b.isdigit()):
             raise GraphFormatError(
-                f"line {lineno}: node ids must be ASCII digits 0-9, got {line!r}"
+                f"line {lineno}: node ids must be ASCII digits 0-9, got {_quote(line)}"
             )
         if len(a) > _MAX_DIGITS or len(b) > _MAX_DIGITS:  # short ids need no stripping
             a, b = _significant_digits(a, lineno), _significant_digits(b, lineno)

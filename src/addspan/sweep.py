@@ -87,9 +87,9 @@ def run_sweep(
     for n, p, seed in points:
         g = gen_gnp(n, p, seed) if gnp else gen_named(family, n)
         t0 = time.perf_counter()
-        _, trace = build_spanner(g, k)
+        h, trace = build_spanner(g, k)
         wall_ms = (time.perf_counter() - t0) * 1000.0
-        m = trace.final_edge_count
+        m = h.edge_count
         records.append(SweepRecord(
             family=family,
             n=g.n,

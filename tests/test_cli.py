@@ -8,7 +8,15 @@ from pathlib import Path
 import pytest
 
 import addspan
-from addspan import CompletionTrace, fit_exponent, run_sweep, seed_empty
+from addspan import (
+    CompletionTrace,
+    build_spanner,
+    fit_exponent,
+    read_edge_list,
+    run_sweep,
+    seed_empty,
+    serialize_edge_list,
+)
 from addspan.cli import SWEEP_COLUMNS, TRACE_COLUMNS, main
 from addspan.graph import MAX_K
 
@@ -95,11 +103,25 @@ class TestBuild:
         assert run(["build", "--input", g, "--k", "6", "--out", out]) == 0
         assert "m_out=4" in capsys.readouterr().out
 
-    def test_k7_guarded(self, tmp_path):
+    # k -> (m_out, steps) on C5 from the empty seed: below 2 the seed-free scan
+    # needs all 5 edges, from 2 on a 4-edge path is enough
+    @pytest.mark.parametrize("k, m_out, steps", [(0, 5, 4), (1, 5, 4), (4, 4, 3), (7, 4, 3)])
+    def test_any_k_builds_from_empty_seed(self, tmp_path, capsys, k, m_out, steps):
+        g = write_graph(tmp_path, "c5.txt", "0 1\n1 2\n2 3\n3 4\n0 4\n")
+        out = tmp_path / "sp.txt"
+        assert run(["build", "--input", g, "--k", str(k), "--out", str(out)]) == 0
+        assert capsys.readouterr() == (f"n=5 m_in=5 m_seed=0 m_out={m_out} steps={steps}\n", "")
+        h, _ = build_spanner(read_edge_list(g), k)
+        assert out.read_text() == serialize_edge_list(h.to_graph())
+
+    def test_unsafe_k_is_gone(self, tmp_path, capsys):
         g = write_graph(tmp_path, "p3.txt", "0 1\n1 2\n")
-        out = str(tmp_path / "sp.txt")
-        assert run(["build", "--input", g, "--k", "7", "--out", out]) == 2
-        assert run(["build", "--input", g, "--k", "7", "--out", out, "--unsafe-k"]) == 0
+        out = tmp_path / "sp.txt"
+        with pytest.raises(SystemExit) as exc:
+            run(["build", "--input", g, "--k", "7", "--out", str(out), "--unsafe-k"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --unsafe-k" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_input(self, tmp_path):
         assert run(["build", "--input", str(tmp_path / "nope.txt"),
@@ -120,7 +142,7 @@ class TestBuild:
     def test_self_check_failure_writes_nothing(self, tmp_path, capsys, monkeypatch):
         # a builder that returns the empty seed leaves all 10 pairs of C5 unspanned
         def broken(g, k, *, record_potentials=False):
-            return seed_empty(g), CompletionTrace(k, g.n, 0, 0, record_potentials)
+            return seed_empty(g), CompletionTrace(k, 0, record_potentials)
 
         monkeypatch.setattr(addspan.cli, "build_spanner", broken)
         g = write_graph(tmp_path, "c5.txt", "0 1\n1 2\n2 3\n3 4\n0 4\n")
@@ -204,7 +226,7 @@ class TestInputContract:
     def test_negative_k_rejected(self, tmp_path, capsys):
         g = write_graph(tmp_path, "p3.txt", "0 1\n1 2\n")
         out = tmp_path / "out"
-        for argv in (["build", "--input", g, "--out", str(out), "--unsafe-k"],
+        for argv in (["build", "--input", g, "--out", str(out)],
                      ["verify", "--graph", g, "--spanner", g],
                      ["sweep", "--family", "path", "--n", "3", "--out", str(out)]):
             assert run([*argv, "--k", "-1"]) == 2
@@ -219,9 +241,9 @@ class TestInputContract:
         huge = str(10 ** 20)  # beyond int64
         # 2**55 fits int64, but on a few hundred nodes the potential sum would wrap
         for argv in (["verify", "--graph", g, "--spanner", g, "--k", huge],
-                     ["build", "--input", g, "--out", out, "--unsafe-k", "--k", huge],
-                     ["build", "--input", g, "--out", out, "--unsafe-k",
-                      "--trace-out", out, "--k", str(2 ** 55)]):
+                     ["build", "--input", g, "--out", out, "--k", huge],
+                     ["build", "--input", g, "--out", out, "--trace-out", out,
+                      "--k", str(2 ** 55)]):
             assert run(argv) == 2
         assert not Path(out).exists()
         captured = capsys.readouterr()
@@ -242,6 +264,7 @@ class TestInputContract:
         assert run(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and missing in err
+        assert not (tmp_path / "sp.txt").exists()  # no spanner file from a failed build
 
     def test_gen_node_ceiling(self, tmp_path, capsys):
         out = str(tmp_path / "g.txt")

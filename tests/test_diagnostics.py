@@ -25,6 +25,7 @@ from addspan import (
 from addspan.engine import potential_from_matrices
 from addspan.graph import MAX_K
 
+from conftest import clique_chain
 from oracles import matrix_power_distances, potential_triu, potential_v
 
 
@@ -230,9 +231,16 @@ class TestStepRatio:
     def test_p5_seed_cap_completion(self):
         g = gen_named("path", 5)
         _, trace = build_6_spanner(g, record_potentials=True)
-        report = measure_6spanner_step_ratio(trace)
-        assert all(r >= 0 and math.isfinite(r) for r in report.ratios)
-        assert report.n_two_thirds == pytest.approx(5 ** (2 / 3))
+        ratios = measure_6spanner_step_ratio(trace)
+        assert len(ratios) == len(trace.steps)
+        assert all(r >= 0 and math.isfinite(r) for r in ratios)
+
+    def test_one_ratio_per_step(self):
+        # a 3-clique chain takes 2 completion steps at k=6, one new edge each
+        _, trace = build_6_spanner(clique_chain(3, 4), record_potentials=True)
+        assert measure_6spanner_step_ratio(trace) == [
+            (s.v_after - s.v_before) / s.new_edges for s in trace.steps
+        ] == [72.0, 144.0]
 
     def test_potential_gain_nonnegative(self):
         for seed in range(6):

@@ -127,6 +127,13 @@ class TestSubgraphState:
         h = SubgraphState(g, [(0, 1), (2, 3)])
         assert h.bfs_row(0).tolist() == [0, 1, UNREACHABLE, UNREACHABLE]
 
+    @pytest.mark.parametrize("source", [-1, 4])
+    def test_bfs_row_source_out_of_range(self, source):
+        # numpy would read row -1 as node 3's, and row 4 raise IndexError
+        h = SubgraphState(gen_named("path", 4), [(0, 1), (1, 2), (2, 3)])
+        with pytest.raises(ValueError, match=r"^node -?\d out of range 0\.\.3$"):
+            h.bfs_row(source)
+
     @given(completion_graphs, st.data())
     @settings(max_examples=80, deadline=None)
     def test_matches_edge_set_oracle(self, g, data):
@@ -239,7 +246,7 @@ class TestComplete:
             h, trace = builder(g)
             assert verify_spanner(g, h.to_graph(), k) == []
             assert h.edges() <= set(g.sorted_edges())
-            assert trace.final_edge_count == trace.seed_edge_count + sum(
+            assert h.edge_count == trace.seed_edge_count + sum(
                 s.new_edges for s in trace.steps
             )
 

@@ -94,6 +94,24 @@ class TestParsing:
             parse_edge_list(text)
         assert str(info.value) == f"{where} would exceed the limit of {MAX_NODES} nodes"
 
+    @pytest.mark.parametrize("text, prefix", [
+        ("# c\nn " + "x" * 4998, "line 2: malformed header "),
+        ("0 1\n0 1 " + "2" * 4996, "line 2: expected 'u v', got "),
+        ("0 1\n1 2\n0 " + "x" * 4998, "line 3: node ids must be ASCII digits 0-9, got "),
+    ], ids=["header", "three-tokens", "non-digit-id"])
+    def test_long_bad_line_quoted_short(self, text, prefix):
+        line = text.splitlines()[-1]
+        assert len(line) == 5000
+        with pytest.raises(GraphFormatError) as info:
+            parse_edge_list(text)
+        assert str(info.value) == f"{prefix}{line[:80]!r}... (5000 characters)"
+
+    def test_bad_line_within_bound_quoted_whole(self):
+        line = "0 " + "x" * 78
+        with pytest.raises(GraphFormatError) as info:
+            parse_edge_list(line)
+        assert str(info.value) == f"line 1: node ids must be ASCII digits 0-9, got {line!r}"
+
     def test_leading_zeros_parse(self):
         assert parse_edge_list("n 0003\n" + "0" * 5000 + " " + "0" * 5000 + "2") == \
             Graph.from_edges(3, [(0, 2)])

@@ -24,7 +24,7 @@ import addspan
 from addspan import UNREACHABLE, cli, diagnostics, engine, gen_gnp, gen_named, graph, sweep
 
 from conftest import clique_chain
-from oracles import naive_neighbors, reference_complete
+from oracles import capped_seed, naive_neighbors, reference_complete
 
 NAMESPACES = (graph, graph.Graph, engine, diagnostics, sweep, cli, addspan)
 
@@ -90,6 +90,14 @@ def verify_rejects_larger_spanner() -> None:
         raise AssertionError("a spanner on more nodes than its graph passed")
 
 
+def seed_matches_capped_seed() -> None:
+    """The degree-capped seed equals the naive union of each node's ``cap``
+    lowest-id neighbors, for caps 0 to 3."""
+    for g in CORPUS:
+        for cap in range(4):
+            assert engine.seed_degree_capped(g, cap).edges() == capped_seed(g, cap)
+
+
 def complete_matches_reference() -> None:
     """Each build's edges and steps, potentials included, equal the naive
     reference completion's, for k = 2 from no edges and k = 6 from the
@@ -131,6 +139,19 @@ MUTANTS = {
     "from_edges-dedupe-mask": (
         graph.Graph, "from_edges", "np.diff(codes, prepend=-1) != 0",
         "np.diff(codes, prepend=-1) >= 0", from_edges_matches_naive_neighbors,
+    ),
+    "potential-no-unreachable-zeroing": (
+        engine, "potential_from_matrices",
+        "    vals[(dg == UNREACHABLE) | (dh == UNREACHABLE)] = 0\n", "",
+        complete_matches_reference,
+    ),
+    "potential-no-diagonal-correction": (
+        engine, "potential_from_matrices", " - dg.shape[0] * slack", "",
+        complete_matches_reference,
+    ),
+    "seed_degree_capped-one-more": (
+        engine, "seed_degree_capped", "g.adjacency[v][:cap]", "g.adjacency[v][:cap + 1]",
+        seed_matches_capped_seed,
     ),
     "verify_spanner-no-size-guard": (
         diagnostics, "verify_spanner", "apsp(g).dist if h.n <= g.n else None", "apsp(g).dist",
