@@ -81,7 +81,8 @@ class SubgraphState:
         """Hop distances within H from ``source``."""
         if not 0 <= source < self.n:  # numpy would read a negative source from the end
             raise ValueError(f"node {source} out of range 0..{self.n - 1}")
-        return _hop_distances(self.to_graph(), np.array([source]))[0]
+        dist, _ = _hop_distances(self.to_graph(), np.array([source]))
+        return dist[0]
 
     def to_graph(self) -> Graph:
         indptr = np.concatenate(([0], np.cumsum(self.deg, dtype=np.int64)))

@@ -95,7 +95,8 @@ class Graph:
             pairs = np.array(edges, dtype=object)
             for x in pairs.flat:
                 if not isinstance(x, (int, np.integer)):
-                    raise GraphFormatError(f"node id {x!r} is not an integer")
+                    shown = _quote(x) if isinstance(x, str) else repr(x)
+                    raise GraphFormatError(f"node id {shown} is not an integer")
         pairs = pairs.reshape(len(edges), 2)
         u, v = pairs[:, 0], pairs[:, 1]
         bad = np.flatnonzero((u == v) | (u < 0) | (v < 0) | (u >= n) | (v >= n))
@@ -185,7 +186,7 @@ _QUOTED_CHARS = 80
 
 
 def _quote(line: str) -> str:
-    """repr of a line for an error message, cut after _QUOTED_CHARS characters."""
+    """repr of a line or id for an error message, cut after _QUOTED_CHARS characters."""
     if len(line) <= _QUOTED_CHARS:
         return repr(line)
     return f"{line[:_QUOTED_CHARS]!r}... ({len(line)} characters)"
@@ -326,10 +327,24 @@ NAMED_FAMILIES = ("path", "cycle", "complete", "star", "grid")
 # BFS / APSP / deterministic shortest paths
 # ---------------------------------------------------------------------------
 
-def _hop_distances(g: Graph, sources: np.ndarray) -> np.ndarray:
+#: BFS levels ``apsp`` expands before it switches to Seidel's doubling.  The
+#: frontier makes one n x n x n product per level, about D of them for
+#: diameter D; Seidel makes about 2 * ceil(log2 D) + 1, and the two cross near
+#: D = 8.  A power of two: levels 1, 2, 4 and 8 are Seidel's first powers.
+_FRONTIER_LEVELS = 8
+
+#: Rows per block of Seidel's products, which bounds their temporaries.
+_BLOCK_ROWS = 1024
+
+
+def _hop_distances(
+    g: Graph, sources: np.ndarray, levels: Optional[int] = None
+) -> tuple[np.ndarray, bool]:
     """Hop distances from each node of ``sources`` (one row each) to every
     node, UNREACHABLE where none, by dense level-synchronous frontier
-    expansion: one boolean matrix product per BFS level."""
+    expansion: one boolean matrix product per BFS level.  With ``levels``,
+    it stops after that many levels; the flag says whether some node lies
+    further out, its distance left UNREACHABLE."""
     dist = np.full((sources.size, g.n), UNREACHABLE, dtype=np.int64)
     dist[np.arange(sources.size), sources] = 0
     adj = np.zeros((g.n, g.n), dtype=np.float32)
@@ -337,17 +352,80 @@ def _hop_distances(g: Graph, sources: np.ndarray) -> np.ndarray:
     reached = dist == 0
     frontier = (adj[sources] > 0) & ~reached
     d = 0
-    while frontier.any():
+    while frontier.any() and (levels is None or d < levels):
         d += 1
         dist[frontier] = d
         reached |= frontier
         frontier = (frontier.astype(np.float32) @ adj > 0) & ~reached
+    return dist, bool(frontier.any())
+
+
+def _exact_float(bound: int) -> type:
+    """The float type that holds every integer 0..bound exactly: float32 below
+    2**24 (a 24-bit significand), else float64."""
+    return np.float32 if bound < 1 << 24 else np.float64
+
+
+def _seidel(n: int, levels: list[np.ndarray]) -> np.ndarray:
+    """Finish an all-pairs hop matrix by Seidel's doubling (JCSS 1995), given
+    the bit-packed rows of A_j = (0 < d <= 2**j) for j = 0, 1, ...; ``levels``
+    is consumed.
+
+    Going up, A_{j+1} = A_j + A_j A_j.  Squaring stops when A_{j+1} is
+    complete, so its distances are all 1, or adds no pair, so A_j's are.
+    Going down, t = d_{A_{j+1}} = ceil(d_{A_j} / 2), and d_{A_j} is 2t, less
+    one where the row of t summed over the neighbors of the column node falls
+    below t times its degree.  A pair of different components keeps t = 0,
+    as does the diagonal."""
+    def unpack(packed: np.ndarray, dtype: type) -> np.ndarray:
+        return np.unpackbits(packed, axis=1, count=n).astype(dtype)
+
+    up = _exact_float(n)  # A_j A_j + A_j counts at most n paths
+    a = unpack(levels[-1], up)
+    pairs = np.count_nonzero(a)
+    while True:
+        b = np.empty((n, n), dtype=bool)
+        for r in range(0, n, _BLOCK_ROWS):
+            b[r:r + _BLOCK_ROWS] = a[r:r + _BLOCK_ROWS] @ a + a[r:r + _BLOCK_ROWS] > 0
+        np.fill_diagonal(b, False)
+        count = np.count_nonzero(b)
+        if count == pairs:
+            break
+        levels.append(np.packbits(b, axis=1))
+        if count == n * (n - 1):
+            break
+        a, pairs = b.astype(up), count
+    del a, b
+    down = _exact_float((n - 1) ** 2)  # t . A sums at most n - 1 values of t below n
+    t = unpack(levels.pop(), down)
+    while levels:
+        a = unpack(levels.pop(), down)
+        deg = a.sum(axis=1)
+        for r in range(0, n, _BLOCK_ROWS):
+            tr = t[r:r + _BLOCK_ROWS]  # a view: t . A reads only these rows of t
+            odd = tr @ a < tr * deg
+            tr *= 2
+            tr -= odd
+        del a
+    dist = t.astype(np.int64)
+    del t
+    dist[dist == 0] = UNREACHABLE
+    np.fill_diagonal(dist, 0)
     return dist
 
 
 def apsp(g: Graph) -> DistanceMatrix:
-    """All-pairs hop distances: ``dist[u]`` is the hop-distance row of u."""
-    return DistanceMatrix(g.n, _hop_distances(g, np.arange(g.n)))
+    """All-pairs hop distances: ``dist[u]`` is the hop-distance row of u.
+
+    Frontier expansion runs for up to _FRONTIER_LEVELS levels; if some pair
+    lies further apart, Seidel's doubling finishes from the levels found."""
+    dist, further = _hop_distances(g, np.arange(g.n), _FRONTIER_LEVELS)
+    if further:
+        levels = [np.packbits((dist > 0) & (dist <= 1 << j), axis=1)
+                  for j in range(_FRONTIER_LEVELS.bit_length())]
+        del dist
+        dist = _seidel(g.n, levels)
+    return DistanceMatrix(g.n, dist)
 
 
 def insert_edge(dist: np.ndarray, a: int, b: int) -> None:

@@ -255,7 +255,8 @@ class TestInputContract:
         g = write_graph(tmp_path, "p3.txt", "0 1\n1 2\n")
         missing = str(tmp_path / "missing" / "x.txt")
         argv = {
-            "build-out": ["build", "--input", g, "--k", "2", "--out", missing],
+            "build-out": ["build", "--input", g, "--k", "2", "--out", missing,
+                          "--trace-out", str(tmp_path / "trace.csv")],
             "build-trace-out": ["build", "--input", g, "--k", "2",
                                 "--out", str(tmp_path / "sp.txt"), "--trace-out", missing],
             "gen": ["gen", "--family", "path", "--n", "3", "--out", missing],
@@ -263,8 +264,9 @@ class TestInputContract:
         }[command]
         assert run(argv) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1 and missing in err
-        assert not (tmp_path / "sp.txt").exists()  # no spanner file from a failed build
+        assert err.startswith("error: ") and err.count("\n") == 1 and f"{missing}'" in err
+        # a failed build leaves neither output, nor a temporary file
+        assert os.listdir(tmp_path) == ["p3.txt"]
 
     def test_gen_node_ceiling(self, tmp_path, capsys):
         out = str(tmp_path / "g.txt")

@@ -1,10 +1,13 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import shortest_path as scipy_shortest_path
 
 from addspan import (
     UNREACHABLE,
@@ -24,7 +27,41 @@ from addspan import (
 )
 from addspan.graph import MAX_NODES, _splitmix64_floats, check_k, insert_edge
 
+from conftest import clique_chain, random_tree
 from oracles import SplitMix64, floyd_warshall, dist_matrix_to_float, naive_neighbors
+
+
+def rect_grid(rows: int, cols: int) -> Graph:
+    """rows x cols grid, row-major ids: diameter rows + cols - 2."""
+    right = ((v, v + 1) for v in range(rows * cols) if v % cols < cols - 1)
+    down = ((v, v + cols) for v in range(rows * cols - cols))
+    return Graph.from_edges(rows * cols, itertools.chain(right, down))
+
+
+def disjoint_union(*graphs: Graph) -> Graph:
+    shift = np.cumsum([0] + [g.n for g in graphs])
+    pairs = [(u + s, v + s) for g, s in zip(graphs, shift) for u, v in g.sorted_edges()]
+    return Graph.from_edges(int(shift[-1]), pairs)
+
+
+# apsp inputs on both sides of its switch from frontier levels to Seidel's
+# doubling after 8 levels: diameters 7, 8, 9, 16, 17 and 64, then shapes with
+# several components, bridges or isolated nodes
+APSP_CASES = [
+    *((f"path-{d + 1}", gen_named("path", d + 1)) for d in (7, 8, 9, 16, 17, 64)),
+    *((f"cycle-{n}", gen_named("cycle", n)) for n in (14, 15, 16, 17, 18, 19, 32, 35, 128, 129)),
+    *((f"grid-{r}x{c}", rect_grid(r, c)) for r, c in ((4, 5), (5, 5), (5, 6), (9, 9), (9, 10),
+                                                     (2, 64))),
+    *((f"chain-{t}x{s}", clique_chain(t, s)) for t, s in ((3, 4), (5, 3), (9, 2), (12, 5))),
+    *((f"tree-{n}-{seed}", random_tree(n, seed)) for n, seed in ((30, 1), (100, 2), (300, 3))),
+    ("two-paths-15", disjoint_union(gen_named("path", 15), gen_named("path", 15))),
+    ("path-40-cycle-9-tree-50", disjoint_union(gen_named("path", 40), gen_named("cycle", 9),
+                                               random_tree(50, 4))),
+    ("grid-6-and-isolated", disjoint_union(Graph.from_edges(3, []), gen_named("grid", 6),
+                                           Graph.from_edges(2, []))),
+    ("path-15-isolated-between", Graph.from_edges(30, [(2 * i, 2 * i + 2) for i in range(14)])),
+    ("edgeless-5", Graph.from_edges(5, [])),
+]
 
 
 @st.composite
@@ -232,6 +269,14 @@ class TestGraphInvariants:
         with pytest.raises(GraphFormatError, match=message):
             Graph.from_edges(3, edges)
 
+    @pytest.mark.parametrize("node", ["x" * 80, "x" * 81, "x" * 5000])
+    def test_string_id_quoted_short(self, node):
+        # the parser's rule: an id beyond 80 characters is cut and its length given
+        shown = repr(node) if len(node) <= 80 else f"{node[:80]!r}... ({len(node)} characters)"
+        with pytest.raises(GraphFormatError) as info:
+            Graph.from_edges(3, [(node, 1)])
+        assert str(info.value) == f"node id {shown} is not an integer"
+
     def test_node_ceiling(self):
         assert Graph.from_edges(MAX_NODES, []).n == MAX_NODES
         with pytest.raises(GraphFormatError, match="limit"):
@@ -295,6 +340,31 @@ class TestDistances:
     @settings(max_examples=60)
     def test_apsp_matches_floyd_warshall(self, g):
         assert dist_matrix_to_float(apsp(g).dist) == floyd_warshall(g)
+
+    @given(st.integers(2, 40), st.integers(0, 2 ** 32))
+    @settings(max_examples=40)
+    def test_apsp_on_random_trees_matches_floyd_warshall(self, n, seed):
+        # random trees mostly have diameter above 8, where Seidel's doubling finishes
+        g = random_tree(n, seed)
+        assert dist_matrix_to_float(apsp(g).dist) == floyd_warshall(g)
+
+    @pytest.mark.parametrize("label, g", APSP_CASES, ids=[label for label, _ in APSP_CASES])
+    def test_apsp_matches_scipy(self, label, g):
+        m = csr_matrix((np.ones(g.indices.size), g.indices, g.indptr), shape=(g.n, g.n))
+        expected = scipy_shortest_path(m, directed=False, unweighted=True)
+        expected = np.where(np.isinf(expected), UNREACHABLE, expected).astype(np.int64)
+        assert np.array_equal(apsp(g).dist, expected)
+
+    def test_apsp_peak_memory_above_switch(self):
+        g = gen_named("grid", 20)  # diameter 38: eight frontier levels, then Seidel
+        apsp(g)  # numpy's and BLAS's one-time set-up stays out of the measurement
+        tracemalloc.start()
+        try:
+            apsp(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24 * g.n ** 2  # the frontier levels take 22 bytes per cell
 
     @given(small_graphs())
     @settings(max_examples=40)

@@ -8,7 +8,8 @@ its defining module's globals, then patched into every namespace of the
 package bound to the original, the way the benchmark's tracer swaps names.
 The snippet must occur exactly once, so a rewrite of a target has to update
 this table rather than silently skip its mutant.  Mutants that can loop (such
-as ``row[v] > dg_row[v]`` in ``complete``'s stale-d_H check) are left out, and
+as ``row[v] > dg_row[v]`` in ``complete``'s stale-d_H check, or a Seidel
+stop rule that tests only for a complete square) are left out, and
 no detector runs a mutant where it could loop: ``exceeds`` with ``>=`` would
 make ``complete`` loop at k = 0, so its detector is ``verify_spanner``.
 """
@@ -18,13 +19,15 @@ import inspect
 import math
 import textwrap
 
+import numpy as np
 import pytest
 
 import addspan
 from addspan import UNREACHABLE, cli, diagnostics, engine, gen_gnp, gen_named, graph, sweep
 
 from conftest import clique_chain
-from oracles import capped_seed, naive_neighbors, reference_complete
+from oracles import (capped_seed, dist_matrix_to_float, floyd_warshall, naive_neighbors,
+                     reference_complete)
 
 NAMESPACES = (graph, graph.Graph, engine, diagnostics, sweep, cli, addspan)
 
@@ -33,6 +36,9 @@ CORPUS = [
     gen_named("cycle", 6),
     gen_named("grid", 3),
     clique_chain(3, 4),
+    # diameters 19 and 14, past apsp's 8 frontier levels, so Seidel's doubling runs
+    gen_named("path", 20),
+    graph.Graph.from_edges(30, [(i, i + 1) for i in range(29) if i != 14]),
 ]
 
 
@@ -62,6 +68,18 @@ def insert_edge_matches_apsp() -> None:
             graph.insert_edge(dist, *((b, a) if i % 2 else (a, b)))
             prefix = graph.Graph.from_edges(g.n, edges[:i + 1])
             assert dist.tolist() == graph.apsp(prefix).dist.tolist()
+
+
+def apsp_matches_floyd_warshall() -> None:
+    """apsp equals the textbook all-pairs distances, UNREACHABLE as inf."""
+    for g in CORPUS:
+        assert dist_matrix_to_float(graph.apsp(g).dist) == floyd_warshall(g)
+
+
+def exact_float_boundary() -> None:
+    """float32 holds the integers below 2**24 exactly and no bound from there."""
+    assert graph._exact_float((1 << 24) - 1) is np.float32
+    assert graph._exact_float(1 << 24) is np.float64
 
 
 def from_edges_matches_naive_neighbors() -> None:
@@ -152,6 +170,16 @@ MUTANTS = {
     "seed_degree_capped-one-more": (
         engine, "seed_degree_capped", "g.adjacency[v][:cap]", "g.adjacency[v][:cap + 1]",
         seed_matches_capped_seed,
+    ),
+    "seidel-no-parity-correction": (
+        graph, "_seidel", "            tr -= odd\n", "", apsp_matches_floyd_warshall,
+    ),
+    "apsp-low-levels-off-by-one": (
+        graph, "apsp", "(dist <= 1 << j)", "(dist <= 1 << j + 1)", apsp_matches_floyd_warshall,
+    ),
+    "exact_float-always-float32": (
+        graph, "_exact_float", "np.float32 if bound < 1 << 24 else np.float64", "np.float32",
+        exact_float_boundary,
     ),
     "verify_spanner-no-size-guard": (
         diagnostics, "verify_spanner", "apsp(g).dist if h.n <= g.n else None", "apsp(g).dist",
