@@ -9,10 +9,7 @@ arguments or file contents) or OSError (unreadable input, unwritable output);
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
-import io
-import os
 import sys
 from pathlib import Path as FilePath
 from typing import Sequence
@@ -40,38 +37,15 @@ SWEEP_COLUMNS = [
 VIOLATION_COLUMNS = ["u", "v", "d_g", "d_h", "excess"]
 
 
-def _trace_csv(trace: CompletionTrace) -> str:
-    f = io.StringIO()
-    writer = csv.writer(f, lineterminator="\n")
-    writer.writerow(TRACE_COLUMNS)
-    for i, s in enumerate(trace.steps):
-        writer.writerow([
-            i, s.pair[0], s.pair[1], s.d_g, s.d_h_before, s.new_edges,
-            s.v_before, s.v_after, s.c_before, s.c_after,
-        ])
-    return f.getvalue()
-
-
-def _write_all(texts: dict[str, str]) -> None:
-    """Write each text to its path, all or none: each goes to a temporary
-    file beside its path, and the files replace their targets only after
-    every write succeeded.  A failed write leaves no file behind."""
-    temps: dict[str, str] = {}
-    try:
-        for path, text in texts.items():
-            tmp = f"{path}.{os.getpid()}.tmp"
-            try:
-                with open(tmp, "x", encoding="utf-8", newline="") as f:
-                    temps[path] = tmp
-                    f.write(text)
-            except OSError as exc:  # name the output asked for, not the temporary
-                raise type(exc)(exc.errno, exc.strerror, path) from None
-        for path, tmp in temps.items():
-            os.replace(tmp, path)
-    finally:
-        for tmp in temps.values():
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(tmp)
+def _write_trace_csv(path: str, trace: CompletionTrace) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(TRACE_COLUMNS)
+        for i, s in enumerate(trace.steps):
+            writer.writerow([
+                i, s.pair[0], s.pair[1], s.d_g, s.d_h_before, s.new_edges,
+                s.v_before, s.v_after, s.c_before, s.c_after,
+            ])
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
@@ -94,9 +68,18 @@ def _cmd_build(args: argparse.Namespace) -> int:
     if violations:
         print(f"error: self-check found {len(violations)} violations", file=sys.stderr)
         return 1
-    texts = {args.trace_out: _trace_csv(trace)} if args.trace_out else {}
-    texts[args.out] = serialize_edge_list(spanner)  # the spanner wins if both paths match
-    _write_all(texts)
+    if args.trace_out:
+        _write_trace_csv(args.trace_out, trace)
+    # the spanner is written last, so its file exists only after a build that exits 0
+    try:
+        FilePath(args.out).write_text(serialize_edge_list(spanner), encoding="utf-8")
+    except OSError:
+        # nor does the trace file; a device or a link named by --trace-out stays
+        if args.trace_out:
+            trace_out = FilePath(args.trace_out)
+            if trace_out.is_file() and not trace_out.is_symlink():
+                trace_out.unlink()
+        raise
     print(
         f"n={g.n} m_in={g.edge_count} m_seed={trace.seed_edge_count} "
         f"m_out={spanner.edge_count} steps={len(trace.steps)}"

@@ -380,8 +380,7 @@ def _seidel(n: int, levels: list[np.ndarray]) -> np.ndarray:
     def unpack(packed: np.ndarray, dtype: type) -> np.ndarray:
         return np.unpackbits(packed, axis=1, count=n).astype(dtype)
 
-    up = _exact_float(n)  # A_j A_j + A_j counts at most n paths
-    a = unpack(levels[-1], up)
+    a = unpack(levels[-1], np.float32)
     pairs = np.count_nonzero(a)
     while True:
         b = np.empty((n, n), dtype=bool)
@@ -394,7 +393,7 @@ def _seidel(n: int, levels: list[np.ndarray]) -> np.ndarray:
         levels.append(np.packbits(b, axis=1))
         if count == n * (n - 1):
             break
-        a, pairs = b.astype(up), count
+        a, pairs = b.astype(np.float32), count
     del a, b
     down = _exact_float((n - 1) ** 2)  # t . A sums at most n - 1 values of t below n
     t = unpack(levels.pop(), down)

@@ -1,5 +1,6 @@
 import math
 import os
+import stat
 import subprocess
 import sys
 import time
@@ -267,6 +268,29 @@ class TestInputContract:
         assert err.startswith("error: ") and err.count("\n") == 1 and f"{missing}'" in err
         # a failed build leaves neither output, nor a temporary file
         assert os.listdir(tmp_path) == ["p3.txt"]
+
+    def test_out_is_directory(self, tmp_path, capsys):
+        g = write_graph(tmp_path, "p3.txt", "0 1\n1 2\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        assert run(["build", "--input", g, "--k", "2", "--out", str(out),
+                    "--trace-out", str(tmp_path / "trace.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and f"{out}'" in err
+        assert sorted(os.listdir(tmp_path)) == ["out", "p3.txt"] and not os.listdir(out)
+
+    def test_outputs_through_device_and_link(self, tmp_path, capsys):
+        g = write_graph(tmp_path, "p3.txt", "0 1\n1 2\n")
+        # a device is written through, not replaced
+        assert run(["build", "--input", g, "--k", "2", "--out", os.devnull]) == 0
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+        # a failed build removes its trace file, but not a link named by --trace-out
+        link = tmp_path / "trace-link.csv"
+        link.symlink_to(tmp_path / "trace.csv")
+        assert run(["build", "--input", g, "--k", "2", "--out", str(tmp_path / "missing" / "x"),
+                    "--trace-out", str(link)]) == 2
+        assert link.is_symlink()
+        capsys.readouterr()
 
     def test_gen_node_ceiling(self, tmp_path, capsys):
         out = str(tmp_path / "g.txt")

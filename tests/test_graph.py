@@ -25,6 +25,7 @@ from addspan import (
     shortest_path,
     verify_spanner,
 )
+from addspan import graph
 from addspan.graph import MAX_NODES, _splitmix64_floats, check_k, insert_edge
 
 from conftest import clique_chain, random_tree
@@ -36,6 +37,13 @@ def rect_grid(rows: int, cols: int) -> Graph:
     right = ((v, v + 1) for v in range(rows * cols) if v % cols < cols - 1)
     down = ((v, v + cols) for v in range(rows * cols - cols))
     return Graph.from_edges(rows * cols, itertools.chain(right, down))
+
+
+def scipy_apsp(g: Graph) -> np.ndarray:
+    """All-pairs hop distances by scipy, inf mapped to UNREACHABLE."""
+    m = csr_matrix((np.ones(g.indices.size), g.indices, g.indptr), shape=(g.n, g.n))
+    d = scipy_shortest_path(m, directed=False, unweighted=True)
+    return np.where(np.isinf(d), UNREACHABLE, d).astype(np.int64)
 
 
 def disjoint_union(*graphs: Graph) -> Graph:
@@ -350,10 +358,15 @@ class TestDistances:
 
     @pytest.mark.parametrize("label, g", APSP_CASES, ids=[label for label, _ in APSP_CASES])
     def test_apsp_matches_scipy(self, label, g):
-        m = csr_matrix((np.ones(g.indices.size), g.indices, g.indptr), shape=(g.n, g.n))
-        expected = scipy_shortest_path(m, directed=False, unweighted=True)
-        expected = np.where(np.isinf(expected), UNREACHABLE, expected).astype(np.int64)
-        assert np.array_equal(apsp(g).dist, expected)
+        assert np.array_equal(apsp(g).dist, scipy_apsp(g))
+
+    def test_apsp_in_small_blocks_and_float64_matches_scipy(self, monkeypatch):
+        # above 4096 nodes Seidel's products span several row blocks and come
+        # down in float64; both are forced here on small graphs
+        monkeypatch.setattr(graph, "_BLOCK_ROWS", 7)
+        monkeypatch.setattr(graph, "_exact_float", lambda bound: np.float64)
+        for label, g in APSP_CASES:
+            assert np.array_equal(apsp(g).dist, scipy_apsp(g)), label
 
     def test_apsp_peak_memory_above_switch(self):
         g = gen_named("grid", 20)  # diameter 38: eight frontier levels, then Seidel
