@@ -18,7 +18,6 @@ from .graph import (
     Edge,
     Graph,
     Path,
-    _hop_distances,
     _index,
     apsp,
     canonical_edge,
@@ -78,11 +77,10 @@ class SubgraphState:
         return True
 
     def bfs_row(self, source: int) -> np.ndarray:
-        """Hop distances within H from ``source``."""
+        """Hop distances within H from ``source``: its row of the APSP of H."""
         if not 0 <= source < self.n:  # numpy would read a negative source from the end
             raise ValueError(f"node {source} out of range 0..{self.n - 1}")
-        dist, _ = _hop_distances(self.to_graph(), np.array([source]))
-        return dist[0]
+        return apsp(self.to_graph()).dist[source]
 
     def to_graph(self) -> Graph:
         indptr = np.concatenate(([0], np.cumsum(self.deg, dtype=np.int64)))

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -52,11 +53,16 @@ def disjoint_union(*graphs: Graph) -> Graph:
     return Graph.from_edges(int(shift[-1]), pairs)
 
 
-# apsp inputs on both sides of its switch from frontier levels to Seidel's
-# doubling after 8 levels: diameters 7, 8, 9, 16, 17 and 64, then shapes with
+# apsp inputs: no square at all (n = 0 and 1, complete graphs), diameters
+# 1 to 9, 16, 17 and 64, dense and sparse random graphs, then shapes with
 # several components, bridges or isolated nodes
 APSP_CASES = [
-    *((f"path-{d + 1}", gen_named("path", d + 1)) for d in (7, 8, 9, 16, 17, 64)),
+    ("empty-0", Graph.from_edges(0, [])),
+    ("single-1", Graph.from_edges(1, [])),
+    *((f"complete-{n}", gen_named("complete", n)) for n in (2, 12)),
+    ("star-9", gen_named("star", 9)),
+    *((f"path-{d + 1}", gen_named("path", d + 1)) for d in (*range(1, 10), 16, 17, 64)),
+    *((f"gnp-{n}-{p}", gen_gnp(n, p, 1)) for n, p in ((60, 0.5), (150, 0.05))),
     *((f"cycle-{n}", gen_named("cycle", n)) for n in (14, 15, 16, 17, 18, 19, 32, 35, 128, 129)),
     *((f"grid-{r}x{c}", rect_grid(r, c)) for r, c in ((4, 5), (5, 5), (5, 6), (9, 9), (9, 10),
                                                      (2, 64))),
@@ -285,6 +291,20 @@ class TestGraphInvariants:
             Graph.from_edges(3, [(node, 1)])
         assert str(info.value) == f"node id {shown} is not an integer"
 
+    @pytest.mark.parametrize("node, shown", [
+        (b"x", "b'x'"),
+        (b"x" * 77, "b'" + "x" * 77 + "'"),
+        (b"x" * 78, "b'" + "x" * 78 + "... (81 characters)"),
+        (b"x" * 5000, "b'" + "x" * 78 + "... (5003 characters)"),
+        (Decimal("1.5"), "Decimal('1.5')"),
+        (Decimal("1" * 5000), "Decimal('" + "1" * 71 + "... (5011 characters)"),
+    ], ids=["bytes-short", "bytes-80", "bytes-81", "bytes-5000", "object-short", "object-5011"])
+    def test_other_id_quoted_short(self, node, shown):
+        # any other id has its repr cut after 80 characters and the repr's length given
+        with pytest.raises(GraphFormatError) as info:
+            Graph.from_edges(3, [(node, 1)])
+        assert str(info.value) == f"node id {shown} is not an integer"
+
     def test_node_ceiling(self):
         assert Graph.from_edges(MAX_NODES, []).n == MAX_NODES
         with pytest.raises(GraphFormatError, match="limit"):
@@ -352,7 +372,6 @@ class TestDistances:
     @given(st.integers(2, 40), st.integers(0, 2 ** 32))
     @settings(max_examples=40)
     def test_apsp_on_random_trees_matches_floyd_warshall(self, n, seed):
-        # random trees mostly have diameter above 8, where Seidel's doubling finishes
         g = random_tree(n, seed)
         assert dist_matrix_to_float(apsp(g).dist) == floyd_warshall(g)
 
@@ -368,8 +387,9 @@ class TestDistances:
         for label, g in APSP_CASES:
             assert np.array_equal(apsp(g).dist, scipy_apsp(g)), label
 
-    def test_apsp_peak_memory_above_switch(self):
-        g = gen_named("grid", 20)  # diameter 38: eight frontier levels, then Seidel
+    @pytest.mark.parametrize("g", [gen_named("grid", 20), gen_gnp(400, 0.5, 1)],
+                             ids=["grid-20", "gnp-400-0.5"])
+    def test_apsp_peak_memory(self, g):
         apsp(g)  # numpy's and BLAS's one-time set-up stays out of the measurement
         tracemalloc.start()
         try:
@@ -377,7 +397,7 @@ class TestDistances:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 24 * g.n ** 2  # the frontier levels take 22 bytes per cell
+        assert peak <= 20 * g.n ** 2  # 18.5 bytes per cell on the grid, 17 on G(400, 0.5)
 
     @given(small_graphs())
     @settings(max_examples=40)

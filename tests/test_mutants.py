@@ -12,6 +12,9 @@ as ``row[v] > dg_row[v]`` in ``complete``'s stale-d_H check, or a Seidel
 stop rule that tests only for a complete square) are left out, and
 no detector runs a mutant where it could loop: ``exceeds`` with ``>=`` would
 make ``complete`` loop at k = 0, so its detector is ``verify_spanner``.
+Dropping the ``0 < pairs`` guard of ``apsp``'s squaring is no mutant either:
+the square of an edgeless graph adds no pair, so the loop stops after one
+product with the same answer; the guard only saves that product.
 """
 import __future__
 
@@ -36,7 +39,7 @@ CORPUS = [
     gen_named("cycle", 6),
     gen_named("grid", 3),
     clique_chain(3, 4),
-    # diameters 19 and 14, past apsp's 8 frontier levels, so Seidel's doubling runs
+    # diameters 19 and 14, so apsp squares five times on each
     gen_named("path", 20),
     graph.Graph.from_edges(30, [(i, i + 1) for i in range(29) if i != 14]),
 ]
@@ -172,10 +175,13 @@ MUTANTS = {
         seed_matches_capped_seed,
     ),
     "seidel-no-parity-correction": (
-        graph, "_seidel", "            tr -= odd\n", "", apsp_matches_floyd_warshall,
+        graph, "apsp", "            tr -= odd\n", "", apsp_matches_floyd_warshall,
     ),
-    "apsp-low-levels-off-by-one": (
-        graph, "apsp", "(dist <= 1 << j)", "(dist <= 1 << j + 1)", apsp_matches_floyd_warshall,
+    "seidel-square-without-a_j": (
+        graph, "apsp", " @ a + a[r:r + _BLOCK_ROWS] > 0", " @ a > 0", apsp_matches_floyd_warshall,
+    ),
+    "seidel-diagonal-kept": (
+        graph, "apsp", "        np.fill_diagonal(b, False)\n", "", apsp_matches_floyd_warshall,
     ),
     "exact_float-always-float32": (
         graph, "_exact_float", "np.float32 if bound < 1 << 24 else np.float64", "np.float32",
