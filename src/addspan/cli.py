@@ -68,14 +68,14 @@ def _cmd_build(args: argparse.Namespace) -> int:
     if violations:
         print(f"error: self-check found {len(violations)} violations", file=sys.stderr)
         return 1
-    if args.trace_out:
+    if args.trace_out is not None:
         _write_trace_csv(args.trace_out, trace)
     # the spanner is written last, so its file exists only after a build that exits 0
     try:
         FilePath(args.out).write_text(serialize_edge_list(spanner), encoding="utf-8")
     except OSError:
         # nor does the trace file; a device or a link named by --trace-out stays
-        if args.trace_out:
+        if args.trace_out is not None:
             trace_out = FilePath(args.trace_out)
             if trace_out.is_file() and not trace_out.is_symlink():
                 trace_out.unlink()

@@ -209,7 +209,73 @@ def parse_edge_list(text: str) -> Graph:
     ``u v`` per line, ``#`` comments.  The count and node ids are ASCII
     decimal digits; n is max(header n, 1 + max id).  Duplicate and reversed
     duplicate edges collapse; self-loops are rejected.
+
+    A regular text is tokenised in one vectorised pass; any other goes
+    through the line reader, which gives the same graph or names the line at
+    fault.
     """
+    regular = _regular_edges(text)
+    if regular is None:
+        return _parse_lines(text)
+    return Graph.from_edges(*regular)  # the scan's per-byte arrays are freed by now
+
+
+def _regular_edges(text: str) -> Optional[tuple[int, np.ndarray]]:
+    """The node count and (m, 2) int64 id pairs of a regular text, else None.
+
+    A regular text is ASCII digits, spaces, tabs and line ends in lines that
+    hold two ids of at most _MAX_DIGITS digits or nothing, after an optional
+    first line ``n <count>``, and has no self-loop; the line reader gives the
+    same graph for it.  A ``\\r`` ends a line, as in str.splitlines, so
+    ``\\r\\n`` ends one and leaves a blank one.  No per-byte array is wider
+    than uint16, and there is no per-byte Python loop."""
+    if not text.isascii():
+        return None
+    body = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    header = body.size > 1 and body[0] == ord("n") and body[1] in b" \t"
+    if header:
+        body = body[1:]
+    digit = (body >= ord("0")) & (body <= ord("9"))
+    line_end = (body == ord("\n")) | (body == ord("\r"))
+    if not np.all(digit | line_end | (body == ord(" ")) | (body == ord("\t"))):
+        return None
+    last = digit.copy()  # the last digit of each run of digits
+    last[:-1] &= ~digit[1:]
+    # number the run ends and line ends in text order; runs[i] is run i's number
+    runs = np.flatnonzero(np.compress(last | line_end, digit))
+    if header:  # the count is line 0's only token
+        if runs.size == 0 or runs[0] != 0 or (runs.size > 1 and runs[1] == 1):
+            return None
+        runs = runs[1:]
+    # the other runs pair up: no line end inside a pair, one or more between pairs
+    if runs.size % 2:
+        return None
+    at = runs.reshape(-1, 2)
+    if np.any(at[:, 1] != at[:, 0] + 1) or np.any(at[1:, 0] == at[:-1, 1] + 1):
+        return None
+    units = body - ord("0")
+    del body, line_end, runs, at  # the value pass below sets the memory peak
+    # the value of the run ending at each byte, one decimal place at a time
+    value = units.astype(np.uint16)
+    inside = digit.copy()  # the digits with ``place`` more digits of their run before them
+    for place in range(1, _MAX_DIGITS + 1):
+        inside[place:] &= digit[:-place]
+        inside[:place] = False
+        if place < _MAX_DIGITS:
+            value[place:] += inside[place:] * units[:-place] * np.uint16(10 ** place)
+    if inside.any():  # a run longer than _MAX_DIGITS
+        return None
+    ids = np.compress(last, value).astype(np.int64)
+    header_n = int(ids[0]) if header else 0
+    pairs = ids[int(header):].reshape(-1, 2)
+    if np.any(pairs[:, 0] == pairs[:, 1]):
+        return None  # the line reader names the self-loop's line
+    return max(header_n, int(pairs.max(initial=-1)) + 1), pairs
+
+
+def _parse_lines(text: str) -> Graph:
+    """``parse_edge_list`` line by line; a malformed line raises a
+    GraphFormatError that names it."""
     header_n: Optional[int] = None
     ids: list[int] = []  # u0, v0, u1, v1, ...
     for lineno, raw in enumerate(text.splitlines(), start=1):

@@ -29,6 +29,15 @@ def capped_seed(g: Graph, cap: int) -> set[tuple[int, int]]:
     }
 
 
+def parse_outcome(parse, text: str):
+    """The graph a parser returns for ``text``, or the type and message of
+    what it raises, so two parsers can be compared on bad input too."""
+    try:
+        return parse(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
 class SplitMix64:
     """Scalar splitmix64 stream, the reference for the vectorised one that
     ``gen_gnp`` draws from.  Floats are 53-bit mantissas in [0, 1)."""

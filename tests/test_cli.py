@@ -269,6 +269,16 @@ class TestInputContract:
         # a failed build leaves neither output, nor a temporary file
         assert os.listdir(tmp_path) == ["p3.txt"]
 
+    def test_empty_trace_out_rejected(self, tmp_path, capsys):
+        # an empty --trace-out names no file: the build must fail, not skip the trace
+        g = write_graph(tmp_path, "p3.txt", "0 1\n1 2\n")
+        assert run(["build", "--input", g, "--k", "2", "--out", str(tmp_path / "sp.txt"),
+                    "--trace-out", ""]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert os.listdir(tmp_path) == ["p3.txt"]
+
     def test_out_is_directory(self, tmp_path, capsys):
         g = write_graph(tmp_path, "p3.txt", "0 1\n1 2\n")
         out = tmp_path / "out"

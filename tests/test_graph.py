@@ -30,7 +30,8 @@ from addspan import graph
 from addspan.graph import MAX_NODES, _splitmix64_floats, check_k, insert_edge
 
 from conftest import clique_chain, random_tree
-from oracles import SplitMix64, floyd_warshall, dist_matrix_to_float, naive_neighbors
+from oracles import (SplitMix64, floyd_warshall, dist_matrix_to_float, naive_neighbors,
+                     parse_outcome)
 
 
 def rect_grid(rows: int, cols: int) -> Graph:
@@ -181,6 +182,111 @@ class TestParsing:
     def test_serialize_is_canonical_fixpoint(self, g):
         s = serialize_edge_list(g)
         assert serialize_edge_list(parse_edge_list(s)) == s
+
+
+SEPARATORS = st.sampled_from([" ", "\t", "  ", " \t "])
+PADDING = st.sampled_from(["", " ", "\t"])
+# what a mutation writes into a text: every byte class the parsers tell apart
+MUTATION_CHARS = "#n\r\t\vx-\u00b2 \n0123456789"
+
+
+@st.composite
+def regular_texts(draw):
+    """Edge lists in the form the vectorised pass reads: ids zero-padded to
+    at most _MAX_DIGITS digits, spaces and tabs around them, blank lines,
+    "\\n" or "\\r\\n" line ends, a header or none, and a last line with or
+    without its line end."""
+    n = draw(st.integers(min_value=0, max_value=14))
+    pair = st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0)))
+    pairs = draw(st.lists(pair.filter(lambda p: p[0] != p[1]), max_size=10)) if n > 1 else []
+
+    def token(x: int) -> str:
+        return str(x).zfill(draw(st.integers(1, graph._MAX_DIGITS)))
+
+    lines = [draw(PADDING) + token(u) + draw(SEPARATORS) + token(v) + draw(PADDING)
+             for u, v in pairs]
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(PADDING))
+    if draw(st.booleans()):
+        lines.insert(0, "n" + draw(SEPARATORS) + token(draw(st.integers(0, 16))) + draw(PADDING))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + draw(st.sampled_from(["", end]))
+
+
+class TestRegularParsing:
+    """The vectorised pass against the line reader: the same graph, or the
+    same exception with the same message."""
+
+    @given(regular_texts())
+    @settings(max_examples=75)
+    def test_regular_text_parses_as_line_reader(self, text):
+        assert graph._regular_edges(text) is not None
+        assert parse_edge_list(text) == graph._parse_lines(text)
+
+    @given(regular_texts(), st.lists(st.tuples(st.integers(0, 1 << 16), st.integers(0, 1),
+                                               st.sampled_from(["", *MUTATION_CHARS])),
+                                     min_size=1, max_size=3))
+    @settings(max_examples=150)
+    def test_mutated_text_parses_or_fails_as_line_reader(self, text, edits):
+        for at, cut, char in edits:  # replace, insert or delete one character
+            at %= len(text) + 1
+            text = text[:at] + char + text[at + cut:]
+        assert parse_outcome(parse_edge_list, text) == parse_outcome(graph._parse_lines, text)
+
+    @pytest.mark.parametrize("text, regular", [
+        ("# c\n0 1\n", False),
+        ("n 3\r\n0 1\r\n\r\n1 2\r\n", True),
+        ("0\r1\n", False),  # a lone \r ends a line
+        ("\nn 3\n0 1\n", False),
+        ("0 1\nn 3\n", False),
+        ("n5\n0 1\n", False),
+        ("n 3 4\n0 1\n", False),
+        ("n\n", False),
+        ("0 1\n2\n", False),
+        ("0 1 2\n", False),
+        ("0 1 2 3\n", False),
+        ("0 1\n1 1\n", False),
+        ("0 00001\n", False),
+        ("n 00004\n0 1\n", False),
+        ("0 0001\n", True),
+        ("0 9000\n", True),  # beyond MAX_NODES: from_edges raises for both
+        ("n 9000\n", True),
+        ("0 \u0661\n", False),
+        ("0 1\v2 3\n", False),
+        ("", True),
+        (" \t\n\n", True),
+        ("n 4", True),
+        ("n 4\n0 1\n2 3", True),
+    ], ids=["comment", "crlf", "lone-cr", "header-after-blank-line", "header-after-edge",
+            "header-without-space", "header-two-counts", "header-no-count", "one-token",
+            "three-tokens", "four-tokens", "self-loop", "five-digit-padded-id",
+            "five-digit-padded-count", "four-digit-padded-id", "id-over-limit",
+            "count-over-limit", "non-ascii-digit", "vertical-tab", "empty", "blank",
+            "header-only", "no-final-line-end"])
+    def test_fallback_triggers(self, text, regular):
+        assert (graph._regular_edges(text) is not None) == regular
+        assert parse_outcome(parse_edge_list, text) == parse_outcome(graph._parse_lines, text)
+
+    def test_serialized_text_skips_line_reader(self, monkeypatch):
+        def refuse(text):
+            raise AssertionError("the line reader ran")
+
+        monkeypatch.setattr(graph, "_parse_lines", refuse)
+        for g in (Graph.from_edges(0, []), Graph.from_edges(MAX_NODES, [(0, MAX_NODES - 1)]),
+                  gen_named("path", 1500), gen_named("grid", 7), gen_gnp(200, 0.3, 2)):
+            assert parse_edge_list(serialize_edge_list(g)) == g
+
+    def test_parse_peak_memory(self):
+        text = serialize_edge_list(gen_gnp(384, 0.5, 3))
+        parse_edge_list(text)
+        tracemalloc.start()
+        try:
+            parse_edge_list(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 9.1 bytes per input byte, the line reader's 13.4; an int64 per byte adds 8
+        assert peak <= 11 * len(text)
 
 
 class TestGenerators:

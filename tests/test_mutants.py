@@ -30,7 +30,7 @@ from addspan import UNREACHABLE, cli, diagnostics, engine, gen_gnp, gen_named, g
 
 from conftest import clique_chain
 from oracles import (capped_seed, dist_matrix_to_float, floyd_warshall, naive_neighbors,
-                     reference_complete)
+                     parse_outcome, reference_complete)
 
 NAMESPACES = (graph, graph.Graph, engine, diagnostics, sweep, cli, addspan)
 
@@ -43,6 +43,15 @@ CORPUS = [
     gen_named("path", 20),
     graph.Graph.from_edges(30, [(i, i + 1) for i in range(29) if i != 14]),
 ]
+
+
+# edge lists for the parser: regular texts first, then each kind of line the
+# vectorised pass must leave to the line reader
+REGULAR_TEXTS = [
+    "", "n 4", "0 1", "n 3\n0 1\n1 2\n", "n 2\n0 5\n", "n\t12\n\n 10\t2 \r\n3 0011\r\n",
+    "12 345\n6789 10\n", *(graph.serialize_edge_list(g) for g in CORPUS),
+]
+OTHER_TEXTS = ["0 1 2 3\n", "0\n1\n", "n 3 4\n", "0 1\n1 1\n", "# c\n0 1\n", "00001 2\n"]
 
 
 def install(monkeypatch, owner, name: str, old: str, new: str) -> None:
@@ -60,6 +69,16 @@ def install(monkeypatch, owner, name: str, old: str, new: str) -> None:
         for attr, value in list(vars(space).items()):
             if value is original:
                 monkeypatch.setattr(space, attr, namespace[name])
+
+
+def regular_parse_matches_line_reader() -> None:
+    """The vectorised pass takes every regular text, and each text parses
+    to the line reader's graph or fails with its exception and message."""
+    for text in REGULAR_TEXTS:
+        assert graph._regular_edges(text) is not None, repr(text)
+    for text in REGULAR_TEXTS + OTHER_TEXTS:
+        assert parse_outcome(graph.parse_edge_list, text) == \
+            parse_outcome(graph._parse_lines, text), repr(text)
 
 
 def insert_edge_matches_apsp() -> None:
@@ -186,6 +205,25 @@ MUTANTS = {
     "exact_float-always-float32": (
         graph, "_exact_float", "np.float32 if bound < 1 << 24 else np.float64", "np.float32",
         exact_float_boundary,
+    ),
+    "regular-no-two-per-line-check": (
+        graph, "_regular_edges",
+        "if np.any(at[:, 1] != at[:, 0] + 1) or np.any(at[1:, 0] == at[:-1, 1] + 1):",
+        "if False:", regular_parse_matches_line_reader,
+    ),
+    "regular-place-values-reversed": (
+        graph, "_regular_edges", "np.uint16(10 ** place)",
+        "np.uint16(10 ** (_MAX_DIGITS - 1 - place))", regular_parse_matches_line_reader,
+    ),
+    "regular-self-loop-taken": (
+        graph, "_regular_edges",
+        "    if np.any(pairs[:, 0] == pairs[:, 1]):\n        return None", "",
+        regular_parse_matches_line_reader,
+    ),
+    "regular-header-n-only": (
+        graph, "_regular_edges", "max(header_n, int(pairs.max(initial=-1)) + 1)",
+        "header_n if header else int(pairs.max(initial=-1)) + 1",
+        regular_parse_matches_line_reader,
     ),
     "verify_spanner-no-size-guard": (
         diagnostics, "verify_spanner", "apsp(g).dist if h.n <= g.n else None", "apsp(g).dist",
