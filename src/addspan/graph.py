@@ -262,7 +262,9 @@ def _regular_edges(text: str) -> Optional[tuple[int, np.ndarray]]:
         inside[place:] &= digit[:-place]
         inside[:place] = False
         if place < _MAX_DIGITS:
-            value[place:] += inside[place:] * units[:-place] * np.uint16(10 ** place)
+            # dtype fixed: numpy 1 would keep uint8 * np.uint16(100) in uint8 and wrap
+            value[place:] += np.multiply(inside[place:] * units[:-place], 10 ** place,
+                                         dtype=np.uint16)
     if inside.any():  # a run longer than _MAX_DIGITS
         return None
     ids = np.compress(last, value).astype(np.int64)

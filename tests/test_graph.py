@@ -196,7 +196,7 @@ def regular_texts(draw):
     at most _MAX_DIGITS digits, spaces and tabs around them, blank lines,
     "\\n" or "\\r\\n" line ends, a header or none, and a last line with or
     without its line end."""
-    n = draw(st.integers(min_value=0, max_value=14))
+    n = draw(st.integers(0, 14) | st.integers(0, MAX_NODES))
     pair = st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0)))
     pairs = draw(st.lists(pair.filter(lambda p: p[0] != p[1]), max_size=10)) if n > 1 else []
 
@@ -266,6 +266,14 @@ class TestRegularParsing:
     def test_fallback_triggers(self, text, regular):
         assert (graph._regular_edges(text) is not None) == regular
         assert parse_outcome(parse_edge_list, text) == parse_outcome(graph._parse_lines, text)
+
+    def test_every_digit_in_every_place(self):
+        ids = [d * 10 ** p for p in range(graph._MAX_DIGITS) for d in range(1, 10)
+               if d * 10 ** p < MAX_NODES] + [300, 999, 4567, MAX_NODES - 1]
+        text = "".join(f"{x} 0\n" for x in ids)
+        n, pairs = graph._regular_edges(text)
+        assert (n, pairs[:, 0].tolist()) == (MAX_NODES, ids)
+        assert parse_edge_list("0 300\n") == graph._parse_lines("0 300\n")
 
     def test_serialized_text_skips_line_reader(self, monkeypatch):
         def refuse(text):

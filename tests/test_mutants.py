@@ -49,7 +49,7 @@ CORPUS = [
 # vectorised pass must leave to the line reader
 REGULAR_TEXTS = [
     "", "n 4", "0 1", "n 3\n0 1\n1 2\n", "n 2\n0 5\n", "n\t12\n\n 10\t2 \r\n3 0011\r\n",
-    "12 345\n6789 10\n", *(graph.serialize_edge_list(g) for g in CORPUS),
+    "12 345\n6789 10\n", "0 300\n", *(graph.serialize_edge_list(g) for g in CORPUS),
 ]
 OTHER_TEXTS = ["0 1 2 3\n", "0\n1\n", "n 3 4\n", "0 1\n1 1\n", "# c\n0 1\n", "00001 2\n"]
 
@@ -212,8 +212,8 @@ MUTANTS = {
         "if False:", regular_parse_matches_line_reader,
     ),
     "regular-place-values-reversed": (
-        graph, "_regular_edges", "np.uint16(10 ** place)",
-        "np.uint16(10 ** (_MAX_DIGITS - 1 - place))", regular_parse_matches_line_reader,
+        graph, "_regular_edges", "10 ** place,", "10 ** (_MAX_DIGITS - 1 - place),",
+        regular_parse_matches_line_reader,
     ),
     "regular-self-loop-taken": (
         graph, "_regular_edges",
