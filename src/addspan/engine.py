@@ -1,9 +1,10 @@
 """Seed subgraphs, the additive-spanner completion loop, and the potential
 and cost functions of its per-k convention.
 
-``complete`` scans all unordered pairs in lexicographic order once; adding
-path edges never increases any subgraph distance, so a single pass leaves no
-violating pair behind.
+``complete`` scans the unordered pairs in lexicographic order in one forward
+pass: each row's scan resumes after the pair it just repaired, so the pass
+visits at most n(n-1)/2 pairs whatever a repair does.  Adding path edges never
+increases any subgraph distance, so the pass leaves no violating pair behind.
 """
 from __future__ import annotations
 
@@ -185,9 +186,11 @@ def complete(
     d_H(u, v) > d_G(u, v) + k, insert the deterministic shortest u-v path
     of G into H.
 
-    Pairs are scanned lexicographically in a single pass; disconnected pairs
-    of G are skipped (H never connects what G does not).  d_H is one APSP of
-    the seed, repaired in place by ``insert_edge`` for every new edge.
+    Pairs u < v are scanned lexicographically in one forward pass: row u's
+    scan resumes after the pair it just repaired, so the loop ends after at
+    most n(n-1)/2 steps.  Disconnected pairs of G are skipped (H never
+    connects what G does not).  d_H is one APSP of the seed, repaired in
+    place by ``insert_edge`` for every new edge.
     Mutates and returns ``h`` together with the step trace.  With
     ``record_potentials`` every step snapshots the potential and cost of
     ``CONVENTIONS``, read off the same d_H at the price of one O(n^2)
@@ -212,12 +215,11 @@ def complete(
     v_cur, c_cur = snapshot()
     for u in range(g.n):
         dg_row, row = dg[u], dh[u]
-        while True:
-            viol = np.nonzero(exceeds(dg_row, row, k))[0]
-            viol = viol[viol > u]
-            if viol.size == 0:
-                break
-            v = int(viol[0])
+        # v is the last column checked: each pair (u, w) with w <= v holds, and keeps
+        # holding since d_H never grows (for w < u, row w settled it)
+        v = u
+        while (viol := np.flatnonzero(exceeds(dg_row[v + 1:], row[v + 1:], k))).size:
+            v += 1 + int(viol[0])
             d_h_before = int(row[v])
             path = shortest_path(g, u, v, distances=dg_row)
             added = 0
@@ -226,8 +228,8 @@ def complete(
                 if dh[a, b] != 1 and h.add_edge(a, b):
                     insert_edge(dh, a, b)
                     added += 1
-            # H now holds a shortest u-v path of G; a longer d_H would make the
-            # scan repeat the pair, and a shorter one is below what G allows
+            # H now holds a shortest u-v path of G, so any other d_H is a stale
+            # repair; the scan moves past the pair whether or not it holds
             if row[v] != dg_row[v]:
                 raise RuntimeError(
                     f"pair ({u}, {v}) has d_H = {row[v]} but d_G = {dg_row[v]} after "

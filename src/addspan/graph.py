@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Optional
@@ -182,6 +183,9 @@ class Path:
 
 _MAX_DIGITS = len(str(MAX_NODES))
 _QUOTED_CHARS = 80
+#: The blanks between the tokens of a line; a line ends only at "\n".
+_BLANKS = " \t\r"
+_BLANK_RUN = re.compile(f"[{_BLANKS}]+")
 
 
 def _quote(x: object) -> str:
@@ -223,21 +227,21 @@ def parse_edge_list(text: str) -> Graph:
 def _regular_edges(text: str) -> Optional[tuple[int, np.ndarray]]:
     """The node count and (m, 2) int64 id pairs of a regular text, else None.
 
-    A regular text is ASCII digits, spaces, tabs and line ends in lines that
-    hold two ids of at most _MAX_DIGITS digits or nothing, after an optional
-    first line ``n <count>``, and has no self-loop; the line reader gives the
-    same graph for it.  A ``\\r`` ends a line, as in str.splitlines, so
-    ``\\r\\n`` ends one and leaves a blank one.  No per-byte array is wider
-    than uint16, and there is no per-byte Python loop."""
+    A regular text is ASCII digits, blanks (space, tab, ``\\r``) and ``\\n``
+    line ends in lines that hold two ids of at most _MAX_DIGITS digits or
+    nothing, after an optional first line ``n <count>``, and has no
+    self-loop; the line reader gives the same graph for it.  No per-byte
+    array is wider than uint16, and there is no per-byte Python loop."""
     if not text.isascii():
         return None
     body = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-    header = body.size > 1 and body[0] == ord("n") and body[1] in b" \t"
+    header = body.size > 1 and body[0] == ord("n") and body[1] in b" \t\r"
     if header:
         body = body[1:]
     digit = (body >= ord("0")) & (body <= ord("9"))
-    line_end = (body == ord("\n")) | (body == ord("\r"))
-    if not np.all(digit | line_end | (body == ord(" ")) | (body == ord("\t"))):
+    line_end = body == ord("\n")
+    if not np.all(digit | line_end | (body == ord(" ")) | (body == ord("\t"))
+                  | (body == ord("\r"))):  # the blanks of _BLANKS
         return None
     last = digit.copy()  # the last digit of each run of digits
     last[:-1] &= ~digit[1:]
@@ -280,11 +284,11 @@ def _parse_lines(text: str) -> Graph:
     GraphFormatError that names it."""
     header_n: Optional[int] = None
     ids: list[int] = []  # u0, v0, u1, v1, ...
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip(_BLANKS)
         if not line or line.startswith("#"):
             continue
-        tokens = line.split()
+        tokens = _BLANK_RUN.split(line)
         if tokens[0] == "n" and header_n is None and not ids:
             # str.isdigit alone admits "²" and "١", and int() admits "١" and "1_0"
             if len(tokens) != 2 or not (tokens[1].isascii() and tokens[1].isdigit()):
@@ -309,9 +313,10 @@ def _parse_lines(text: str) -> Graph:
 
 
 def read_edge_list(path: str) -> Graph:
-    """Parse an edge-list file: UTF-8 text, a leading byte-order mark skipped."""
+    """Parse an edge-list file: UTF-8 text, a leading byte-order mark skipped.
+    The text is read untranslated, so a lone ``\\r`` stays a blank."""
     try:
-        with open(path, encoding="utf-8-sig") as f:
+        with open(path, encoding="utf-8-sig", newline="") as f:
             text = f.read()
     except UnicodeDecodeError as exc:
         raise GraphFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None

@@ -164,6 +164,27 @@ class TestParsing:
             parse_edge_list(line)
         assert str(info.value) == f"line 1: node ids must be ASCII digits 0-9, got {line!r}"
 
+    @pytest.mark.parametrize("text", [
+        "0 1\u20282 3\n", "0 1\x852 3\n", "0 1\v2 3\n", "0 1\f2 3\n", "0 1\x1c2 3\n",
+        "0\u30001\n", "0 1\r2 3",
+    ], ids=["line-separator", "next-line", "vertical-tab", "form-feed", "file-separator",
+            "ideographic-space", "cr-between-pairs"])
+    def test_only_newline_ends_a_line(self, text):
+        # str.splitlines ends a line at each of these but the ideographic
+        # space, and str.split splits at that one
+        line = text.split("\n")[0]
+        with pytest.raises(GraphFormatError) as info:
+            parse_edge_list(text)
+        assert str(info.value) == f"line 1: expected 'u v', got {line!r}"
+
+    def test_carriage_return_is_a_blank(self, tmp_path):
+        assert parse_edge_list("0\r1") == Graph.from_edges(2, [(0, 1)])
+        assert parse_edge_list("n 3\r\n0 1\r\n\r\n1 2\r\n") == \
+            Graph.from_edges(3, [(0, 1), (1, 2)])
+        path = tmp_path / "g.txt"
+        path.write_bytes(b"n\r3\r\n0\r1\r\n")  # read untranslated: no "\r" ends a line
+        assert graph.read_edge_list(str(path)) == Graph.from_edges(3, [(0, 1)])
+
     def test_leading_zeros_parse(self):
         assert parse_edge_list("n 0003\n" + "0" * 5000 + " " + "0" * 5000 + "2") == \
             Graph.from_edges(3, [(0, 2)])
@@ -185,7 +206,7 @@ class TestParsing:
 
 
 SEPARATORS = st.sampled_from([" ", "\t", "  ", " \t "])
-PADDING = st.sampled_from(["", " ", "\t"])
+PADDING = st.sampled_from(["", " ", "\t", "\r"])
 # what a mutation writes into a text: every byte class the parsers tell apart
 MUTATION_CHARS = "#n\r\t\vx-\u00b2 \n0123456789"
 
@@ -193,7 +214,7 @@ MUTATION_CHARS = "#n\r\t\vx-\u00b2 \n0123456789"
 @st.composite
 def regular_texts(draw):
     """Edge lists in the form the vectorised pass reads: ids zero-padded to
-    at most _MAX_DIGITS digits, spaces and tabs around them, blank lines,
+    at most _MAX_DIGITS digits, spaces, tabs and "\\r" around them, blank lines,
     "\\n" or "\\r\\n" line ends, a header or none, and a last line with or
     without its line end."""
     n = draw(st.integers(0, 14) | st.integers(0, MAX_NODES))
@@ -236,7 +257,7 @@ class TestRegularParsing:
     @pytest.mark.parametrize("text, regular", [
         ("# c\n0 1\n", False),
         ("n 3\r\n0 1\r\n\r\n1 2\r\n", True),
-        ("0\r1\n", False),  # a lone \r ends a line
+        ("0\r1\n", True),  # a lone \r is a blank
         ("\nn 3\n0 1\n", False),
         ("0 1\nn 3\n", False),
         ("n5\n0 1\n", False),

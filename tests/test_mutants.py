@@ -7,11 +7,10 @@ A mutant is compiled from ``inspect.getsource`` of the target in a copy of
 its defining module's globals, then patched into every namespace of the
 package bound to the original, the way the benchmark's tracer swaps names.
 The snippet must occur exactly once, so a rewrite of a target has to update
-this table rather than silently skip its mutant.  Mutants that can loop (such
-as ``row[v] > dg_row[v]`` in ``complete``'s stale-d_H check, or a Seidel
-stop rule that tests only for a complete square) are left out, and
-no detector runs a mutant where it could loop: ``exceeds`` with ``>=`` would
-make ``complete`` loop at k = 0, so its detector is ``verify_spanner``.
+this table rather than silently skip its mutant.  Each row's scan in
+``complete`` moves strictly forward whatever its repair, its stale-d_H check
+or ``exceeds`` returns, so mutants of those end.  Mutants that can loop, such
+as a Seidel stop rule that tests only for a complete square, are left out.
 Dropping the ``0 < pairs`` guard of ``apsp``'s squaring is no mutant either:
 the square of an edgeless graph adds no pair, so the loop stops after one
 product with the same answer; the guard only saves that product.
@@ -155,6 +154,21 @@ def complete_matches_reference() -> None:
             ] == ref_steps
 
 
+def stale_repair_raises() -> None:
+    """With a repair that changes nothing, the first step of a build from no
+    edges leaves its pair UNREACHABLE in d_H, and ``complete`` says so."""
+    g = gen_named("cycle", 5)
+    with pytest.MonkeyPatch.context() as patch:
+        # the name ``complete`` itself reads, which a mutant copies
+        patch.setitem(engine.complete.__globals__, "insert_edge", lambda dist, a, b: None)
+        try:
+            engine.complete(g, engine.SubgraphState(g), 0)
+        except RuntimeError as exc:
+            assert "the repaired d_H is stale" in str(exc), str(exc)
+        else:
+            raise AssertionError("a stale repair went unreported")
+
+
 # name -> (owner, function, snippet, replacement, detector)
 MUTANTS = {
     "insert_edge-one-block": (
@@ -168,6 +182,14 @@ MUTANTS = {
     "potential-frozen": (
         engine, "complete", "v_after, c_after = snapshot()",
         "v_after, c_after = v_cur, snapshot()[1]", complete_matches_reference,
+    ),
+    "complete-stale-check-only-above": (
+        engine, "complete", "if row[v] != dg_row[v]:", "if row[v] > dg_row[v]:",
+        stale_repair_raises,
+    ),
+    "complete-scan-resumes-one-late": (
+        engine, "complete", "[v + 1:], row[v + 1:], k))).size:\n            v += 1 +",
+        "[v + 2:], row[v + 2:], k))).size:\n            v += 2 +", complete_matches_reference,
     ),
     "exceeds-ge": (
         graph, "exceeds", "(dh > dg + k)", "(dh >= dg + k)", host_is_exact_0_spanner,
