@@ -144,18 +144,35 @@ def seed_degree_capped(g: Graph, cap: int) -> SubgraphState:
     return SubgraphState(g, ((v, w) for v in range(g.n) for w in g.adjacency[v][:cap]))
 
 
-def potential_from_matrices(dg: np.ndarray, dh: np.ndarray, slack: int) -> int:
-    """Sum over unordered distinct pairs of max(0, d_G - d_H + slack); pairs
-    unreachable in either graph contribute 0.  ``slack`` must be >= 0."""
-    # one n x n temporary, updated in place: with two more per call, some
-    # process memory layouts faulted their pages in afresh at every step
-    # (about 18k page faults per build of a G(150, 0.05) spanner)
+def potential_terms(dg: np.ndarray, dh: np.ndarray, slack: int) -> np.ndarray:
+    """Each pair's term of the potential, max(0, d_G - d_H + slack), cell by
+    cell over matching arrays of distances, and 0 where either distance is
+    UNREACHABLE.  ``slack`` is at most MAX_K - 1, so the terms fit int64."""
+    # one temporary of the arrays' size, updated in place: with two more per
+    # call, some process memory layouts faulted their pages in afresh at every
+    # step (about 18k page faults per build of a G(150, 0.05) spanner)
     vals = dg - dh
     vals += slack
     np.maximum(vals, 0, out=vals)
     vals[(dg == UNREACHABLE) | (dh == UNREACHABLE)] = 0
+    return vals
+
+
+def potential_from_matrices(dg: np.ndarray, dh: np.ndarray, slack: int) -> int:
+    """Sum over unordered distinct pairs of max(0, d_G - d_H + slack); pairs
+    unreachable in either graph contribute 0.  ``slack`` must be >= 0."""
     # each diagonal entry holds slack and every pair is counted twice
-    return (int(vals.sum()) - dg.shape[0] * slack) // 2
+    return (int(potential_terms(dg, dh, slack).sum()) - dg.shape[0] * slack) // 2
+
+
+def potential_change(dg: np.ndarray, cells: tuple, slack: int) -> int:
+    """Change of the potential when ``insert_edge`` repaired ``cells``, its
+    (x, y, old, new) arrays: each changed unordered pair appears there once,
+    so its mirror cell is not counted again."""
+    x, y, old, new = cells
+    pair_dg = dg[x, y]
+    return int(potential_terms(pair_dg, new, slack).sum()
+               - potential_terms(pair_dg, old, slack).sum())
 
 
 def cost_edges(h: SubgraphState) -> int:
@@ -163,16 +180,28 @@ def cost_edges(h: SubgraphState) -> int:
     return h.edge_count
 
 
+def cost_edges_gain(deg_a: int, deg_b: int) -> int:
+    """Change of ``cost_edges`` when an edge joins H."""
+    return 1
+
+
 def cost_degsq(h: SubgraphState) -> int:
     """Sum of squared H-degrees."""
     return sum(d * d for d in h.deg)
 
 
-#: The potential convention, k -> (slack, cost): the 2- and 6-spanner analyses
-#: use slack 3 with the squared-degree cost and slack 5 with the edge count;
-#: any other k falls back to (max(k - 1, 0), edge count), reported only.
-#: These two k are also the only ones whose seed carries a size guarantee.
-CONVENTIONS = {2: (3, cost_degsq), 6: (5, cost_edges)}
+def cost_degsq_gain(deg_a: int, deg_b: int) -> int:
+    """Change of ``cost_degsq`` when an edge joins H between nodes of
+    H-degrees ``deg_a`` and ``deg_b``: (deg + 1)^2 - deg^2 at each end."""
+    return 2 * (deg_a + deg_b + 1)
+
+
+#: The potential convention, k -> (slack, cost, cost gain of one new edge): the
+#: 2- and 6-spanner analyses use slack 3 with the squared-degree cost and
+#: slack 5 with the edge count; any other k falls back to (max(k - 1, 0), edge
+#: count), reported only.  These two k are also the only ones whose seed
+#: carries a size guarantee.
+CONVENTIONS = {2: (3, cost_degsq, cost_degsq_gain), 6: (5, cost_edges, cost_edges_gain)}
 
 
 def complete(
@@ -193,26 +222,24 @@ def complete(
     place by ``insert_edge`` for every new edge.
     Mutates and returns ``h`` together with the step trace.  With
     ``record_potentials`` every step snapshots the potential and cost of
-    ``CONVENTIONS``, read off the same d_H at the price of one O(n^2)
-    potential sum per step.  After every step d_H(u, v) must equal d_G(u, v);
-    a repaired d_H that breaks this raises RuntimeError.
+    ``CONVENTIONS``: one O(n^2) potential sum for the seed, then each new
+    edge adds the change of its pair terms over the cells ``insert_edge``
+    repaired, and its cost gain.  After every step d_H(u, v) must equal
+    d_G(u, v); a repaired d_H that breaks this raises RuntimeError.
     """
     check_k(k)
     if h.host != g:
         raise ValueError("subgraph state does not belong to this graph")
 
-    slack, cost = CONVENTIONS.get(k, (max(k - 1, 0), cost_edges))
+    slack, cost, cost_gain = CONVENTIONS.get(k, (max(k - 1, 0), cost_edges, cost_edges_gain))
     dg = apsp(g).dist
     dh = apsp(h.to_graph()).dist
     seed_edges = h.edge_count
     steps: list[CompletionStep] = []
 
-    def snapshot() -> tuple[Optional[int], Optional[int]]:
-        if not record_potentials:
-            return None, None
-        return potential_from_matrices(dg, dh, slack), cost(h)
-
-    v_cur, c_cur = snapshot()
+    v_cur = c_cur = None
+    if record_potentials:
+        v_cur, c_cur = potential_from_matrices(dg, dh, slack), cost(h)
     for u in range(g.n):
         dg_row, row = dg[u], dh[u]
         # v is the last column checked: each pair (u, w) with w <= v holds, and keeps
@@ -222,12 +249,20 @@ def complete(
             v += 1 + int(viol[0])
             d_h_before = int(row[v])
             path = shortest_path(g, u, v, distances=dg_row)
+            v_before, c_before = v_cur, c_cur
             added = 0
             for a, b in path.hops():
                 # the repaired d_H is exact: d_H(a, b) = 1 iff (a, b) is in H
-                if dh[a, b] != 1 and h.add_edge(a, b):
-                    insert_edge(dh, a, b)
+                if dh[a, b] == 1:
+                    continue
+                # the cost gain is read off the degrees the edge's ends have before it
+                c_gain = cost_gain(h.deg[a], h.deg[b])
+                if h.add_edge(a, b):
+                    cells = insert_edge(dh, a, b)
                     added += 1
+                    if record_potentials:
+                        v_cur += potential_change(dg, cells, slack)
+                        c_cur += c_gain
             # H now holds a shortest u-v path of G, so any other d_H is a stale
             # repair; the scan moves past the pair whether or not it holds
             if row[v] != dg_row[v]:
@@ -235,12 +270,11 @@ def complete(
                     f"pair ({u}, {v}) has d_H = {row[v]} but d_G = {dg_row[v]} after "
                     "its shortest path was inserted: the repaired d_H is stale"
                 )
-            v_after, c_after = snapshot()
             steps.append(CompletionStep(
                 pair=(u, v), d_g=int(dg_row[v]), d_h_before=d_h_before, path=path,
-                new_edges=added, v_before=v_cur, v_after=v_after, c_before=c_cur, c_after=c_after,
+                new_edges=added, v_before=v_before, v_after=v_cur, c_before=c_before,
+                c_after=c_cur,
             ))
-            v_cur, c_cur = v_after, c_after
 
     return h, CompletionTrace(
         k=k, seed_edge_count=seed_edges, potentials_recorded=record_potentials, steps=steps,

@@ -463,25 +463,42 @@ def apsp(g: Graph) -> DistanceMatrix:
     return DistanceMatrix(n, dist)
 
 
-def insert_edge(dist: np.ndarray, a: int, b: int) -> None:
+def insert_edge(
+    dist: np.ndarray, a: int, b: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Repair the all-pairs matrix ``dist`` in place after the edge (a, b)
-    joins the graph it describes.
+    joins the graph it describes, and return the pairs it changed.
 
     A shortest path crosses the new edge at most once, so the new d(x, y) is
     min(d(x, y), d(x, a) + 1 + d(b, y)) or the same with a and b swapped.  The
     a-to-b crossing can only shorten pairs with d(x, a) + 1 < d(x, b) and
-    d(b, y) + 1 < d(a, y) (Ramalingam & Reps 1996), so only that block and
-    its transpose are written; both are computed from the rows of a and b as
-    they were before the insertion, which keeps ``dist`` symmetric.
+    d(b, y) + 1 < d(a, y) (Ramalingam & Reps 1996).  Every cell of that
+    near_a x near_b block is computed from the rows of a and b as they were
+    before the insertion, and only the cells that change are written, each
+    with its mirror cell, which keeps ``dist`` symmetric.
+
+    Returns ``(x, y, old, new)``: the changed pairs (x[i], y[i]), each
+    unordered pair once (near_a and near_b are disjoint), with their distances
+    before and after.  ``dist`` must be C-contiguous, since the cells are
+    written through its flat view; any other layout raises ValueError, where
+    the flat view would be a copy that takes the writes instead.
     """
-    da, db = dist[a].copy(), dist[b].copy()
-    near_a = np.nonzero((da != UNREACHABLE) & ((db == UNREACHABLE) | (da + 1 < db)))[0]
-    near_b = np.nonzero((db != UNREACHABLE) & ((da == UNREACHABLE) | (db + 1 < da)))[0]
-    block = dist[np.ix_(near_a, near_b)]
-    via = da[near_a, None] + 1 + db[None, near_b]
-    block = np.where((block == UNREACHABLE) | (via < block), via, block)
-    dist[np.ix_(near_a, near_b)] = block
-    dist[np.ix_(near_b, near_a)] = block.T
+    if not dist.flags.c_contiguous:
+        raise ValueError("insert_edge needs a C-contiguous distance matrix")
+    n = dist.shape[0]
+    flat = dist.reshape(-1)
+    da, db = dist[a], dist[b]
+    near_a = np.flatnonzero((da != UNREACHABLE) & ((db == UNREACHABLE) | (da + 1 < db)))
+    near_b = np.flatnonzero((db != UNREACHABLE) & ((da == UNREACHABLE) | (db + 1 < da)))
+    cells = np.add.outer(near_a * n, near_b)
+    old = flat[cells]
+    via = np.add.outer(da[near_a] + 1, db[near_b])
+    shorter = (old == UNREACHABLE) | (via < old)
+    cells, old, new = cells[shorter], old[shorter], via[shorter]
+    x, y = np.divmod(cells, n)
+    flat[cells] = new
+    flat[y * n + x] = new
+    return x, y, old, new
 
 
 def exceeds(dg: np.ndarray, dh: np.ndarray, k: int) -> np.ndarray:

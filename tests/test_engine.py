@@ -14,6 +14,8 @@ from addspan import (
     build_2_spanner,
     build_6_spanner,
     complete,
+    cost_degsq,
+    cost_edges,
     default_cap,
     gen_gnp,
     gen_named,
@@ -22,7 +24,7 @@ from addspan import (
     verify_spanner,
 )
 from addspan import engine
-from addspan.engine import build_spanner
+from addspan.engine import build_spanner, potential_from_matrices
 from addspan.graph import MAX_K, insert_edge
 
 from conftest import clique_chain, random_tree
@@ -349,6 +351,58 @@ class TestReferenceCompletion:
         first = int(np.flatnonzero(apsp(g).dist[0] > 0)[0])
         with pytest.raises(RuntimeError, match=rf"^pair \(0, {first}\) .* stale"):
             complete(g, seed_empty(g), 2)
+
+
+_RUNNING_POTENTIAL_GRAPHS = {
+    "gnp-200": gen_gnp(200, 0.05, 1),
+    "gnp-60-and-path-15": disjoint_union(gen_gnp(60, 0.08, 2), gen_named("path", 15)),
+    "clique-chain-5x6": clique_chain(5, 6),
+}
+
+
+class TestRunningPotential:
+    # every k on the small hosts; G(200, 0.05) at k = 0 and 1 takes about a
+    # thousand steps, each with a fresh APSP, so it runs the other three
+    @pytest.mark.parametrize("name, k", [
+        *(("gnp-200", k) for k in (2, 6, MAX_K)),
+        *((name, k) for name in ("gnp-60-and-path-15", "clique-chain-5x6")
+          for k in (0, 1, 2, 6, MAX_K)),
+    ])
+    def test_equals_full_recompute(self, name, k):
+        g = _RUNNING_POTENTIAL_GRAPHS[name]
+        # the snapshots are running sums over the repaired cells: each must
+        # equal the O(n^2) sum over a fresh APSP of that step's H
+        slack = {2: 3, 6: 5}.get(k, max(k - 1, 0))
+        cost = cost_degsq if k == 2 else cost_edges
+        h = seed_degree_capped(g, default_cap(g.n) if k == 6 else 0)  # the pipeline's seed
+        _, trace = build_spanner(g, k, record_potentials=True)
+        assert trace.steps or k == 6  # the capped seed is already a 6-spanner of these G(n, p)
+        dg = apsp(g).dist
+        v, c = potential_from_matrices(dg, apsp(h.to_graph()).dist, slack), cost(h)
+        for s in trace.steps:
+            assert (s.v_before, s.c_before) == (v, c)
+            for a, b in s.path.hops():
+                h.add_edge(a, b)
+            v, c = potential_from_matrices(dg, apsp(h.to_graph()).dist, slack), cost(h)
+            assert (s.v_after, s.c_after) == (v, c)
+
+    def test_one_full_potential_sum_per_build(self, monkeypatch):
+        # every later snapshot comes from the repaired cells, not an n x n sum
+        calls = []
+
+        def counted(dg, dh, slack):
+            calls.append(dg.shape)
+            return potential_from_matrices(dg, dh, slack)
+
+        monkeypatch.setattr(engine, "potential_from_matrices", counted)
+        gnp = gen_gnp(80, 0.08, 4)
+        for g, k in ((gnp, 2), (gnp, 1), (clique_chain(4, 6), 6)):
+            calls.clear()
+            _, trace = build_spanner(g, k, record_potentials=True)
+            assert len(trace.steps) > 1 and calls == [(g.n, g.n)]
+        calls.clear()
+        build_spanner(gnp, 2)
+        assert calls == []
 
 
 class TestBuilders:

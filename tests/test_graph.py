@@ -556,6 +556,34 @@ class TestDistances:
             assert (dist == dist.T).all()
             assert dist.tolist() == apsp(Graph.from_edges(g.n, order[:i + 1])).dist.tolist()
 
+    @given(small_graphs(), st.data())
+    @settings(max_examples=80)
+    def test_insert_edge_returns_changed_cells(self, g, data):
+        # the returned pairs and their mirrors are exactly the changed cells,
+        # each unordered pair once, with the values before and after
+        order = data.draw(st.permutations(g.sorted_edges()))
+        flips = data.draw(st.lists(st.booleans(), min_size=len(order), max_size=len(order)))
+        dist = apsp(Graph.from_edges(g.n, [])).dist
+        for (a, b), flip in zip(order, flips):
+            before = dist.copy()
+            x, y, old, new = insert_edge(dist, *((b, a) if flip else (a, b)))
+            cells = np.concatenate((x * g.n + y, y * g.n + x))
+            assert np.sort(cells).tolist() == np.flatnonzero(before != dist).tolist()
+            assert len({(min(p), max(p)) for p in zip(x.tolist(), y.tolist())}) == x.size
+            assert old.tolist() == before[x, y].tolist()
+            assert new.tolist() == dist[x, y].tolist()
+
+    @pytest.mark.parametrize("layout", [np.asfortranarray, np.transpose,
+                                        lambda d: np.pad(d, ((0, 0), (0, 3)))[:, :-3]],
+                             ids=["fortran", "transposed-view", "column-slice"])
+    def test_insert_edge_refuses_other_layouts(self, layout):
+        # a flat view of these would be a copy, so a repair there would be lost
+        dist = layout(apsp(Graph.from_edges(4, [(0, 1), (2, 3)])).dist)
+        before = dist.copy()
+        with pytest.raises(ValueError, match="C-contiguous"):
+            insert_edge(dist, 1, 2)
+        assert np.array_equal(dist, before)
+
 
 class TestShortestPath:
     def test_unique_path(self):

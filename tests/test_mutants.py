@@ -5,7 +5,8 @@ unmutated code.
 
 A mutant is compiled from ``inspect.getsource`` of the target in a copy of
 its defining module's globals, then patched into every namespace of the
-package bound to the original, the way the benchmark's tracer swaps names.
+package bound to the original, the way the benchmark's tracer swaps names,
+and into the rows of tables that hold it, such as ``engine.CONVENTIONS``.
 The snippet must occur exactly once, so a rewrite of a target has to update
 this table rather than silently skip its mutant.  Each row's scan in
 ``complete`` moves strictly forward whatever its repair, its stale-d_H check
@@ -55,7 +56,8 @@ OTHER_TEXTS = ["0 1 2 3\n", "0\n1\n", "n 3 4\n", "0 1\n1 1\n", "# c\n0 1\n", "00
 
 def install(monkeypatch, owner, name: str, old: str, new: str) -> None:
     """Replace ``old`` by ``new`` in the source of ``owner.name`` and patch
-    the result in wherever the package binds the original."""
+    the result in wherever the package binds the original, rows of its
+    function tables included."""
     original = vars(owner)[name]
     function = getattr(original, "__func__", original)  # a classmethod's function
     source = textwrap.dedent(inspect.getsource(function))
@@ -64,10 +66,16 @@ def install(monkeypatch, owner, name: str, old: str, new: str) -> None:
     code = compile(source.replace(old, new), f"<mutant of {name}>", "exec",
                    flags=__future__.annotations.compiler_flag, dont_inherit=True)
     exec(code, namespace)
+    mutant = namespace[name]
     for space in NAMESPACES:
         for attr, value in list(vars(space).items()):
             if value is original:
-                monkeypatch.setattr(space, attr, namespace[name])
+                monkeypatch.setattr(space, attr, mutant)
+            elif isinstance(value, dict):  # a table of functions, like engine.CONVENTIONS
+                for key, row in list(value.items()):
+                    if isinstance(row, tuple) and any(x is original for x in row):
+                        monkeypatch.setitem(
+                            value, key, tuple(mutant if x is original else x for x in row))
 
 
 def regular_parse_matches_line_reader() -> None:
@@ -89,6 +97,20 @@ def insert_edge_matches_apsp() -> None:
             graph.insert_edge(dist, *((b, a) if i % 2 else (a, b)))
             prefix = graph.Graph.from_edges(g.n, edges[:i + 1])
             assert dist.tolist() == graph.apsp(prefix).dist.tolist()
+
+
+def insert_edge_repairs_only_c_contiguous() -> None:
+    """A Fortran-order or strided matrix is refused and left as it was: its
+    flat view would be a copy that takes the repair instead."""
+    g = CORPUS[0]
+    for layout in (np.asfortranarray, lambda d: np.pad(d, ((0, 0), (0, 1)))[:, :-1]):
+        dist = layout(graph.apsp(graph.Graph.from_edges(g.n, [])).dist)
+        try:
+            graph.insert_edge(dist, *g.sorted_edges()[0])
+        except ValueError:
+            assert (dist == graph.apsp(graph.Graph.from_edges(g.n, [])).dist).all()
+        else:
+            raise AssertionError("a matrix that is not C-contiguous was accepted")
 
 
 def apsp_matches_floyd_warshall() -> None:
@@ -172,16 +194,32 @@ def stale_repair_raises() -> None:
 # name -> (owner, function, snippet, replacement, detector)
 MUTANTS = {
     "insert_edge-one-block": (
-        graph, "insert_edge", "    dist[np.ix_(near_b, near_a)] = block.T\n", "",
-        insert_edge_matches_apsp,
+        graph, "insert_edge", "    flat[y * n + x] = new\n", "", insert_edge_matches_apsp,
     ),
     "insert_edge-no-unreachable-clause": (
-        graph, "insert_edge", "(block == UNREACHABLE) | (via < block)", "via < block",
+        graph, "insert_edge", "(old == UNREACHABLE) | (via < old)", "via < old",
         insert_edge_matches_apsp,
     ),
+    "insert_edge-no-contiguity-guard": (
+        graph, "insert_edge", "if not dist.flags.c_contiguous:", "if False:",
+        insert_edge_repairs_only_c_contiguous,
+    ),
     "potential-frozen": (
-        engine, "complete", "v_after, c_after = snapshot()",
-        "v_after, c_after = v_cur, snapshot()[1]", complete_matches_reference,
+        engine, "complete", "v_cur += potential_change(dg, cells, slack)", "v_cur += 0",
+        complete_matches_reference,
+    ),
+    "potential-change-counts-mirror": (
+        engine, "potential_change", "return int(", "return 2 * int(", complete_matches_reference,
+    ),
+    "cost_degsq_gain-no-plus-one": (
+        engine, "cost_degsq_gain", "2 * (deg_a + deg_b + 1)", "2 * (deg_a + deg_b)",
+        complete_matches_reference,
+    ),
+    "complete-degrees-after-add_edge": (
+        engine, "complete",
+        "c_gain = cost_gain(h.deg[a], h.deg[b])\n                if h.add_edge(a, b):\n",
+        "if h.add_edge(a, b):\n                    c_gain = cost_gain(h.deg[a], h.deg[b])\n",
+        complete_matches_reference,
     ),
     "complete-stale-check-only-above": (
         engine, "complete", "if row[v] != dg_row[v]:", "if row[v] > dg_row[v]:",
@@ -203,7 +241,7 @@ MUTANTS = {
         "np.diff(codes, prepend=-1) >= 0", from_edges_matches_naive_neighbors,
     ),
     "potential-no-unreachable-zeroing": (
-        engine, "potential_from_matrices",
+        engine, "potential_terms",
         "    vals[(dg == UNREACHABLE) | (dh == UNREACHABLE)] = 0\n", "",
         complete_matches_reference,
     ),
