@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 from pathlib import Path as FilePath
 from typing import Sequence
@@ -61,6 +62,10 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
+    # one file cannot hold both outputs: the spanner, written last, would replace the trace
+    if args.trace_out is not None and (
+            os.path.realpath(args.trace_out) == os.path.realpath(args.out)):
+        raise ValueError(f"--trace-out and --out name the same file '{args.out}'")
     g = read_edge_list(args.input)
     h, trace = build_spanner(g, args.k, record_potentials=args.trace_out is not None)
     spanner = h.to_graph()

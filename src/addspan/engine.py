@@ -35,12 +35,12 @@ class SubgraphState:
     The node set always equals the host's; edges may only be host edges.  H
     is one flag per slot of ``host.indices``: an edge's two slots (v in the
     row of u, u in the row of v) are flagged together, so ``to_graph`` is the
-    host's CSR with the unflagged slots dropped.  ``deg`` holds the H-degrees.
+    host's CSR with the unflagged slots dropped.  ``deg`` is H's int64 degree array.
     """
 
     def __init__(self, host: Graph, edges: Iterable[tuple[int, int]] = ()):
         self.host = host
-        self.deg: list[int] = [0] * host.n
+        self.deg = np.zeros(host.n, dtype=np.int64)
         self._in_h = bytearray(host.indices.size)
         for u, v in edges:
             self.add_edge(u, v)
@@ -51,7 +51,7 @@ class SubgraphState:
 
     @property
     def edge_count(self) -> int:
-        return sum(self.deg) // 2
+        return int(self.deg.sum()) // 2
 
     def _slot(self, u: int, v: int) -> int:
         """Index of v in the row of u in ``host.indices``, or -1 if (u, v) is
@@ -84,7 +84,7 @@ class SubgraphState:
         return apsp(self.to_graph()).dist[source]
 
     def to_graph(self) -> Graph:
-        indptr = np.concatenate(([0], np.cumsum(self.deg, dtype=np.int64)))
+        indptr = np.concatenate(([0], np.cumsum(self.deg)))
         return Graph(self.n, indptr, self.host.indices[np.frombuffer(self._in_h, dtype=bool)])
 
 
@@ -120,13 +120,14 @@ class CompletionTrace:
 
 def default_cap(n: int) -> int:
     """Exact integer floor of the cube root: largest c with c**3 <= n."""
-    if _index(n) < 0:
+    n = _index(n)
+    if n < 0:
         raise ValueError("n must be non-negative")
-    c = round(n ** (1 / 3))
-    while c ** 3 > n:
-        c -= 1
-    while (c + 1) ** 3 <= n:
-        c += 1
+    # c has at most ceil(bits / 3) bits: keep each, from the top, whose cube fits
+    c = 0
+    for bit in reversed(range(n.bit_length() // 3 + 1)):
+        if (c | 1 << bit) ** 3 <= n:
+            c |= 1 << bit
     return c
 
 
@@ -180,28 +181,16 @@ def cost_edges(h: SubgraphState) -> int:
     return h.edge_count
 
 
-def cost_edges_gain(deg_a: int, deg_b: int) -> int:
-    """Change of ``cost_edges`` when an edge joins H."""
-    return 1
-
-
 def cost_degsq(h: SubgraphState) -> int:
-    """Sum of squared H-degrees."""
-    return sum(d * d for d in h.deg)
+    """Sum of squared H-degrees; n <= MAX_NODES keeps it below 2**40, exact in int64."""
+    return int(h.deg @ h.deg)
 
 
-def cost_degsq_gain(deg_a: int, deg_b: int) -> int:
-    """Change of ``cost_degsq`` when an edge joins H between nodes of
-    H-degrees ``deg_a`` and ``deg_b``: (deg + 1)^2 - deg^2 at each end."""
-    return 2 * (deg_a + deg_b + 1)
-
-
-#: The potential convention, k -> (slack, cost, cost gain of one new edge): the
-#: 2- and 6-spanner analyses use slack 3 with the squared-degree cost and
-#: slack 5 with the edge count; any other k falls back to (max(k - 1, 0), edge
-#: count), reported only.  These two k are also the only ones whose seed
-#: carries a size guarantee.
-CONVENTIONS = {2: (3, cost_degsq, cost_degsq_gain), 6: (5, cost_edges, cost_edges_gain)}
+#: The potential convention, k -> (slack, cost): the 2- and 6-spanner analyses
+#: use slack 3 with the squared-degree cost and slack 5 with the edge count;
+#: any other k falls back to (max(k - 1, 0), edge count), reported only.
+#: These two k are also the only ones whose seed carries a size guarantee.
+CONVENTIONS = {2: (3, cost_degsq), 6: (5, cost_edges)}
 
 
 def complete(
@@ -224,14 +213,14 @@ def complete(
     ``record_potentials`` every step snapshots the potential and cost of
     ``CONVENTIONS``: one O(n^2) potential sum for the seed, then each new
     edge adds the change of its pair terms over the cells ``insert_edge``
-    repaired, and its cost gain.  After every step d_H(u, v) must equal
-    d_G(u, v); a repaired d_H that breaks this raises RuntimeError.
+    repaired, and each step reads ``cost`` of its H.  After every step d_H(u, v)
+    must equal d_G(u, v); a repaired d_H that breaks this raises RuntimeError.
     """
     check_k(k)
     if h.host != g:
         raise ValueError("subgraph state does not belong to this graph")
 
-    slack, cost, cost_gain = CONVENTIONS.get(k, (max(k - 1, 0), cost_edges, cost_edges_gain))
+    slack, cost = CONVENTIONS.get(k, (max(k - 1, 0), cost_edges))
     dg = apsp(g).dist
     dh = apsp(h.to_graph()).dist
     seed_edges = h.edge_count
@@ -255,14 +244,13 @@ def complete(
                 # the repaired d_H is exact: d_H(a, b) = 1 iff (a, b) is in H
                 if dh[a, b] == 1:
                     continue
-                # the cost gain is read off the degrees the edge's ends have before it
-                c_gain = cost_gain(h.deg[a], h.deg[b])
                 if h.add_edge(a, b):
                     cells = insert_edge(dh, a, b)
                     added += 1
                     if record_potentials:
                         v_cur += potential_change(dg, cells, slack)
-                        c_cur += c_gain
+            if record_potentials:
+                c_cur = cost(h)
             # H now holds a shortest u-v path of G, so any other d_H is a stale
             # repair; the scan moves past the pair whether or not it holds
             if row[v] != dg_row[v]:

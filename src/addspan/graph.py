@@ -360,7 +360,7 @@ def gen_gnp(n: int, p: float, seed: int) -> Graph:
         raise ValueError(f"edge probability p={p} outside [0, 1]")
     n = _check_node_count(n)
     count = n * (n - 1) // 2
-    draws = _splitmix64_floats(seed, count)
+    draws = _splitmix64_floats(_index(seed), count)
     iu, iv = np.triu_indices(n, k=1)
     keep = draws < p
     return Graph.from_edges(n, np.column_stack((iu[keep], iv[keep])))

@@ -251,6 +251,18 @@ class TestInputContract:
         assert captured.out == ""
         assert captured.err == f"error: additive constant k must be at most {MAX_K}\n" * 3
 
+    @pytest.mark.parametrize("spelling", ["same.txt", "./same.txt"])
+    def test_trace_out_same_file_as_out(self, tmp_path, capsys, monkeypatch, spelling):
+        # the spanner, written last, would replace the trace: the build is refused
+        monkeypatch.chdir(tmp_path)
+        write_graph(tmp_path, "p3.txt", "0 1\n1 2\n")
+        assert run(["build", "--input", "p3.txt", "--k", "2", "--out", "same.txt",
+                    "--trace-out", spelling]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --trace-out and --out name the same file 'same.txt'\n"
+        assert os.listdir(tmp_path) == ["p3.txt"]
+
     @pytest.mark.parametrize("command", ["build-out", "build-trace-out", "gen", "sweep"])
     def test_unwritable_output(self, tmp_path, capsys, command):
         g = write_graph(tmp_path, "p3.txt", "0 1\n1 2\n")

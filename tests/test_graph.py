@@ -459,13 +459,16 @@ class TestGraphInvariants:
         lambda: verify_spanner(gen_named("cycle", 8), gen_named("path", 8), True),
         lambda: Graph.from_edges(3.5, [(0, 1)]),
         lambda: gen_gnp(4.0, 0.5, 1),
+        lambda: gen_gnp(5, 0.5, True),
+        lambda: gen_gnp(5, 0.5, 1.5),
         lambda: gen_named("path", True),
         lambda: gen_named("grid", True),
         lambda: default_cap(2.5),
         lambda: seed_degree_capped(gen_named("path", 4), True),
         lambda: run_sweep("gnp", [8], [0.5], True, 2),
-    ], ids=["check_k", "verify_spanner", "from_edges", "gen_gnp", "gen_named", "grid",
-            "default_cap", "seed_degree_capped", "run_sweep"])
+    ], ids=["check_k", "verify_spanner", "from_edges", "gen_gnp", "gen_gnp-bool-seed",
+            "gen_gnp-float-seed", "gen_named", "grid", "default_cap", "seed_degree_capped",
+            "run_sweep"])
     def test_counts_must_be_integers(self, call):
         with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
             call()

@@ -32,7 +32,7 @@ from conftest import clique_chain
 from oracles import (capped_seed, dist_matrix_to_float, floyd_warshall, naive_neighbors,
                      parse_outcome, reference_complete)
 
-NAMESPACES = (graph, graph.Graph, engine, diagnostics, sweep, cli, addspan)
+NAMESPACES = (graph, graph.Graph, engine, engine.SubgraphState, diagnostics, sweep, cli, addspan)
 
 CORPUS = [
     *(gen_gnp(n, p, seed) for n, p, seed in ((6, 0.5, 1), (9, 0.3, 2), (11, 0.4, 3))),
@@ -153,10 +153,13 @@ def verify_rejects_larger_spanner() -> None:
 
 def seed_matches_capped_seed() -> None:
     """The degree-capped seed equals the naive union of each node's ``cap``
-    lowest-id neighbors, for caps 0 to 3."""
+    lowest-id neighbors, its H-degrees included, for caps 0 to 3."""
     for g in CORPUS:
         for cap in range(4):
-            assert engine.seed_degree_capped(g, cap).edges() == capped_seed(g, cap)
+            seed, expected = engine.seed_degree_capped(g, cap), capped_seed(g, cap)
+            # degrees first: ``edges`` reads them, and wrong ones make it raise
+            assert seed.deg.tolist() == [sum(v in e for e in expected) for v in range(g.n)]
+            assert seed.edges() == expected
 
 
 def complete_matches_reference() -> None:
@@ -211,15 +214,14 @@ MUTANTS = {
     "potential-change-counts-mirror": (
         engine, "potential_change", "return int(", "return 2 * int(", complete_matches_reference,
     ),
-    "cost_degsq_gain-no-plus-one": (
-        engine, "cost_degsq_gain", "2 * (deg_a + deg_b + 1)", "2 * (deg_a + deg_b)",
-        complete_matches_reference,
+    "cost_degsq-sums-degrees": (
+        engine, "cost_degsq", "int(h.deg @ h.deg)", "int(h.deg.sum())", complete_matches_reference,
     ),
-    "complete-degrees-after-add_edge": (
-        engine, "complete",
-        "c_gain = cost_gain(h.deg[a], h.deg[b])\n                if h.add_edge(a, b):\n",
-        "if h.add_edge(a, b):\n                    c_gain = cost_gain(h.deg[a], h.deg[b])\n",
-        complete_matches_reference,
+    "complete-cost-kept": (
+        engine, "complete", "c_cur = cost(h)", "c_cur = c_before", complete_matches_reference,
+    ),
+    "add_edge-one-end": (
+        engine.SubgraphState, "add_edge", "    self.deg[v] += 1\n", "", seed_matches_capped_seed,
     ),
     "complete-stale-check-only-above": (
         engine, "complete", "if row[v] != dg_row[v]:", "if row[v] > dg_row[v]:",
