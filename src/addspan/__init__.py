@@ -21,15 +21,12 @@ from .engine import (
     CompletionStep,
     CompletionTrace,
     SubgraphState,
-    build_2_spanner,
-    build_6_spanner,
     build_spanner,
     complete,
     cost_degsq,
     cost_edges,
     default_cap,
     seed_degree_capped,
-    seed_empty,
 )
 from .diagnostics import (
     TraceContractError,
@@ -58,15 +55,12 @@ __all__ = [
     "CompletionStep",
     "CompletionTrace",
     "SubgraphState",
-    "build_2_spanner",
-    "build_6_spanner",
     "build_spanner",
     "complete",
     "cost_degsq",
     "cost_edges",
     "default_cap",
     "seed_degree_capped",
-    "seed_empty",
     "TraceContractError",
     "Violation",
     "check_2spanner_step_law",

@@ -44,7 +44,7 @@ def _write_trace_csv(path: str, trace: CompletionTrace) -> None:
         writer.writerow(TRACE_COLUMNS)
         for i, s in enumerate(trace.steps):
             writer.writerow([
-                i, s.pair[0], s.pair[1], s.d_g, s.d_h_before, s.new_edges,
+                i, s.pair[0], s.pair[1], s.path.length, s.d_h_before, s.new_edges,
                 s.v_before, s.v_after, s.c_before, s.c_after,
             ])
 
@@ -62,9 +62,12 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
-    # one file cannot hold both outputs: the spanner, written last, would replace the trace
+    # one file cannot hold both outputs: the spanner, written last, would replace the trace;
+    # two existing names are one file when they share an inode, as hard links do
     if args.trace_out is not None and (
-            os.path.realpath(args.trace_out) == os.path.realpath(args.out)):
+            os.path.samefile(args.trace_out, args.out)
+            if os.path.exists(args.trace_out) and os.path.exists(args.out)
+            else os.path.realpath(args.trace_out) == os.path.realpath(args.out)):
         raise ValueError(f"--trace-out and --out name the same file '{args.out}'")
     g = read_edge_list(args.input)
     h, trace = build_spanner(g, args.k, record_potentials=args.trace_out is not None)

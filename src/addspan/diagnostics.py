@@ -54,7 +54,7 @@ def verify_spanner(g: Graph, h: Graph, k: int) -> list[Violation]:
 def check_cauchy_bound(h: SubgraphState) -> bool:
     """n * (sum of squared degrees) >= 4 * m**2; exact algebra, so a False
     result signals an implementation bug."""
-    return h.n * cost_degsq(h) >= 4 * h.edge_count ** 2
+    return h.host.n * cost_degsq(h) >= 4 * h.edge_count ** 2
 
 
 def check_2spanner_step_law(trace: CompletionTrace) -> list[int]:

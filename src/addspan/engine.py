@@ -46,10 +46,6 @@ class SubgraphState:
             self.add_edge(u, v)
 
     @property
-    def n(self) -> int:
-        return self.host.n
-
-    @property
     def edge_count(self) -> int:
         return int(self.deg.sum()) // 2
 
@@ -65,39 +61,36 @@ class SubgraphState:
     def edges(self) -> frozenset[Edge]:
         return frozenset(self.to_graph().sorted_edges())
 
-    def add_edge(self, u: int, v: int) -> bool:
-        """Insert a host edge into H; returns True iff it was new."""
+    def add_edge(self, u: int, v: int) -> None:
+        """Insert a host edge into H; an edge already in H is left as it is."""
         i = self._slot(u, v)
         if i < 0:
             raise ValueError(f"edge {canonical_edge(u, v)} is not an edge of the host graph")
-        if self._in_h[i]:
-            return False
-        self._in_h[i] = self._in_h[self._slot(v, u)] = 1
-        self.deg[u] += 1
-        self.deg[v] += 1
-        return True
+        if not self._in_h[i]:
+            self._in_h[i] = self._in_h[self._slot(v, u)] = 1
+            self.deg[u] += 1
+            self.deg[v] += 1
 
     def bfs_row(self, source: int) -> np.ndarray:
         """Hop distances within H from ``source``: its row of the APSP of H."""
-        if not 0 <= source < self.n:  # numpy would read a negative source from the end
-            raise ValueError(f"node {source} out of range 0..{self.n - 1}")
+        if not 0 <= source < self.host.n:  # numpy would read a negative source from the end
+            raise ValueError(f"node {source} out of range 0..{self.host.n - 1}")
         return apsp(self.to_graph()).dist[source]
 
     def to_graph(self) -> Graph:
         indptr = np.concatenate(([0], np.cumsum(self.deg)))
-        return Graph(self.n, indptr, self.host.indices[np.frombuffer(self._in_h, dtype=bool)])
+        return Graph(self.host.n, indptr, self.host.indices[np.frombuffer(self._in_h, dtype=bool)])
 
 
 @dataclass(frozen=True)
 class CompletionStep:
     """One completion insertion: the violating pair and what it cost.
 
-    ``d_h_before`` is UNREACHABLE when the pair was disconnected in H.
+    Its d_G is ``path.length``; ``d_h_before`` is UNREACHABLE when it was disconnected in H.
     Potential/cost snapshots are None unless the run recorded them.
     """
 
     pair: Edge
-    d_g: int
     d_h_before: int
     path: Path
     new_edges: int
@@ -129,11 +122,6 @@ def default_cap(n: int) -> int:
         if (c | 1 << bit) ** 3 <= n:
             c |= 1 << bit
     return c
-
-
-def seed_empty(g: Graph) -> SubgraphState:
-    """H with all nodes of g and no edges."""
-    return SubgraphState(g)
 
 
 def seed_degree_capped(g: Graph, cap: int) -> SubgraphState:
@@ -244,11 +232,11 @@ def complete(
                 # the repaired d_H is exact: d_H(a, b) = 1 iff (a, b) is in H
                 if dh[a, b] == 1:
                     continue
-                if h.add_edge(a, b):
-                    cells = insert_edge(dh, a, b)
-                    added += 1
-                    if record_potentials:
-                        v_cur += potential_change(dg, cells, slack)
+                h.add_edge(a, b)
+                cells = insert_edge(dh, a, b)
+                added += 1
+                if record_potentials:
+                    v_cur += potential_change(dg, cells, slack)
             if record_potentials:
                 c_cur = cost(h)
             # H now holds a shortest u-v path of G, so any other d_H is a stale
@@ -259,9 +247,8 @@ def complete(
                     "its shortest path was inserted: the repaired d_H is stale"
                 )
             steps.append(CompletionStep(
-                pair=(u, v), d_g=int(dg_row[v]), d_h_before=d_h_before, path=path,
-                new_edges=added, v_before=v_before, v_after=v_cur, c_before=c_before,
-                c_after=c_cur,
+                pair=(u, v), d_h_before=d_h_before, path=path, new_edges=added,
+                v_before=v_before, v_after=v_cur, c_before=c_before, c_after=c_cur,
             ))
 
     return h, CompletionTrace(
@@ -277,6 +264,12 @@ def build_spanner(
     other k, then completion.  Only k = 2 and k = 6 carry a size guarantee."""
     h = seed_degree_capped(g, default_cap(g.n) if k == 6 else 0)
     return complete(g, h, k, record_potentials=record_potentials)
+
+
+# perfbench/tracing.py looks these three up by name; ROADMAP item 1 deletes them.
+def seed_empty(g: Graph) -> SubgraphState:
+    """H with all nodes of g and no edges."""
+    return SubgraphState(g)
 
 
 def build_2_spanner(

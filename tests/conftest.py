@@ -10,8 +10,7 @@ from addspan import (
     CompletionTrace,
     Graph,
     SubgraphState,
-    build_2_spanner,
-    build_6_spanner,
+    build_spanner,
     gen_gnp,
     gen_named,
 )
@@ -57,6 +56,21 @@ def clique_chain(t: int, s: int) -> Graph:
     return Graph.from_edges(n, itertools.chain(cliques, bridges))
 
 
+def projective_plane_incidence(q: int) -> Graph:
+    """Point-line incidence graph of PG(2, q) for prime q.  Points and lines
+    are the normalised triples over GF(q) (first nonzero coordinate 1):
+    points take ids 0..N-1 and lines N..2N-1, N = q^2 + q + 1, and a point
+    lies on a line iff their dot product is 0 mod q.  Its girth is 6, so
+    every additive k-spanner with k <= 3 is the whole graph."""
+    triples = [(1, a, b) for a in range(q) for b in range(q)]
+    triples += [(0, 1, b) for b in range(q)] + [(0, 0, 1)]
+    n = len(triples)
+    return Graph.from_edges(2 * n, (
+        (i, n + j) for i, p in enumerate(triples) for j, line in enumerate(triples)
+        if sum(x * y for x, y in zip(p, line)) % q == 0
+    ))
+
+
 # (t, s) of the chains in the shared corpus
 CHAIN_SHAPES = ((4, 6), (8, 6), (10, 5))
 
@@ -87,7 +101,7 @@ def built_corpus(corpus_graphs) -> list[BuiltCase]:
     potentials for the step-law check."""
     out = []
     for label, g in corpus_graphs:
-        h2, tr2 = build_2_spanner(g, record_potentials=True)
-        h6, tr6 = build_6_spanner(g)
+        h2, tr2 = build_spanner(g, 2, record_potentials=True)
+        h6, tr6 = build_spanner(g, 6)
         out.append(BuiltCase(label, g, h2, tr2, h6, tr6))
     return out

@@ -11,8 +11,7 @@ import pytest
 from addspan import (
     SubgraphState,
     apsp,
-    build_2_spanner,
-    build_6_spanner,
+    build_spanner,
     check_2spanner_step_law,
     check_cauchy_bound,
     complete,
@@ -22,7 +21,6 @@ from addspan import (
     run_sweep,
     fit_exponent,
     seed_degree_capped,
-    seed_empty,
     verify_spanner,
 )
 from addspan.cli import main as cli_main
@@ -58,7 +56,7 @@ def test_criterion_2_step_law(built_corpus):
 def test_criterion_3_cauchy_bound(built_corpus):
     states = []
     for case in built_corpus:
-        states.extend([case.h2, case.h6, seed_empty(case.graph),
+        states.extend([case.h2, case.h6, seed_degree_capped(case.graph, 0),
                        seed_degree_capped(case.graph, default_cap(case.graph.n))])
     report(3, "Cauchy-Schwarz degree bound on every subgraph state",
            all(check_cauchy_bound(h) for h in states))
@@ -98,7 +96,7 @@ def test_criterion_6_monotonicity_and_idempotence(built_corpus):
             continue
         checked += 1
         for k, h_final, trace, seeder in (
-            (2, case.h2, case.trace2, lambda: seed_empty(g)),
+            (2, case.h2, case.trace2, lambda: seed_degree_capped(g, 0)),
             (6, case.h6, case.trace6,
              lambda: seed_degree_capped(g, default_cap(g.n))),
         ):
@@ -149,18 +147,18 @@ def test_criterion_8_determinism(tmp_path):
 
 def test_criterion_9_hand_verified_fixtures():
     ok = True
-    h, _ = build_2_spanner(gen_named("complete", 4))
+    h, _ = build_spanner(gen_named("complete", 4), 2)
     ok = ok and h.edge_count == 3
-    h, _ = build_2_spanner(gen_named("cycle", 5))
+    h, _ = build_spanner(gen_named("cycle", 5), 2)
     ok = ok and h.edge_count == 5
     for seed in range(5):
         t = random_tree(10, seed)
-        h2, _ = build_2_spanner(t)
-        h6, _ = build_6_spanner(t)
+        h2, _ = build_spanner(t, 2)
+        h6, _ = build_spanner(t, 6)
         ok = ok and h2.edges() == set(t.sorted_edges()) and h6.edges() == set(t.sorted_edges())
     for fam, n in (("path", 7), ("star", 9)):
         t = gen_named(fam, n)
-        h2, _ = build_2_spanner(t)
-        h6, _ = build_6_spanner(t)
+        h2, _ = build_spanner(t, 2)
+        h6, _ = build_spanner(t, 6)
         ok = ok and h2.edges() == set(t.sorted_edges()) and h6.edges() == set(t.sorted_edges())
     report(9, "hand-verified fixtures (K_4, C_5, trees)", ok)

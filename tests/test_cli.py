@@ -15,7 +15,7 @@ from addspan import (
     fit_exponent,
     read_edge_list,
     run_sweep,
-    seed_empty,
+    seed_degree_capped,
     serialize_edge_list,
 )
 from addspan.cli import SWEEP_COLUMNS, TRACE_COLUMNS, main
@@ -143,7 +143,7 @@ class TestBuild:
     def test_self_check_failure_writes_nothing(self, tmp_path, capsys, monkeypatch):
         # a builder that returns the empty seed leaves all 10 pairs of C5 unspanned
         def broken(g, k, *, record_potentials=False):
-            return seed_empty(g), CompletionTrace(k, 0, record_potentials)
+            return seed_degree_capped(g, 0), CompletionTrace(k, 0, record_potentials)
 
         monkeypatch.setattr(addspan.cli, "build_spanner", broken)
         g = write_graph(tmp_path, "c5.txt", "0 1\n1 2\n2 3\n3 4\n0 4\n")
@@ -262,6 +262,19 @@ class TestInputContract:
         assert captured.out == ""
         assert captured.err == "error: --trace-out and --out name the same file 'same.txt'\n"
         assert os.listdir(tmp_path) == ["p3.txt"]
+
+    def test_trace_out_hard_link_of_out(self, tmp_path, capsys, monkeypatch):
+        # two paths that differ can still name one inode; both names keep their bytes
+        monkeypatch.chdir(tmp_path)
+        write_graph(tmp_path, "p3.txt", "0 1\n1 2\n")
+        Path("a.txt").write_bytes(b"old\n")
+        os.link("a.txt", "b.txt")
+        assert run(["build", "--input", "p3.txt", "--k", "2", "--out", "a.txt",
+                    "--trace-out", "b.txt"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --trace-out and --out name the same file 'a.txt'\n"
+        assert Path("a.txt").read_bytes() == Path("b.txt").read_bytes() == b"old\n"
 
     @pytest.mark.parametrize("command", ["build-out", "build-trace-out", "gen", "sweep"])
     def test_unwritable_output(self, tmp_path, capsys, command):

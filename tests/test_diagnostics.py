@@ -11,8 +11,7 @@ from addspan import (
     SubgraphState,
     TraceContractError,
     apsp,
-    build_2_spanner,
-    build_6_spanner,
+    build_spanner,
     check_2spanner_step_law,
     check_cauchy_bound,
     cost_degsq,
@@ -199,45 +198,45 @@ class TestCauchyBound:
 class TestStepLaw:
     def test_k4_first_step_delta(self):
         g = gen_named("complete", 4)
-        _, trace = build_2_spanner(g, record_potentials=True)
+        _, trace = build_spanner(g, 2, record_potentials=True)
         deltas = check_2spanner_step_law(trace)
         assert deltas[0] == -34
 
     def test_empty_trace(self):
         g0 = Graph.from_edges(3, [])
-        _, trace0 = build_2_spanner(g0, record_potentials=True)
+        _, trace0 = build_spanner(g0, 2, record_potentials=True)
         assert check_2spanner_step_law(trace0) == []
 
     def test_wrong_trace_kind_rejected(self):
         g = gen_named("complete", 6)
-        _, trace6 = build_6_spanner(g, record_potentials=True)
+        _, trace6 = build_spanner(g, 6, record_potentials=True)
         with pytest.raises(TraceContractError):
             check_2spanner_step_law(trace6)
 
     def test_unrecorded_trace_rejected(self):
         g = gen_named("complete", 4)
-        _, trace = build_2_spanner(g)
+        _, trace = build_spanner(g, 2)
         with pytest.raises(TraceContractError):
             check_2spanner_step_law(trace)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_never_increases_on_random_graphs(self, seed):
         g = gen_gnp(14, 0.3, seed)
-        _, trace = build_2_spanner(g, record_potentials=True)
+        _, trace = build_spanner(g, 2, record_potentials=True)
         assert all(d <= 0 for d in check_2spanner_step_law(trace))
 
 
 class TestStepRatio:
     def test_p5_seed_cap_completion(self):
         g = gen_named("path", 5)
-        _, trace = build_6_spanner(g, record_potentials=True)
+        _, trace = build_spanner(g, 6, record_potentials=True)
         ratios = measure_6spanner_step_ratio(trace)
         assert len(ratios) == len(trace.steps)
         assert all(r >= 0 and math.isfinite(r) for r in ratios)
 
     def test_one_ratio_per_step(self):
         # a 3-clique chain takes 2 completion steps at k=6, one new edge each
-        _, trace = build_6_spanner(clique_chain(3, 4), record_potentials=True)
+        _, trace = build_spanner(clique_chain(3, 4), 6, record_potentials=True)
         assert measure_6spanner_step_ratio(trace) == [
             (s.v_after - s.v_before) / s.new_edges for s in trace.steps
         ] == [72.0, 144.0]
@@ -245,26 +244,26 @@ class TestStepRatio:
     def test_potential_gain_nonnegative(self):
         for seed in range(6):
             g = gen_gnp(16, 0.2, seed)
-            _, trace = build_6_spanner(g, record_potentials=True)
+            _, trace = build_spanner(g, 6, record_potentials=True)
             for s in trace.steps:
                 assert s.v_after >= s.v_before
 
     def test_single_step_ratio_definition(self):
         g = gen_named("path", 2)
-        _, trace = build_2_spanner(g, record_potentials=True)
+        _, trace = build_spanner(g, 2, record_potentials=True)
         assert len(trace.steps) == 1
         s = trace.steps[0]
         assert (s.v_after - s.v_before) / s.new_edges == s.v_after - s.v_before
 
     def test_wrong_trace_kind_rejected(self):
         g = gen_named("complete", 4)
-        _, trace2 = build_2_spanner(g, record_potentials=True)
+        _, trace2 = build_spanner(g, 2, record_potentials=True)
         with pytest.raises(TraceContractError):
             measure_6spanner_step_ratio(trace2)
 
     def test_potential_monotone_along_trace(self):
         g = gen_gnp(14, 0.3, 2)
-        _, trace = build_2_spanner(g, record_potentials=True)
+        _, trace = build_spanner(g, 2, record_potentials=True)
         for s in trace.steps:
             assert s.v_after >= s.v_before
             assert s.c_after >= s.c_before

@@ -11,21 +11,19 @@ from addspan import (
     Graph,
     SubgraphState,
     apsp,
-    build_2_spanner,
-    build_6_spanner,
+    build_spanner,
     complete,
     default_cap,
     gen_gnp,
     gen_named,
     seed_degree_capped,
-    seed_empty,
     verify_spanner,
 )
 from addspan import engine
-from addspan.engine import build_spanner, potential_from_matrices
+from addspan.engine import potential_from_matrices
 from addspan.graph import MAX_K, insert_edge
 
-from conftest import clique_chain, random_tree
+from conftest import clique_chain, projective_plane_incidence, random_tree
 from oracles import capped_seed, reference_complete
 
 
@@ -46,12 +44,12 @@ completion_graphs = st.one_of(
 
 
 class TestSeeds:
-    def test_seed_empty(self):
-        h = seed_empty(gen_named("complete", 4))
-        assert h.n == 4 and h.edge_count == 0
+    def test_seed_cap_zero(self):
+        h = seed_degree_capped(gen_named("complete", 4), 0)
+        assert h.host.n == 4 and h.edge_count == 0
 
-    def test_seed_empty_trivial_graph(self):
-        assert seed_empty(Graph.from_edges(0, [])).edge_count == 0
+    def test_seed_cap_zero_trivial_graph(self):
+        assert seed_degree_capped(Graph.from_edges(0, []), 0).edge_count == 0
 
     def test_degree_capped_k4_cap1(self):
         h = seed_degree_capped(gen_named("complete", 4), 1)
@@ -117,14 +115,14 @@ class TestDefaultCap:
 
 class TestSubgraphState:
     def test_rejects_non_host_edge(self):
-        h = seed_empty(gen_named("path", 4))
+        h = seed_degree_capped(gen_named("path", 4), 0)
         with pytest.raises(ValueError):
             h.add_edge(0, 2)
 
     def test_add_edge_idempotent(self):
-        h = seed_empty(gen_named("path", 4))
-        assert h.add_edge(0, 1) is True
-        assert h.add_edge(1, 0) is False
+        h = seed_degree_capped(gen_named("path", 4), 0)
+        h.add_edge(0, 1)
+        h.add_edge(1, 0)
         assert h.deg[0] == 1 and h.deg[1] == 1
 
     def test_bfs_row_respects_subset(self):
@@ -157,7 +155,7 @@ class TestSubgraphState:
                     h.add_edge(u, v)
                 assert str(exc.value) == f"edge {e} is not an edge of the host graph"
                 continue
-            assert h.add_edge(u, v) is (e not in edges)
+            h.add_edge(u, v)
             if e not in edges:
                 edges.add(e)
                 deg[u] += 1
@@ -178,7 +176,7 @@ class TestSubgraphState:
 class TestComplete:
     def test_k4_k2_trace(self):
         g = gen_named("complete", 4)
-        h, trace = complete(g, seed_empty(g), 2)
+        h, trace = complete(g, seed_degree_capped(g, 0), 2)
         assert h.edges() == frozenset({(0, 1), (0, 2), (0, 3)})
         assert len(trace.steps) == 3
         assert all(s.new_edges == 1 for s in trace.steps)
@@ -188,12 +186,12 @@ class TestComplete:
     @pytest.mark.parametrize("seed", range(4))
     def test_tree_completes_to_itself(self, k, seed):
         t = random_tree(12, seed)
-        h, _ = complete(t, seed_empty(t), k)
+        h, _ = complete(t, seed_degree_capped(t, 0), k)
         assert h.edges() == set(t.sorted_edges())
 
     def test_c5_k2_needs_all_edges(self):
         g = gen_named("cycle", 5)
-        h, _ = build_2_spanner(g)
+        h, _ = build_spanner(g, 2)
         assert h.edge_count == 5
 
     def test_no_proper_subgraph_of_c5_is_2_spanner(self):
@@ -207,38 +205,38 @@ class TestComplete:
 
     def test_disconnected_pairs_skipped(self):
         g = Graph.from_edges(4, [(0, 1), (2, 3)])
-        h, trace = build_2_spanner(g)
+        h, trace = build_spanner(g, 2)
         assert h.edges() == set(g.sorted_edges())
         assert verify_spanner(g, h.to_graph(), 2) == []
 
     def test_rejects_foreign_state(self):
         g1, g2 = gen_named("path", 3), gen_named("path", 4)
         with pytest.raises(ValueError):
-            complete(g1, seed_empty(g2), 2)
+            complete(g1, seed_degree_capped(g2, 0), 2)
 
     def test_rejects_negative_k(self):
         g = gen_named("path", 3)
         with pytest.raises(ValueError):
-            complete(g, seed_empty(g), -1)
+            complete(g, seed_degree_capped(g, 0), -1)
 
     def test_rejects_k_above_ceiling(self):
         g = gen_named("path", 3)
         with pytest.raises(ValueError, match="at most"):
-            complete(g, seed_empty(g), MAX_K + 1)
+            complete(g, seed_degree_capped(g, 0), MAX_K + 1)
 
     def test_rejects_non_integer_k(self):
         g = gen_named("path", 5)
         for k in (1.5, float("nan"), "2"):
             # rejected up front, not by whichever numpy call first meets k
             with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
-                complete(g, seed_empty(g), k, record_potentials=True)
-        h, trace = complete(g, seed_empty(g), np.int64(2), record_potentials=True)
+                complete(g, seed_degree_capped(g, 0), k, record_potentials=True)
+        h, trace = complete(g, seed_degree_capped(g, 0), np.int64(2), record_potentials=True)
         assert h.edge_count == 4 and len(trace.steps) == 4
 
     @pytest.mark.parametrize("seed", range(6))
     def test_idempotent_and_single_pass_sound(self, seed):
         g = gen_gnp(18, 0.3, seed)
-        h, _ = build_2_spanner(g)
+        h, _ = build_spanner(g, 2)
         again, trace = complete(g, SubgraphState(g, h.edges()), 2)
         assert not trace.steps
         assert again.edges() == h.edges()
@@ -247,8 +245,8 @@ class TestComplete:
     @pytest.mark.parametrize("seed", range(6))
     def test_spanner_contract(self, seed):
         g = gen_gnp(22, 0.25, seed)
-        for k, builder in ((2, build_2_spanner), (6, build_6_spanner)):
-            h, trace = builder(g)
+        for k in (2, 6):
+            h, trace = build_spanner(g, k)
             assert verify_spanner(g, h.to_graph(), k) == []
             assert h.edges() <= set(g.sorted_edges())
             assert h.edge_count == trace.seed_edge_count + sum(
@@ -257,24 +255,23 @@ class TestComplete:
 
     def test_step_invariants(self):
         g = gen_gnp(20, 0.3, 11)
-        _, trace = build_2_spanner(g)
+        _, trace = build_spanner(g, 2)
         for s in trace.steps:
             assert s.new_edges >= 1
-            assert s.path.length == s.d_g
-            assert s.d_h_before == UNREACHABLE or s.d_h_before > s.d_g + trace.k
+            assert s.d_h_before == UNREACHABLE or s.d_h_before > s.path.length + trace.k
 
     def test_deterministic(self):
         g = gen_gnp(25, 0.4, 3)
-        h1, t1 = build_2_spanner(g)
-        h2, t2 = build_2_spanner(g)
+        h1, t1 = build_spanner(g, 2)
+        h2, t2 = build_spanner(g, 2)
         assert h1.edges() == h2.edges()
         assert [s.pair for s in t1.steps] == [s.pair for s in t2.steps]
         assert [s.path for s in t1.steps] == [s.path for s in t2.steps]
 
     def test_monotone_distances_small(self):
         g = gen_gnp(10, 0.3, 5)
-        h, trace = build_2_spanner(g)
-        state = seed_empty(g)
+        h, trace = build_spanner(g, 2)
+        state = seed_degree_capped(g, 0)
         prev = apsp(state.to_graph()).dist
         for s in trace.steps:
             for a, b in s.path.hops():
@@ -293,12 +290,12 @@ class TestReferenceCompletion:
     @given(completion_graphs, st.sampled_from((0, 1, 2, 4, 6)), st.booleans())
     @settings(max_examples=120, deadline=None)
     def test_matches_reference_complete(self, g, k, capped):
-        seed = seed_degree_capped(g, default_cap(g.n)) if capped else seed_empty(g)
+        seed = seed_degree_capped(g, default_cap(g.n) if capped else 0)
         ref_edges, ref_steps = reference_complete(g, seed.edges(), k)
         h, trace = complete(g, seed, k, record_potentials=True)
         assert h.edges() == ref_edges
         assert [
-            (s.pair, s.d_g, math.inf if s.d_h_before == UNREACHABLE else s.d_h_before,
+            (s.pair, s.path.length, math.inf if s.d_h_before == UNREACHABLE else s.d_h_before,
              s.path.nodes, s.new_edges, s.v_before, s.v_after, s.c_before, s.c_after)
             for s in trace.steps
         ] == ref_steps
@@ -312,7 +309,7 @@ class TestReferenceCompletion:
         # slack k - 1 is largest here; potentials must not wrap in int64
         g = disjoint_union(gen_gnp(7, 0.4, seed), gen_named("path", 5))
         ref_edges, ref_steps = reference_complete(g, frozenset(), MAX_K)
-        h, trace = complete(g, seed_empty(g), MAX_K, record_potentials=True)
+        h, trace = complete(g, seed_degree_capped(g, 0), MAX_K, record_potentials=True)
         assert h.edges() == ref_edges
         assert [(s.pair, s.v_before, s.v_after) for s in trace.steps] == [
             (r[0], r[5], r[6]) for r in ref_steps
@@ -330,7 +327,7 @@ class TestReferenceCompletion:
         assert len(trace.steps) == t - 1
         assert h.edges() == ref_edges
         assert [
-            (x.pair, x.d_g, math.inf if x.d_h_before == UNREACHABLE else x.d_h_before,
+            (x.pair, x.path.length, math.inf if x.d_h_before == UNREACHABLE else x.d_h_before,
              x.path.nodes, x.new_edges, x.v_before, x.v_after, x.c_before, x.c_after)
             for x in trace.steps
         ] == ref_steps
@@ -339,7 +336,7 @@ class TestReferenceCompletion:
         monkeypatch.setattr(engine, "insert_edge", lambda dist, a, b: None)
         g = gen_named("cycle", 5)
         with pytest.raises(RuntimeError, match="stale"):
-            complete(g, seed_empty(g), 2)
+            complete(g, seed_degree_capped(g, 0), 2)
 
     @pytest.mark.parametrize("g", [gen_named("cycle", 7), gen_gnp(30, 0.2, 0)],
                              ids=["cycle-7", "gnp-30"])
@@ -353,7 +350,7 @@ class TestReferenceCompletion:
         # the first pair scanned: 0 and the lowest node it can reach
         first = int(np.flatnonzero(apsp(g).dist[0] > 0)[0])
         with pytest.raises(RuntimeError, match=rf"^pair \(0, {first}\) .* stale"):
-            complete(g, seed_empty(g), 2)
+            complete(g, seed_degree_capped(g, 0), 2)
 
 
 _RUNNING_POTENTIAL_GRAPHS = {
@@ -416,30 +413,40 @@ class TestRunningPotential:
 
 class TestBuilders:
     def test_build_2_k4(self):
-        h, _ = build_2_spanner(gen_named("complete", 4))
+        h, _ = build_spanner(gen_named("complete", 4), 2)
         assert h.edge_count == 3
 
     def test_build_2_p5_is_tree(self):
-        h, _ = build_2_spanner(gen_named("path", 5))
+        h, _ = build_spanner(gen_named("path", 5), 2)
         assert h.edge_count == 4
 
     def test_build_2_k5_verifies(self):
         g = gen_named("complete", 5)
-        h, _ = build_2_spanner(g)
+        h, _ = build_spanner(g, 2)
         assert verify_spanner(g, h.to_graph(), 2) == []
 
     def test_build_6_p5(self):
         g = gen_named("path", 5)
-        h, _ = build_6_spanner(g)
+        h, _ = build_spanner(g, 6)
         assert h.edge_count == 4
 
     def test_build_6_k8(self):
         g = gen_named("complete", 8)
-        h, _ = build_6_spanner(g)
+        h, _ = build_spanner(g, 6)
         assert verify_spanner(g, h.to_graph(), 6) == []
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    @pytest.mark.parametrize("q", [2, 3, 5, 7])
+    def test_projective_plane_keeps_every_edge(self, q, k):
+        # girth 6: without its edge, a point and a line are 5 apart, more than 1 + k
+        g = projective_plane_incidence(q)
+        points = q * q + q + 1
+        assert (g.n, g.edge_count) == (2 * points, (q + 1) * points)
+        h, _ = build_spanner(g, k)
+        assert h.edges() == set(g.sorted_edges())
 
     def test_build_6_seed_bound(self):
         for seed in range(5):
             g = gen_gnp(30, 0.5, seed)
-            _, trace = build_6_spanner(g)
+            _, trace = build_spanner(g, 6)
             assert trace.seed_edge_count <= g.n * default_cap(g.n)

@@ -381,7 +381,7 @@ class TestGraphInvariants:
         assert all(type(x) is int for x in views)
         indptr = [0, *itertools.accumulate(len(a) for a in adjacency)]
         indices = list(itertools.chain(*adjacency))
-        assert [a.tolist() for a in g.csr] == [indptr, indices]
+        assert [g.indptr.tolist(), g.indices.tolist()] == [indptr, indices]
         assert g.edge_count == len(g.sorted_edges())
         assert g == Graph(n, np.array(indptr, dtype=np.int64), np.array(indices, dtype=np.int64))
         assert g.indptr.dtype == g.indices.dtype == np.int64  # also with no edges

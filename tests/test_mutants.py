@@ -173,7 +173,7 @@ def complete_matches_reference() -> None:
             h, trace = engine.complete(g, seed, k, record_potentials=True)
             assert h.edges() == ref_edges
             assert [
-                (s.pair, s.d_g, math.inf if s.d_h_before == UNREACHABLE else s.d_h_before,
+                (s.pair, s.path.length, math.inf if s.d_h_before == UNREACHABLE else s.d_h_before,
                  s.path.nodes, s.new_edges, s.v_before, s.v_after, s.c_before, s.c_after)
                 for s in trace.steps
             ] == ref_steps
@@ -222,6 +222,14 @@ MUTANTS = {
     ),
     "add_edge-one-end": (
         engine.SubgraphState, "add_edge", "    self.deg[v] += 1\n", "", seed_matches_capped_seed,
+    ),
+    "add_edge-counts-edge-in-h": (
+        engine.SubgraphState, "add_edge", "if not self._in_h[i]:", "if True:",
+        seed_matches_capped_seed,
+    ),
+    "complete-no-membership-test": (
+        engine, "complete", "                if dh[a, b] == 1:\n                    continue\n", "",
+        complete_matches_reference,
     ),
     "complete-stale-check-only-above": (
         engine, "complete", "if row[v] != dg_row[v]:", "if row[v] > dg_row[v]:",
