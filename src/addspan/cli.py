@@ -15,7 +15,7 @@ import sys
 from pathlib import Path as FilePath
 from typing import Sequence
 
-from .diagnostics import verify_spanner
+from .diagnostics import _self_check, verify_spanner
 from .engine import CompletionTrace, build_spanner
 from .graph import (
     NAMED_FAMILIES,
@@ -71,11 +71,11 @@ def _cmd_build(args: argparse.Namespace) -> int:
         raise ValueError(f"--trace-out and --out name the same file '{args.out}'")
     g = read_edge_list(args.input)
     h, trace = build_spanner(g, args.k, record_potentials=args.trace_out is not None)
-    spanner = h.to_graph()
-    violations = verify_spanner(g, spanner, args.k)
-    if violations:
-        print(f"error: self-check found {len(violations)} violations", file=sys.stderr)
+    failure = _self_check(h, args.k)
+    if failure:
+        print(f"error: {failure}", file=sys.stderr)
         return 1
+    spanner = h.to_graph()
     if args.trace_out is not None:
         _write_trace_csv(args.trace_out, trace)
     # the spanner is written last, so its file exists only after a build that exits 0

@@ -36,12 +36,15 @@ class SubgraphState:
     is one flag per slot of ``host.indices``: an edge's two slots (v in the
     row of u, u in the row of v) are flagged together, so ``to_graph`` is the
     host's CSR with the unflagged slots dropped.  ``deg`` is H's int64 degree array.
+    ``complete`` leaves its read-only d_G and the d_H it repaired in
+    ``_distances``, for the build's self-check to take.
     """
 
     def __init__(self, host: Graph, edges: Iterable[tuple[int, int]] = ()):
         self.host = host
         self.deg = np.zeros(host.n, dtype=np.int64)
         self._in_h = bytearray(host.indices.size)
+        self._distances: Optional[tuple[np.ndarray, np.ndarray]] = None
         for u, v in edges:
             self.add_edge(u, v)
 
@@ -203,6 +206,7 @@ def complete(
     edge adds the change of its pair terms over the cells ``insert_edge``
     repaired, and each step reads ``cost`` of its H.  After every step d_H(u, v)
     must equal d_G(u, v); a repaired d_H that breaks this raises RuntimeError.
+    d_G, read-only, and the repaired d_H are left in ``h._distances``.
     """
     check_k(k)
     if h.host != g:
@@ -210,6 +214,7 @@ def complete(
 
     slack, cost = CONVENTIONS.get(k, (max(k - 1, 0), cost_edges))
     dg = apsp(g).dist
+    dg.setflags(write=False)  # handed back to the self-check: a stray write raises
     dh = apsp(h.to_graph()).dist
     seed_edges = h.edge_count
     steps: list[CompletionStep] = []
@@ -251,6 +256,7 @@ def complete(
                 v_before=v_before, v_after=v_cur, c_before=c_before, c_after=c_cur,
             ))
 
+    h._distances = dg, dh
     return h, CompletionTrace(
         k=k, seed_edge_count=seed_edges, potentials_recorded=record_potentials, steps=steps,
     )

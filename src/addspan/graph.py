@@ -422,8 +422,11 @@ def apsp(g: Graph) -> DistanceMatrix:
     when A_{j+1} is complete, so its distances are all 1, or adds no pair, so
     A_j's are.  Going down, t = d_{A_{j+1}} = ceil(d_{A_j} / 2), and d_{A_j}
     is 2t, less one where the row of t summed over the neighbors of the
-    column node falls below t times its degree.  A pair of different
-    components keeps t = 0, as does the diagonal."""
+    column node falls below t times its degree.  The top level is 0/1 (all
+    pairs, or the pairs of each component), and there that product falls
+    below exactly where A_j has the pair, so the first step down is
+    2t - A_j, elementwise, with no product.  A pair of different components
+    keeps t = 0, as does the diagonal."""
     n = g.n
 
     def unpack(packed: np.ndarray, dtype: type) -> np.ndarray:
@@ -447,6 +450,9 @@ def apsp(g: Graph) -> DistanceMatrix:
     del a, b
     down = _exact_float((n - 1) ** 2)  # t . A sums at most n - 1 values of t below n
     t = unpack(levels.pop(), down)
+    if levels:
+        t *= 2
+        t -= unpack(levels.pop(), down)
     while levels:
         a = unpack(levels.pop(), down)
         deg = a.sum(axis=1)

@@ -90,6 +90,7 @@ def run_sweep(
         h, trace = build_spanner(g, k)
         wall_ms = (time.perf_counter() - t0) * 1000.0
         m = h.edge_count
+        del h  # it holds the build's d_G and d_H, which the next build need not sit beside
         records.append(SweepRecord(
             family=family,
             n=g.n,

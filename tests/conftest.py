@@ -14,6 +14,7 @@ from addspan import (
     gen_gnp,
     gen_named,
 )
+from addspan.graph import insert_edge
 
 GNP_PS = (0.1, 0.3, 0.5, 0.9)
 
@@ -31,6 +32,18 @@ def named_corpus_graphs(max_n: int = 30) -> list[tuple[str, Graph]]:
     out.extend((f"cycle-{n}", gen_named("cycle", n)) for n in sizes if n >= 3)
     out.extend((f"grid-{s}", gen_named("grid", s)) for s in (2, 3, 4, 5))
     return out
+
+
+def stale_insert_edge(dist, a, b):
+    """``insert_edge`` that leaves one repaired cell one too high, for path-5
+    built from no edges at k = 2: its last step inserts (3, 4), which repairs
+    (2, 4) from UNREACHABLE to 2.  At 3 that pair stays within d_G + 2, so no
+    scan notices it, and H is still a valid 2-spanner."""
+    cells = insert_edge(dist, a, b)
+    if (a, b) == (3, 4):
+        dist[2, 4] += 1
+        dist[4, 2] += 1
+    return cells
 
 
 def random_tree(n: int, seed: int) -> Graph:

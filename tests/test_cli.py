@@ -11,6 +11,7 @@ import pytest
 import addspan
 from addspan import (
     CompletionTrace,
+    apsp,
     build_spanner,
     fit_exponent,
     read_edge_list,
@@ -20,6 +21,8 @@ from addspan import (
 )
 from addspan.cli import SWEEP_COLUMNS, TRACE_COLUMNS, main
 from addspan.graph import MAX_K
+
+from conftest import stale_insert_edge
 
 
 def run(args):
@@ -141,9 +144,14 @@ class TestBuild:
         assert first[:6] == ["0", "0", "1", "1", "-1", "1"]
 
     def test_self_check_failure_writes_nothing(self, tmp_path, capsys, monkeypatch):
-        # a builder that returns the empty seed leaves all 10 pairs of C5 unspanned
+        # a builder that returns the empty seed leaves all 10 pairs of C5 unspanned;
+        # it hands back d_G and the seed's d_H the way ``complete`` does
         def broken(g, k, *, record_potentials=False):
-            return seed_degree_capped(g, 0), CompletionTrace(k, 0, record_potentials)
+            h = seed_degree_capped(g, 0)
+            dg = apsp(g).dist
+            dg.setflags(write=False)
+            h._distances = dg, apsp(h.to_graph()).dist
+            return h, CompletionTrace(k, 0, record_potentials)
 
         monkeypatch.setattr(addspan.cli, "build_spanner", broken)
         g = write_graph(tmp_path, "c5.txt", "0 1\n1 2\n2 3\n3 4\n0 4\n")
@@ -151,6 +159,16 @@ class TestBuild:
         assert run(["build", "--input", g, "--k", "2", "--out", str(out),
                     "--trace-out", str(trace)]) == 1
         assert capsys.readouterr() == ("", "error: self-check found 10 violations\n")
+        assert not out.exists() and not trace.exists()
+
+    def test_stale_repair_fails_self_check(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(addspan.engine, "insert_edge", stale_insert_edge)
+        g = write_graph(tmp_path, "p5.txt", "0 1\n1 2\n2 3\n3 4\n")
+        out, trace = tmp_path / "sp.txt", tmp_path / "trace.csv"
+        assert run(["build", "--input", g, "--k", "2", "--out", str(out),
+                    "--trace-out", str(trace)]) == 1
+        assert capsys.readouterr() == ("", "error: self-check found 2 cells of the repaired "
+                                           "d_H that a fresh APSP of H does not match\n")
         assert not out.exists() and not trace.exists()
 
     def test_byte_identical_reruns(self, tmp_path):

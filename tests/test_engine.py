@@ -19,7 +19,7 @@ from addspan import (
     seed_degree_capped,
     verify_spanner,
 )
-from addspan import engine
+from addspan import diagnostics, engine
 from addspan.engine import potential_from_matrices
 from addspan.graph import MAX_K, insert_edge
 
@@ -351,6 +351,40 @@ class TestReferenceCompletion:
         first = int(np.flatnonzero(apsp(g).dist[0] > 0)[0])
         with pytest.raises(RuntimeError, match=rf"^pair \(0, {first}\) .* stale"):
             complete(g, seed_degree_capped(g, 0), 2)
+
+
+_HANDED_BACK_GRAPHS = {
+    "gnp-60": gen_gnp(60, 0.08, 3),
+    "path-15": gen_named("path", 15),
+    "clique-chain-4x5": clique_chain(4, 5),
+}
+
+
+class TestHandedBackDistances:
+    """``complete`` leaves its d_G and repaired d_H in ``h._distances``, and
+    the build's self-check takes them."""
+
+    @pytest.mark.parametrize("name", _HANDED_BACK_GRAPHS)
+    @pytest.mark.parametrize("k", [0, 2, 6, MAX_K])
+    def test_equal_fresh_apsps(self, name, k):
+        g = _HANDED_BACK_GRAPHS[name]
+        h, _ = build_spanner(g, k)
+        dg, dh = h._distances
+        assert np.array_equal(dg, apsp(g).dist)
+        assert np.array_equal(dh, apsp(h.to_graph()).dist)
+
+    def test_dg_is_read_only(self):
+        h, _ = build_spanner(gen_named("path", 15), 2)
+        dg, dh = h._distances
+        assert not dg.flags.writeable and dh.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            dg[0, 1] = 1
+
+    @pytest.mark.parametrize("name", _HANDED_BACK_GRAPHS)
+    def test_self_check_passes_and_takes_them(self, name):
+        h, _ = build_spanner(_HANDED_BACK_GRAPHS[name], 2)
+        assert diagnostics._self_check(h, 2) is None
+        assert h._distances is None
 
 
 _RUNNING_POTENTIAL_GRAPHS = {

@@ -69,7 +69,13 @@ APSP_CASES = [
                                                      (2, 64))),
     *((f"chain-{t}x{s}", clique_chain(t, s)) for t, s in ((3, 4), (5, 3), (9, 2), (12, 5))),
     *((f"tree-{n}-{seed}", random_tree(n, seed)) for n, seed in ((30, 1), (100, 2), (300, 3))),
+    # its squaring stops because a square adds no pair, not at a complete square,
+    # so the first step down reads a top level of two components
     ("two-paths-15", disjoint_union(gen_named("path", 15), gen_named("path", 15))),
+    # the same stop with a component complete from the start beside one that squares
+    ("complete-6-path-7-isolated-2", disjoint_union(gen_named("complete", 6),
+                                                    gen_named("path", 7),
+                                                    Graph.from_edges(2, []))),
     ("path-40-cycle-9-tree-50", disjoint_union(gen_named("path", 40), gen_named("cycle", 9),
                                                random_tree(50, 4))),
     ("grid-6-and-isolated", disjoint_union(Graph.from_edges(3, []), gen_named("grid", 6),

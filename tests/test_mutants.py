@@ -28,7 +28,7 @@ import pytest
 import addspan
 from addspan import UNREACHABLE, cli, diagnostics, engine, gen_gnp, gen_named, graph, sweep
 
-from conftest import clique_chain
+from conftest import clique_chain, stale_insert_edge
 from oracles import (capped_seed, dist_matrix_to_float, floyd_warshall, naive_neighbors,
                      parse_outcome, reference_complete)
 
@@ -194,6 +194,30 @@ def stale_repair_raises() -> None:
             raise AssertionError("a stale repair went unreported")
 
 
+def complete_hands_back_read_only_dg() -> None:
+    """Each build leaves a read-only d_G equal to a fresh APSP of G, so a write
+    into it raises instead of passing unseen."""
+    for g in CORPUS:
+        try:
+            h, _ = engine.complete(g, engine.seed_degree_capped(g, 0), 2)
+        except ValueError as exc:  # numpy's "assignment destination is read-only"
+            raise AssertionError(f"complete wrote into d_G: {exc}") from None
+        dg, _ = h._distances
+        assert not dg.flags.writeable
+        assert (dg == graph.apsp(g).dist).all()
+
+
+def self_check_catches_stale_repair() -> None:
+    """A repaired cell left one too high where no scan looks fails the build's
+    self-check, though H itself is a valid spanner; the true d_H passes."""
+    g = gen_named("path", 5)
+    for repair, passes in ((graph.insert_edge, True), (stale_insert_edge, False)):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setitem(engine.complete.__globals__, "insert_edge", repair)
+            h, _ = engine.complete(g, engine.SubgraphState(g), 2)
+        assert (diagnostics._self_check(h, 2) is None) == passes
+
+
 # name -> (owner, function, snippet, replacement, detector)
 MUTANTS = {
     "insert_edge-one-block": (
@@ -262,6 +286,23 @@ MUTANTS = {
     "seed_degree_capped-one-more": (
         engine, "seed_degree_capped", "g.adjacency[v][:cap]", "g.adjacency[v][:cap + 1]",
         seed_matches_capped_seed,
+    ),
+    "seidel-free-step-without-a_j": (
+        graph, "apsp", "t -= unpack(levels.pop(), down)", "levels.pop()",
+        apsp_matches_floyd_warshall,
+    ),
+    "seidel-free-step-subtracts-top": (
+        graph, "apsp", "t -= unpack(levels.pop(), down)", "t -= t > 0\n        levels.pop()",
+        apsp_matches_floyd_warshall,
+    ),
+    "complete-writes-dg": (
+        engine, "complete", "        dg_row, row = dg[u], dh[u]\n",
+        "        dg_row, row = dg[u], dh[u]\n        dg_row[u] = 0\n",
+        complete_hands_back_read_only_dg,
+    ),
+    "self-check-no-fresh-comparison": (
+        diagnostics, "_self_check", "np.count_nonzero(apsp(spanner).dist != dh)", "0",
+        self_check_catches_stale_repair,
     ),
     "seidel-no-parity-correction": (
         graph, "apsp", "            tr -= odd\n", "", apsp_matches_floyd_warshall,
