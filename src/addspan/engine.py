@@ -54,7 +54,7 @@ class SubgraphState:
 
     def _slot(self, u: int, v: int) -> int:
         """Index of v in the row of u in ``host.indices``, or -1 if (u, v) is
-        not a host edge.  Called twice per seed edge and per new edge only."""
+        not a host edge.  Called twice per ``add_edge`` only."""
         if not 0 <= u < self.host.n:  # a negative u would pick a row from the end
             return -1
         row = self.host.adjacency[u]
@@ -130,10 +130,28 @@ def default_cap(n: int) -> int:
 def seed_degree_capped(g: Graph, cap: int) -> SubgraphState:
     """For each node pick its min(cap, deg) lowest-id incident edges; H is
     the union.  Guarantee: any node with H-degree below ``cap`` has all of
-    its host edges present.  Cap 0 is the empty seed."""
-    if _index(cap) < 0:
+    its host edges present.  Cap 0 is the empty seed.
+
+    Row v's first min(cap, deg) slots are picked, and each picked slot's
+    mirror, found among the sorted slot codes v*n + w, is flagged with it."""
+    cap = _index(cap)
+    if cap < 0:
         raise ValueError("cap must be non-negative")
-    return SubgraphState(g, ((v, w) for v in range(g.n) for w in g.adjacency[v][:cap]))
+    n, indptr, indices = g.n, g.indptr, g.indices
+    row_deg = np.diff(indptr)
+    # a row has at most n - 1 slots, so a cap above n, even beyond int64, takes them all
+    take = np.minimum(row_deg, min(cap, n))
+    rows = np.repeat(np.arange(n), take)
+    # row v's picks start at indptr[v] in the slots and after the earlier rows' in ``picked``
+    picked = np.arange(rows.size) + np.repeat(indptr[:-1] - (np.cumsum(take) - take), take)
+    codes = np.repeat(np.arange(n) * n, row_deg) + indices
+    mirror = np.searchsorted(codes, indices[picked] * n + rows)
+    h = SubgraphState(g)
+    in_h = np.frombuffer(h._in_h, dtype=bool)
+    in_h[picked] = in_h[mirror] = True
+    # H is symmetric, so v's H-degree is the number of flagged slots that hold v
+    h.deg = np.bincount(indices[in_h], minlength=n).astype(np.int64, copy=False)
+    return h
 
 
 def potential_terms(dg: np.ndarray, dh: np.ndarray, slack: int) -> np.ndarray:
@@ -227,7 +245,7 @@ def complete(
         # v is the last column checked: each pair (u, w) with w <= v holds, and keeps
         # holding since d_H never grows (for w < u, row w settled it)
         v = u
-        while (viol := np.flatnonzero(exceeds(dg_row[v + 1:], row[v + 1:], k))).size:
+        while (viol := exceeds(dg_row[v + 1:], row[v + 1:], k).nonzero()[0]).size:
             v += 1 + int(viol[0])
             d_h_before = int(row[v])
             path = shortest_path(g, u, v, distances=dg_row)

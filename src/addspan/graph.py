@@ -483,23 +483,32 @@ def insert_edge(
     before the insertion, and only the cells that change are written, each
     with its mirror cell, which keeps ``dist`` symmetric.
 
-    Returns ``(x, y, old, new)``: the changed pairs (x[i], y[i]), each
-    unordered pair once (near_a and near_b are disjoint), with their distances
-    before and after.  ``dist`` must be C-contiguous, since the cells are
-    written through its flat view; any other layout raises ValueError, where
-    the flat view would be a copy that takes the writes instead.
+    The rows are compared as uint64, where UNREACHABLE (-1) is the largest
+    value, so one comparison per near set and one for the changed cells
+    handle it.  There d(b, b) - 1 wraps too, which also puts b into near_a
+    (and a into near_b) when d(a, b) is finite.  None of those cells changes:
+    row b's new distances d(b, a) + 1 + d(b, y) exceed d(b, y), and column
+    a's exceed d(x, a), both finite.  So each unordered pair that changes
+    appears once, in the block of the exact near sets, which are disjoint.
+
+    Returns ``(x, y, old, new)``: the changed pairs (x[i], y[i]) with their
+    distances before and after.  ``dist`` must be a C-contiguous int64
+    matrix, since the cells are written through its flat view and the rows
+    read through a uint64 view; any other raises ValueError, where the flat
+    view would be a copy that takes the writes instead.
     """
-    if not dist.flags.c_contiguous:
-        raise ValueError("insert_edge needs a C-contiguous distance matrix")
+    if not dist.flags.c_contiguous or dist.dtype != np.int64:
+        raise ValueError("insert_edge needs a C-contiguous int64 distance matrix")
     n = dist.shape[0]
     flat = dist.reshape(-1)
     da, db = dist[a], dist[b]
-    near_a = np.flatnonzero((da != UNREACHABLE) & ((db == UNREACHABLE) | (da + 1 < db)))
-    near_b = np.flatnonzero((db != UNREACHABLE) & ((da == UNREACHABLE) | (db + 1 < da)))
+    ua, ub = da.view(np.uint64), db.view(np.uint64)
+    near_a = (ua < ub - 1).nonzero()[0]
+    near_b = (ub < ua - 1).nonzero()[0]
     cells = np.add.outer(near_a * n, near_b)
     old = flat[cells]
     via = np.add.outer(da[near_a] + 1, db[near_b])
-    shorter = (old == UNREACHABLE) | (via < old)
+    shorter = via.view(np.uint64) < old.view(np.uint64)
     cells, old, new = cells[shorter], old[shorter], via[shorter]
     x, y = np.divmod(cells, n)
     flat[cells] = new

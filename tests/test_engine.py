@@ -84,6 +84,24 @@ class TestSeeds:
             assert h.deg.tolist() == [sum(v in e for e in expected) for v in range(g.n)]
             assert h.edge_count == len(expected)
 
+    # the seed's array form against the naive union at the edges of its input
+    @pytest.mark.parametrize("g, cap", [
+        (Graph.from_edges(0, []), 3),
+        (Graph.from_edges(9, [(1, 4), (4, 7), (1, 7), (7, 8)]), 1),  # 0, 2, 3, 5, 6 isolated
+        (gen_gnp(30, 0.3, 4), 30),  # above every degree: H = G
+        (gen_gnp(30, 0.3, 4), 2 ** 70),  # beyond int64
+        (gen_gnp(30, 0.3, 4), np.int64(2)),
+        (gen_gnp(30, 0.3, 4), np.uint8(3)),
+    ], ids=["n-0", "isolated-nodes", "cap-above-degrees", "cap-2-70", "int64-cap", "uint8-cap"])
+    def test_edge_cases_match_capped_seed_oracle(self, g, cap):
+        h = seed_degree_capped(g, cap)
+        expected = capped_seed(g, int(cap))
+        assert h.edges() == expected
+        assert h.deg.dtype == np.int64
+        assert h.deg.tolist() == [sum(v in e for e in expected) for v in range(g.n)]
+        if cap >= g.n:
+            assert h.edges() == set(g.sorted_edges())
+
     def test_seed_size_bound(self):
         for seed in range(5):
             g = gen_gnp(40, 0.6, seed)

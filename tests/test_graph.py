@@ -582,6 +582,26 @@ class TestDistances:
             assert old.tolist() == before[x, y].tolist()
             assert new.tolist() == dist[x, y].tolist()
 
+    @pytest.mark.parametrize("a, b", [(0, 3), (3, 0)])
+    def test_insert_edge_between_joined_ends(self, a, b):
+        # d(a, b) = 3 is finite, so the uint64 near sets are {0, 3} each, and
+        # the block also holds (0, 0), (3, 3) and the mirror (3, 0): none may
+        # be returned, and the one pair that changes is returned once
+        dist = apsp(gen_named("path", 4)).dist
+        x, y, old, new = insert_edge(dist, a, b)
+        assert [(min(p), max(p)) for p in zip(x.tolist(), y.tolist())] == [(0, 3)]
+        assert old.tolist() == [3] and new.tolist() == [1]
+        assert np.array_equal(dist, apsp(gen_named("cycle", 4)).dist)
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint64, np.float64])
+    def test_insert_edge_refuses_other_dtypes(self, dtype):
+        # the rows are read through a uint64 view, which only int64 cells fit
+        dist = apsp(Graph.from_edges(4, [(0, 1), (2, 3)])).dist.astype(dtype)
+        before = dist.copy()
+        with pytest.raises(ValueError, match="int64"):
+            insert_edge(dist, 1, 2)
+        assert np.array_equal(dist, before)
+
     @pytest.mark.parametrize("layout", [np.asfortranarray, np.transpose,
                                         lambda d: np.pad(d, ((0, 0), (0, 3)))[:, :-3]],
                              ids=["fortran", "transposed-view", "column-slice"])

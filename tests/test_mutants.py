@@ -152,14 +152,18 @@ def verify_rejects_larger_spanner() -> None:
 
 
 def seed_matches_capped_seed() -> None:
-    """The degree-capped seed equals the naive union of each node's ``cap``
-    lowest-id neighbors, its H-degrees included, for caps 0 to 3."""
+    """The degree-capped seed, and its edges inserted one by one through
+    ``add_edge``, each a second time reversed, equal the naive union of each
+    node's ``cap`` lowest-id neighbors, H-degrees included, for caps 0 to 3."""
     for g in CORPUS:
         for cap in range(4):
-            seed, expected = engine.seed_degree_capped(g, cap), capped_seed(g, cap)
-            # degrees first: ``edges`` reads them, and wrong ones make it raise
-            assert seed.deg.tolist() == [sum(v in e for e in expected) for v in range(g.n)]
-            assert seed.edges() == expected
+            expected = capped_seed(g, cap)
+            degrees = [sum(v in e for e in expected) for v in range(g.n)]
+            inserted = engine.SubgraphState(g, [*expected, *((v, u) for u, v in expected)])
+            for h in (engine.seed_degree_capped(g, cap), inserted):
+                # degrees first: ``edges`` reads them, and wrong ones make it raise
+                assert h.deg.tolist() == degrees
+                assert h.edges() == expected
 
 
 def complete_matches_reference() -> None:
@@ -224,11 +228,16 @@ MUTANTS = {
         graph, "insert_edge", "    flat[y * n + x] = new\n", "", insert_edge_matches_apsp,
     ),
     "insert_edge-no-unreachable-clause": (
-        graph, "insert_edge", "(old == UNREACHABLE) | (via < old)", "via < old",
+        graph, "insert_edge", "via.view(np.uint64) < old.view(np.uint64)", "via < old",
         insert_edge_matches_apsp,
     ),
+    # d(x, a) + 2 = d(x, b) puts x in near_a; d(x, a) + 1 = d(x, b) would change nothing
+    "insert_edge-near-set-off-by-one": (
+        graph, "insert_edge", "(ua < ub - 1)", "(ua < ub - 2)", insert_edge_matches_apsp,
+    ),
     "insert_edge-no-contiguity-guard": (
-        graph, "insert_edge", "if not dist.flags.c_contiguous:", "if False:",
+        graph, "insert_edge", "if not dist.flags.c_contiguous or dist.dtype != np.int64:",
+        "if False:",
         insert_edge_repairs_only_c_contiguous,
     ),
     "potential-frozen": (
@@ -260,8 +269,9 @@ MUTANTS = {
         stale_repair_raises,
     ),
     "complete-scan-resumes-one-late": (
-        engine, "complete", "[v + 1:], row[v + 1:], k))).size:\n            v += 1 +",
-        "[v + 2:], row[v + 2:], k))).size:\n            v += 2 +", complete_matches_reference,
+        engine, "complete", "[v + 1:], row[v + 1:], k).nonzero()[0]).size:\n            v += 1 +",
+        "[v + 2:], row[v + 2:], k).nonzero()[0]).size:\n            v += 2 +",
+        complete_matches_reference,
     ),
     "exceeds-ge": (
         graph, "exceeds", "(dh > dg + k)", "(dh >= dg + k)", host_is_exact_0_spanner,
@@ -284,7 +294,10 @@ MUTANTS = {
         complete_matches_reference,
     ),
     "seed_degree_capped-one-more": (
-        engine, "seed_degree_capped", "g.adjacency[v][:cap]", "g.adjacency[v][:cap + 1]",
+        engine, "seed_degree_capped", "min(cap, n)", "min(cap + 1, n)", seed_matches_capped_seed,
+    ),
+    "seed_degree_capped-no-mirror-flags": (
+        engine, "seed_degree_capped", "in_h[picked] = in_h[mirror] = True", "in_h[picked] = True",
         seed_matches_capped_seed,
     ),
     "seidel-free-step-without-a_j": (
