@@ -45,9 +45,9 @@ def verify_spanner(g: Graph, h: Graph, k: int) -> list[Violation]:
     out = []
     for u, v in np.argwhere(np.triu(exceeds(dg, dh, k), 1)):
         u, v = int(u), int(v)
-        d_h = int(dh[u, v])
-        excess = math.inf if d_h == UNREACHABLE else float(d_h - dg[u, v])
-        out.append(Violation(u, v, int(dg[u, v]), d_h, excess))
+        d_g, d_h = int(dg[u, v]), int(dh[u, v])  # Python ints, not int16 scalars
+        excess = math.inf if d_h == UNREACHABLE else float(d_h - d_g)
+        out.append(Violation(u, v, d_g, d_h, excess))
     return out
 
 

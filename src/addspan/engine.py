@@ -15,15 +15,16 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .graph import (
+    MAX_NODES,
     UNREACHABLE,
     Edge,
     Graph,
     Path,
     _index,
+    _pair_limit,
     apsp,
     canonical_edge,
     check_k,
-    exceeds,
     insert_edge,
     shortest_path,
 )
@@ -154,35 +155,39 @@ def seed_degree_capped(g: Graph, cap: int) -> SubgraphState:
     return h
 
 
-def potential_terms(dg: np.ndarray, dh: np.ndarray, slack: int) -> np.ndarray:
-    """Each pair's term of the potential, max(0, d_G - d_H + slack), cell by
-    cell over matching arrays of distances, and 0 where either distance is
-    UNREACHABLE.  ``slack`` is at most MAX_K - 1, so the terms fit int64."""
-    # one temporary of the arrays' size, updated in place: with two more per
-    # call, some process memory layouts faulted their pages in afresh at every
-    # step (about 18k page faults per build of a G(150, 0.05) spanner)
-    vals = dg - dh
-    vals += slack
-    np.maximum(vals, 0, out=vals)
-    vals[(dg == UNREACHABLE) | (dh == UNREACHABLE)] = 0
-    return vals
-
-
 def potential_from_matrices(dg: np.ndarray, dh: np.ndarray, slack: int) -> int:
     """Sum over unordered distinct pairs of max(0, d_G - d_H + slack); pairs
     unreachable in either graph contribute 0.  ``slack`` must be >= 0."""
+    # in int64, since slack is up to MAX_K - 1: one temporary, updated in place
+    vals = dg.astype(np.int64)
+    vals -= dh
+    vals += slack
+    np.maximum(vals, 0, out=vals)
+    vals[(dg == UNREACHABLE) | (dh == UNREACHABLE)] = 0
     # each diagonal entry holds slack and every pair is counted twice
-    return (int(potential_terms(dg, dh, slack).sum()) - dg.shape[0] * slack) // 2
+    return (int(vals.sum()) - dg.shape[0] * slack) // 2
 
 
 def potential_change(dg: np.ndarray, cells: tuple, slack: int) -> int:
     """Change of the potential when ``insert_edge`` repaired ``cells``, its
     (x, y, old, new) arrays: each changed unordered pair appears there once,
-    so its mirror cell is not counted again."""
+    so its mirror cell is not counted again.
+
+    A changed pair has a finite new d_H, so G connects it.  With L = d_G + slack
+    and d_H read as uint16, where UNREACHABLE is above every L, its term is
+    L - min(d_H, L), and the change is the sum of min(old, L) - min(new, L).
+    L is the pair rule's ``_pair_limit`` at k = slack, which caps slack at
+    MAX_NODES.  The cap takes slack - MAX_NODES off every finite term and
+    nothing off an UNREACHABLE one, so each UNREACHABLE old value adds that
+    much back."""
     x, y, old, new = cells
-    pair_dg = dg[x, y]
-    return int(potential_terms(pair_dg, new, slack).sum()
-               - potential_terms(pair_dg, old, slack).sum())
+    limit = _pair_limit(dg[x, y], slack)
+    gain = np.minimum(old.view(np.uint16), limit)
+    gain -= np.minimum(new.view(np.uint16), limit)  # new < old: no wrap
+    change = int(gain.sum())
+    if slack > MAX_NODES:
+        change += (slack - MAX_NODES) * int(np.count_nonzero(old == UNREACHABLE))
+    return change
 
 
 def cost_edges(h: SubgraphState) -> int:
@@ -230,7 +235,8 @@ def complete(
     if h.host != g:
         raise ValueError("subgraph state does not belong to this graph")
 
-    slack, cost = CONVENTIONS.get(k, (max(k - 1, 0), cost_edges))
+    # a Python int slack: a narrow numpy k would wrap slack * n in the full sum
+    slack, cost = CONVENTIONS.get(k, (max(_index(k) - 1, 0), cost_edges))
     dg = apsp(g).dist
     dg.setflags(write=False)  # handed back to the self-check: a stray write raises
     dh = apsp(h.to_graph()).dist
@@ -242,10 +248,12 @@ def complete(
         v_cur, c_cur = potential_from_matrices(dg, dh, slack), cost(h)
     for u in range(g.n):
         dg_row, row = dg[u], dh[u]
+        # the pair rule of ``exceeds``: row u of d_H, read as uint16, above its limit
+        limit, row_u16 = _pair_limit(dg_row, k), row.view(np.uint16)
         # v is the last column checked: each pair (u, w) with w <= v holds, and keeps
         # holding since d_H never grows (for w < u, row w settled it)
         v = u
-        while (viol := exceeds(dg_row[v + 1:], row[v + 1:], k).nonzero()[0]).size:
+        while (viol := (row_u16[v + 1:] > limit[v + 1:]).nonzero()[0]).size:
             v += 1 + int(viol[0])
             d_h_before = int(row[v])
             path = shortest_path(g, u, v, distances=dg_row)

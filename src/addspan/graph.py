@@ -20,11 +20,14 @@ import numpy as np
 UNREACHABLE = -1
 
 #: Largest node count accepted, checked before anything sized by n is
-#: allocated: a build keeps int64 n x n distance matrices, 512 MiB each here.
+#: allocated: a build keeps int16 n x n distance matrices, 128 MiB each here.
+#: A finite distance is at most MAX_NODES - 1, so d(x, a) + 1 + d(b, y) and
+#: d_G + min(k, MAX_NODES) fit int16, and UNREACHABLE read as uint16 exceeds both.
 MAX_NODES = 1 << 13
 
-#: Largest additive constant k accepted.  For n <= MAX_NODES, d_G + k and the
-#: potential sum (n^2 terms of at most n + k + 1 each) fit in int64.
+#: Largest additive constant k accepted.  The pair rule clamps k to MAX_NODES,
+#: which gives the same answers; the potential sum (n^2 terms of at most
+#: n + k + 1 each) is formed in int64, where it fits.
 MAX_K = 2 ** 31 - 1
 
 Edge = tuple[int, int]
@@ -422,47 +425,59 @@ def apsp(g: Graph) -> DistanceMatrix:
     when A_{j+1} is complete, so its distances are all 1, or adds no pair, so
     A_j's are.  Going down, t = d_{A_{j+1}} = ceil(d_{A_j} / 2), and d_{A_j}
     is 2t, less one where the row of t summed over the neighbors of the
-    column node falls below t times its degree.  The top level is 0/1 (all
+    column node falls below t times its degree: where t (A_j - D_j) < 0,
+    D_j holding A_j's degrees on the diagonal.  The top level is 0/1 (all
     pairs, or the pairs of each component), and there that product falls
     below exactly where A_j has the pair, so the first step down is
     2t - A_j, elementwise, with no product.  A pair of different components
-    keeps t = 0, as does the diagonal."""
+    keeps t = 0, as does the diagonal.
+
+    ``dist`` is a C-contiguous int16 matrix, exact since t is at most
+    n - 1 < MAX_NODES."""
     n = g.n
-
-    def unpack(packed: np.ndarray, dtype: type) -> np.ndarray:
-        return np.unpackbits(packed, axis=1, count=n).astype(dtype)
-
     a = np.zeros((n, n), dtype=np.float32)
     a[np.repeat(np.arange(n), np.diff(g.indptr)), g.indices] = 1.0
     b = a > 0
     levels = [np.packbits(b, axis=1)]
     pairs = g.indices.size
+    # a, b and one block of products are reused at every level, and no view of
+    # them is kept: a fresh n x n temporary per level let the allocator hand it
+    # back and fault it in again
+    prod = np.empty((min(n, _BLOCK_ROWS), n), dtype=np.float32)
     while 0 < pairs < n * (n - 1):
-        b = np.empty((n, n), dtype=bool)
         for r in range(0, n, _BLOCK_ROWS):
-            b[r:r + _BLOCK_ROWS] = a[r:r + _BLOCK_ROWS] @ a + a[r:r + _BLOCK_ROWS] > 0
+            m = min(_BLOCK_ROWS, n - r)
+            np.matmul(a[r:r + m], a, out=prod[:m])
+            prod[:m] += a[r:r + m]
+            np.greater(prod[:m], 0, out=b[r:r + m])
         np.fill_diagonal(b, False)
         count = np.count_nonzero(b)
         if count == pairs:
             break
         levels.append(np.packbits(b, axis=1))
-        a, pairs = b.astype(np.float32), count
-    del a, b
+        a[...] = b
+        pairs = count
+    del b
     down = _exact_float((n - 1) ** 2)  # t . A sums at most n - 1 values of t below n
-    t = unpack(levels.pop(), down)
+    if down is not np.float32:
+        a, prod = np.empty(a.shape, dtype=down), np.empty(prod.shape, dtype=down)
+    t = np.unpackbits(levels.pop(), axis=1, count=n).astype(down)
     if levels:
         t *= 2
-        t -= unpack(levels.pop(), down)
+        a[...] = np.unpackbits(levels.pop(), axis=1, count=n)
+        t -= a
     while levels:
-        a = unpack(levels.pop(), down)
-        deg = a.sum(axis=1)
+        # A_j - D_j: every partial sum of t . a is an integer of magnitude at most
+        # (n - 1)**2, so ``down`` holds it exactly
+        a[...] = np.unpackbits(levels.pop(), axis=1, count=n)
+        np.fill_diagonal(a, -a.sum(axis=1))
         for r in range(0, n, _BLOCK_ROWS):
             tr = t[r:r + _BLOCK_ROWS]  # a view: t . A reads only these rows of t
-            odd = tr @ a < tr * deg
+            odd = np.matmul(tr, a, out=prod[:len(tr)]) < 0
             tr *= 2
             tr -= odd
-        del a
-    dist = t.astype(np.int64)
+    del a, prod
+    dist = t.astype(np.int16)
     del t
     dist[dist == 0] = UNREACHABLE
     np.fill_diagonal(dist, 0)
@@ -483,32 +498,35 @@ def insert_edge(
     before the insertion, and only the cells that change are written, each
     with its mirror cell, which keeps ``dist`` symmetric.
 
-    The rows are compared as uint64, where UNREACHABLE (-1) is the largest
+    The rows are compared as uint16, where UNREACHABLE (-1) is the largest
     value, so one comparison per near set and one for the changed cells
     handle it.  There d(b, b) - 1 wraps too, which also puts b into near_a
     (and a into near_b) when d(a, b) is finite.  None of those cells changes:
     row b's new distances d(b, a) + 1 + d(b, y) exceed d(b, y), and column
     a's exceed d(x, a), both finite.  So each unordered pair that changes
     appears once, in the block of the exact near sets, which are disjoint.
+    The near sets hold finite distances only, so a new one is at most
+    2 (MAX_NODES - 1) + 1, which int16 holds.
 
     Returns ``(x, y, old, new)``: the changed pairs (x[i], y[i]) with their
-    distances before and after.  ``dist`` must be a C-contiguous int64
-    matrix, since the cells are written through its flat view and the rows
-    read through a uint64 view; any other raises ValueError, where the flat
-    view would be a copy that takes the writes instead.
+    distances before and after.  ``dist`` must be a C-contiguous int16
+    matrix, as ``apsp`` returns, since the cells are written through its flat
+    view and the rows read through a uint16 view; any other raises
+    ValueError, where the flat view would be a copy that takes the writes
+    instead, or the uint16 view would split each cell.
     """
-    if not dist.flags.c_contiguous or dist.dtype != np.int64:
-        raise ValueError("insert_edge needs a C-contiguous int64 distance matrix")
+    if not dist.flags.c_contiguous or dist.dtype != np.int16:
+        raise ValueError("insert_edge needs a C-contiguous int16 distance matrix")
     n = dist.shape[0]
     flat = dist.reshape(-1)
     da, db = dist[a], dist[b]
-    ua, ub = da.view(np.uint64), db.view(np.uint64)
+    ua, ub = da.view(np.uint16), db.view(np.uint16)
     near_a = (ua < ub - 1).nonzero()[0]
     near_b = (ub < ua - 1).nonzero()[0]
     cells = np.add.outer(near_a * n, near_b)
     old = flat[cells]
     via = np.add.outer(da[near_a] + 1, db[near_b])
-    shorter = via.view(np.uint64) < old.view(np.uint64)
+    shorter = via.view(np.uint16) < old.view(np.uint16)
     cells, old, new = cells[shorter], old[shorter], via[shorter]
     x, y = np.divmod(cells, n)
     flat[cells] = new
@@ -516,11 +534,37 @@ def insert_edge(
     return x, y, old, new
 
 
+def _as_uint16(d: np.ndarray) -> np.ndarray:
+    """An int16 distance array read as uint16, where UNREACHABLE is 0xFFFF,
+    above every finite distance and every pair limit.  Any other dtype
+    raises ValueError: a uint16 view of wider cells would compare each
+    cell's 16-bit pieces instead."""
+    if d.dtype != np.int16:
+        raise ValueError(f"distances must be int16, as apsp returns, not {d.dtype}")
+    return d.view(np.uint16)
+
+
+def _pair_limit(dg: np.ndarray, k: int) -> np.ndarray:
+    """The largest d_H the additive-spanner pair rule allows, one uint16 per
+    cell of the int16 distances ``dg``: d_G + min(k, MAX_NODES) where G
+    connects the pair, 0xFFFF where it does not.  Clamping k to MAX_NODES
+    changes no answer, since a finite d_H is below MAX_NODES, and it is not
+    clamped to the array's length, which may be a slice of a row."""
+    slack = min(_index(k), MAX_NODES)
+    # UNREACHABLE (0xFFFF) is first lowered by slack, so adding it back saturates;
+    # both Python ints fit uint16, so numpy 1's value-based casting and numpy 2's
+    # weak scalars alike keep uint16
+    limit = np.minimum(_as_uint16(dg), 0xFFFF - slack)
+    limit += slack
+    return limit
+
+
 def exceeds(dg: np.ndarray, dh: np.ndarray, k: int) -> np.ndarray:
     """The additive-spanner pair rule: mask of the pairs connected in G with
-    d_H UNREACHABLE or d_H > d_G + k.  ``dg`` and ``dh`` are matching
-    distance rows or matrices; ``k`` is at most MAX_K, so d_G + k fits int64."""
-    return (dg != UNREACHABLE) & ((dh == UNREACHABLE) | (dh > dg + k))
+    d_H UNREACHABLE or d_H > d_G + k.  ``dg`` and ``dh`` are matching int16
+    distance rows, slices or matrices, compared as uint16 against
+    ``_pair_limit``; ``k`` is in 0..MAX_K."""
+    return _as_uint16(dh) > _pair_limit(dg, k)
 
 
 def shortest_path(g: Graph, u: int, v: int, distances: np.ndarray) -> Path:

@@ -73,9 +73,16 @@ def potential_triu(dg: np.ndarray, dh: np.ndarray, slack: int) -> int:
     if n < 2:
         return 0
     iu, iv = np.triu_indices(n, k=1)
-    a, b = dg[iu, iv], dh[iu, iv]
+    a, b = dg[iu, iv].astype(np.int64), dh[iu, iv].astype(np.int64)
     ok = (a != UNREACHABLE) & (b != UNREACHABLE)
     return int(np.maximum(a - b + slack, 0)[ok].sum())
+
+
+def naive_exceeds(dg: np.ndarray, dh: np.ndarray, k: int) -> np.ndarray:
+    """The pair rule in int64 with k unclamped: pairs connected in G with
+    d_H UNREACHABLE or above d_G + k."""
+    dg, dh = dg.astype(np.int64), dh.astype(np.int64)
+    return (dg != UNREACHABLE) & ((dh == UNREACHABLE) | (dh > dg + k))
 
 
 def floyd_warshall(g: Graph) -> list[list[float]]:

@@ -24,7 +24,7 @@ from addspan.engine import potential_from_matrices
 from addspan.graph import MAX_K, insert_edge
 
 from conftest import clique_chain, projective_plane_incidence, random_tree
-from oracles import capped_seed, reference_complete
+from oracles import capped_seed, potential_triu, reference_complete
 
 
 def disjoint_union(a: Graph, b: Graph) -> Graph:
@@ -251,6 +251,13 @@ class TestComplete:
         h, trace = complete(g, seed_degree_capped(g, 0), np.int64(2), record_potentials=True)
         assert h.edge_count == 4 and len(trace.steps) == 4
 
+    @pytest.mark.parametrize("k", [np.uint8(7), np.int16(7), np.uint8(2)])
+    def test_narrow_numpy_k_records_the_same_potentials(self, k):
+        # slack k - 1 times n (here 200) would wrap in the width of a numpy k
+        g = gen_gnp(200, 0.05, 1)
+        _, trace = build_spanner(g, k, record_potentials=True)
+        assert trace == build_spanner(g, int(k), record_potentials=True)[1]
+
     @pytest.mark.parametrize("seed", range(6))
     def test_idempotent_and_single_pass_sound(self, seed):
         g = gen_gnp(18, 0.3, seed)
@@ -391,6 +398,13 @@ class TestHandedBackDistances:
         assert np.array_equal(dg, apsp(g).dist)
         assert np.array_equal(dh, apsp(h.to_graph()).dist)
 
+    @pytest.mark.parametrize("name", _HANDED_BACK_GRAPHS)
+    def test_are_c_contiguous_int16(self, name):
+        # the layout insert_edge repairs and the pair rule reads as uint16
+        h, _ = build_spanner(_HANDED_BACK_GRAPHS[name], 2)
+        for d in h._distances:
+            assert d.dtype == np.int16 and d.flags.c_contiguous
+
     def test_dg_is_read_only(self):
         h, _ = build_spanner(gen_named("path", 15), 2)
         dg, dh = h._distances
@@ -443,6 +457,21 @@ class TestRunningPotential:
             edges.update((min(a, b), max(a, b)) for a, b in s.path.hops())
             v, c = snapshot()
             assert (s.v_after, s.c_after) == (v, c)
+
+    @pytest.mark.parametrize("slack", [3, 5, MAX_K - 1])
+    def test_change_over_unreachable_old_cells(self, slack):
+        # H is two paths of the 6-cycle; the edge joining them makes the cells
+        # between them finite, some with d_H - d_G above slack, and a slack
+        # above MAX_NODES exceeds the uint16 cap that the change sums with
+        g = gen_named("cycle", 6)
+        dg = apsp(g).dist
+        dh = apsp(Graph.from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5)])).dist
+        before = potential_from_matrices(dg, dh, slack)
+        cells = insert_edge(dh, 2, 3)
+        assert (cells[2] == UNREACHABLE).all() and cells[2].size == 9
+        change = engine.potential_change(dg, cells, slack)
+        assert before + change == potential_from_matrices(dg, dh, slack) == \
+            potential_triu(dg, dh, slack)
 
     def test_one_full_potential_sum_per_build(self, monkeypatch):
         # every later snapshot comes from the repaired cells, not an n x n sum

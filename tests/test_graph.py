@@ -30,8 +30,8 @@ from addspan import graph
 from addspan.graph import MAX_NODES, _splitmix64_floats, check_k, insert_edge
 
 from conftest import clique_chain, random_tree
-from oracles import (SplitMix64, floyd_warshall, dist_matrix_to_float, naive_neighbors,
-                     parse_outcome)
+from oracles import (SplitMix64, floyd_warshall, dist_matrix_to_float, naive_exceeds,
+                     naive_neighbors, parse_outcome)
 
 
 def rect_grid(rows: int, cols: int) -> Graph:
@@ -508,6 +508,12 @@ class TestDistances:
     def test_apsp_p4(self):
         assert apsp(gen_named("path", 4)).dist[0, 3] == 3
 
+    @pytest.mark.parametrize("g", [Graph.from_edges(0, []), gen_named("path", 4),
+                                   Graph.from_edges(3, [(0, 1)])], ids=["n-0", "path-4", "split"])
+    def test_apsp_is_c_contiguous_int16(self, g):
+        d = apsp(g).dist
+        assert d.dtype == np.int16 and d.flags.c_contiguous
+
     @given(small_graphs())
     @settings(max_examples=60)
     def test_apsp_matches_floyd_warshall(self, g):
@@ -584,7 +590,7 @@ class TestDistances:
 
     @pytest.mark.parametrize("a, b", [(0, 3), (3, 0)])
     def test_insert_edge_between_joined_ends(self, a, b):
-        # d(a, b) = 3 is finite, so the uint64 near sets are {0, 3} each, and
+        # d(a, b) = 3 is finite, so the uint16 near sets are {0, 3} each, and
         # the block also holds (0, 0), (3, 3) and the mirror (3, 0): none may
         # be returned, and the one pair that changes is returned once
         dist = apsp(gen_named("path", 4)).dist
@@ -593,12 +599,12 @@ class TestDistances:
         assert old.tolist() == [3] and new.tolist() == [1]
         assert np.array_equal(dist, apsp(gen_named("cycle", 4)).dist)
 
-    @pytest.mark.parametrize("dtype", [np.int32, np.uint64, np.float64])
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint16, np.uint64, np.float64])
     def test_insert_edge_refuses_other_dtypes(self, dtype):
-        # the rows are read through a uint64 view, which only int64 cells fit
+        # the rows are read through a uint16 view, which only int16 cells fit
         dist = apsp(Graph.from_edges(4, [(0, 1), (2, 3)])).dist.astype(dtype)
         before = dist.copy()
-        with pytest.raises(ValueError, match="int64"):
+        with pytest.raises(ValueError, match="int16"):
             insert_edge(dist, 1, 2)
         assert np.array_equal(dist, before)
 
@@ -612,6 +618,58 @@ class TestDistances:
         with pytest.raises(ValueError, match="C-contiguous"):
             insert_edge(dist, 1, 2)
         assert np.array_equal(dist, before)
+
+
+@st.composite
+def pair_rule_cases(draw):
+    """(dg, dh, k): a graph's distances and those of a random subgraph, and a
+    k from 0 to MAX_K, around n and MAX_NODES among them."""
+    g = draw(small_graphs(max_n=12))
+    h = draw(st.lists(st.sampled_from(g.sorted_edges()), unique=True)) if g.edge_count else []
+    k = draw(st.sampled_from((0, 1, 2, 6, max(g.n - 1, 0), g.n, MAX_NODES, graph.MAX_K)))
+    return apsp(g).dist, apsp(Graph.from_edges(g.n, h)).dist, k
+
+
+class TestPairRule:
+    @given(pair_rule_cases(), st.data())
+    @settings(max_examples=120)
+    def test_matches_naive_rule(self, case, data):
+        # whole matrices, rows, offset slices of rows and offset submatrices
+        dg, dh, k = case
+        n = dg.shape[0]
+        r = data.draw(st.integers(0, max(n - 1, 0)))
+        lo = data.draw(st.integers(0, n))
+        hi = data.draw(st.integers(lo, n))
+        rows = (np.s_[r], np.s_[r, lo:hi]) if n else ()
+        for at in (np.s_[:, :], np.s_[lo:, lo:hi], *rows):
+            expected = naive_exceeds(dg[at], dh[at], k)
+            assert np.array_equal(graph.exceeds(dg[at], dh[at], k), expected)
+
+    def test_k_is_not_clamped_to_the_slice_length(self):
+        # d_H = 7 is within d_G + 5 = 8 on a slice of 2 cells as on any other
+        dg, dh = np.full(2, 3, dtype=np.int16), np.full(2, 7, dtype=np.int16)
+        assert not graph.exceeds(dg, dh, 5).any()
+        assert graph.exceeds(dg, dh, 3).all()
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint16, np.float64])
+    def test_refuses_other_dtypes(self, dtype):
+        # a uint16 view of wider cells would compare each cell's 16-bit pieces
+        dist = apsp(gen_named("path", 4)).dist
+        other = dist.astype(dtype)
+        for dg, dh in ((other, dist), (dist, other)):
+            with pytest.raises(ValueError, match="int16"):
+                graph.exceeds(dg, dh, 2)
+        with pytest.raises(ValueError, match="int16"):
+            graph._pair_limit(other, 2)
+
+    def test_limit_is_uint16(self):
+        # numpy integer k of any width: the limit stays uint16 and never promotes
+        dg = apsp(Graph.from_edges(3, [(0, 1)])).dist
+        for k in (2, np.int64(2), np.uint8(2), graph.MAX_K):
+            limit = graph._pair_limit(dg, k)
+            assert limit.dtype == np.uint16
+        assert graph._pair_limit(dg, 2).tolist() == [[2, 3, 0xFFFF], [3, 2, 0xFFFF],
+                                                    [0xFFFF, 0xFFFF, 2]]
 
 
 class TestShortestPath:

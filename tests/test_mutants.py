@@ -10,7 +10,7 @@ and into the rows of tables that hold it, such as ``engine.CONVENTIONS``.
 The snippet must occur exactly once, so a rewrite of a target has to update
 this table rather than silently skip its mutant.  Each row's scan in
 ``complete`` moves strictly forward whatever its repair, its stale-d_H check
-or ``exceeds`` returns, so mutants of those end.  Mutants that can loop, such
+or its pair rule returns, so mutants of those end.  Mutants that can loop, such
 as a Seidel stop rule that tests only for a complete square, are left out.
 Dropping the ``0 < pairs`` guard of ``apsp``'s squaring is no mutant either:
 the square of an edgeless graph adds no pair, so the loop stops after one
@@ -29,8 +29,8 @@ import addspan
 from addspan import UNREACHABLE, cli, diagnostics, engine, gen_gnp, gen_named, graph, sweep
 
 from conftest import clique_chain, stale_insert_edge
-from oracles import (capped_seed, dist_matrix_to_float, floyd_warshall, naive_neighbors,
-                     parse_outcome, reference_complete)
+from oracles import (capped_seed, dist_matrix_to_float, floyd_warshall, naive_exceeds,
+                     naive_neighbors, parse_outcome, potential_triu, reference_complete)
 
 NAMESPACES = (graph, graph.Graph, engine, engine.SubgraphState, diagnostics, sweep, cli, addspan)
 
@@ -140,6 +140,47 @@ def host_is_exact_0_spanner() -> None:
         assert diagnostics.verify_spanner(g, g, 0) == []
 
 
+def exceeds_matches_naive_rule() -> None:
+    """The pair rule equals the int64 rule with k unclamped on matrices,
+    rows and offset slices of rows, k up to MAX_K; any exception is a defect."""
+    try:
+        for g in CORPUS:
+            dg = graph.apsp(g).dist
+            dh = graph.apsp(graph.Graph.from_edges(g.n, g.sorted_edges()[::2])).dist
+            for k in (0, 1, 2, 6, g.n - 1, g.n, graph.MAX_NODES, graph.MAX_K):
+                for at in (np.s_[:, :], np.s_[0], np.s_[g.n - 1, 1:], np.s_[1, 2:4]):
+                    assert (graph.exceeds(dg[at], dh[at], k)
+                            == naive_exceeds(dg[at], dh[at], k)).all(), (k, at)
+        # a 2-cell slice: d_H = 7 is within d_G + 5 = 8, whatever the slice's length
+        assert not graph.exceeds(np.int16([3, 3]), np.int16([7, 7]), 5).any()
+    except AssertionError:
+        raise
+    except Exception as exc:
+        raise AssertionError(f"the pair rule raised {exc!r}") from None
+
+
+def potential_matches_full_sums() -> None:
+    """Edge by edge from no edges, the full potential sum and the running sum
+    of ``potential_change`` equal the int64 pairwise sum, for slacks up to
+    MAX_K - 1, where an UNREACHABLE old cell's term exceeds the uint16 cap;
+    any exception is a defect."""
+    try:
+        for g in CORPUS:
+            dg = graph.apsp(g).dist
+            for slack in (0, 3, 5, graph.MAX_NODES + 2, graph.MAX_K - 1):
+                dist = graph.apsp(graph.Graph.from_edges(g.n, [])).dist
+                v = engine.potential_from_matrices(dg, dist, slack)
+                assert v == potential_triu(dg, dist, slack), slack
+                for a, b in g.sorted_edges():
+                    v += engine.potential_change(dg, graph.insert_edge(dist, a, b), slack)
+                    assert v == potential_triu(dg, dist, slack), (slack, a, b)
+                assert v == engine.potential_from_matrices(dg, dist, slack), slack
+    except AssertionError:
+        raise
+    except Exception as exc:
+        raise AssertionError(f"the potential raised {exc!r}") from None
+
+
 def verify_rejects_larger_spanner() -> None:
     """path-4 has a node that path-3 lacks: not a subgraph, and no IndexError."""
     try:
@@ -228,7 +269,7 @@ MUTANTS = {
         graph, "insert_edge", "    flat[y * n + x] = new\n", "", insert_edge_matches_apsp,
     ),
     "insert_edge-no-unreachable-clause": (
-        graph, "insert_edge", "via.view(np.uint64) < old.view(np.uint64)", "via < old",
+        graph, "insert_edge", "via.view(np.uint16) < old.view(np.uint16)", "via < old",
         insert_edge_matches_apsp,
     ),
     # d(x, a) + 2 = d(x, b) puts x in near_a; d(x, a) + 1 = d(x, b) would change nothing
@@ -236,7 +277,7 @@ MUTANTS = {
         graph, "insert_edge", "(ua < ub - 1)", "(ua < ub - 2)", insert_edge_matches_apsp,
     ),
     "insert_edge-no-contiguity-guard": (
-        graph, "insert_edge", "if not dist.flags.c_contiguous or dist.dtype != np.int64:",
+        graph, "insert_edge", "if not dist.flags.c_contiguous or dist.dtype != np.int16:",
         "if False:",
         insert_edge_repairs_only_c_contiguous,
     ),
@@ -245,7 +286,15 @@ MUTANTS = {
         complete_matches_reference,
     ),
     "potential-change-counts-mirror": (
-        engine, "potential_change", "return int(", "return 2 * int(", complete_matches_reference,
+        engine, "potential_change", "change = int(gain.sum())", "change = 2 * int(gain.sum())",
+        complete_matches_reference,
+    ),
+    # slack > MAX_NODES: an UNREACHABLE old cell turning finite would gain the cap, not slack
+    "potential-change-no-cap-correction": (
+        engine, "potential_change",
+        "    if slack > MAX_NODES:\n        change += (slack - MAX_NODES)",
+        "    if False:\n        change += 0",
+        potential_matches_full_sums,
     ),
     "cost_degsq-sums-degrees": (
         engine, "cost_degsq", "int(h.deg @ h.deg)", "int(h.deg.sum())", complete_matches_reference,
@@ -269,12 +318,29 @@ MUTANTS = {
         stale_repair_raises,
     ),
     "complete-scan-resumes-one-late": (
-        engine, "complete", "[v + 1:], row[v + 1:], k).nonzero()[0]).size:\n            v += 1 +",
-        "[v + 2:], row[v + 2:], k).nonzero()[0]).size:\n            v += 2 +",
+        engine, "complete", "[v + 1:] > limit[v + 1:]).nonzero()[0]).size:\n            v += 1 +",
+        "[v + 2:] > limit[v + 2:]).nonzero()[0]).size:\n            v += 2 +",
         complete_matches_reference,
     ),
     "exceeds-ge": (
-        graph, "exceeds", "(dh > dg + k)", "(dh >= dg + k)", host_is_exact_0_spanner,
+        graph, "exceeds", "_as_uint16(dh) > _pair_limit", "_as_uint16(dh) >= _pair_limit",
+        host_is_exact_0_spanner,
+    ),
+    # d_G + k in int16: numpy 2 refuses a k beyond int16, numpy 1 wraps it
+    "pair-limit-formed-in-int16": (
+        graph, "_pair_limit",
+        "limit = np.minimum(_as_uint16(dg), 0xFFFF - slack)\n    limit += slack",
+        "limit = np.where(dg == UNREACHABLE, -1, dg + k).astype(np.int16).view(np.uint16)",
+        exceeds_matches_naive_rule,
+    ),
+    "pair-limit-unclamped": (
+        graph, "_pair_limit", "slack = min(_index(k), MAX_NODES)", "slack = k",
+        exceeds_matches_naive_rule,
+    ),
+    # exact on whole rows, where a finite d_H is below the length, but not on slices
+    "pair-limit-clamped-to-length": (
+        graph, "_pair_limit", "min(_index(k), MAX_NODES)", "min(_index(k), dg.shape[-1])",
+        exceeds_matches_naive_rule,
     ),
     "shortest_path-highest-predecessor": (
         graph, "shortest_path", "for x in g.adjacency[cur]:",
@@ -285,13 +351,18 @@ MUTANTS = {
         "np.diff(codes, prepend=-1) >= 0", from_edges_matches_naive_neighbors,
     ),
     "potential-no-unreachable-zeroing": (
-        engine, "potential_terms",
+        engine, "potential_from_matrices",
         "    vals[(dg == UNREACHABLE) | (dh == UNREACHABLE)] = 0\n", "",
         complete_matches_reference,
     ),
     "potential-no-diagonal-correction": (
         engine, "potential_from_matrices", " - dg.shape[0] * slack", "",
         complete_matches_reference,
+    ),
+    # d_G - d_H + slack in int16: numpy 2 refuses a slack beyond int16, numpy 1 wraps it
+    "potential-slack-formed-in-int16": (
+        engine, "potential_from_matrices", "vals = dg.astype(np.int64)\n    vals -= dh\n",
+        "vals = dg - dh\n", potential_matches_full_sums,
     ),
     "seed_degree_capped-one-more": (
         engine, "seed_degree_capped", "min(cap, n)", "min(cap + 1, n)", seed_matches_capped_seed,
@@ -301,11 +372,11 @@ MUTANTS = {
         seed_matches_capped_seed,
     ),
     "seidel-free-step-without-a_j": (
-        graph, "apsp", "t -= unpack(levels.pop(), down)", "levels.pop()",
+        graph, "apsp", "        t -= a\n", "",
         apsp_matches_floyd_warshall,
     ),
     "seidel-free-step-subtracts-top": (
-        graph, "apsp", "t -= unpack(levels.pop(), down)", "t -= t > 0\n        levels.pop()",
+        graph, "apsp", "        t -= a\n", "        t -= t > 0\n",
         apsp_matches_floyd_warshall,
     ),
     "complete-writes-dg": (
@@ -320,8 +391,13 @@ MUTANTS = {
     "seidel-no-parity-correction": (
         graph, "apsp", "            tr -= odd\n", "", apsp_matches_floyd_warshall,
     ),
+    # without -deg on the diagonal, t . a < 0 never holds and no parity step subtracts
+    "seidel-no-degree-diagonal": (
+        graph, "apsp", "        np.fill_diagonal(a, -a.sum(axis=1))\n", "",
+        apsp_matches_floyd_warshall,
+    ),
     "seidel-square-without-a_j": (
-        graph, "apsp", " @ a + a[r:r + _BLOCK_ROWS] > 0", " @ a > 0", apsp_matches_floyd_warshall,
+        graph, "apsp", "            prod[:m] += a[r:r + m]\n", "", apsp_matches_floyd_warshall,
     ),
     "seidel-diagonal-kept": (
         graph, "apsp", "        np.fill_diagonal(b, False)\n", "", apsp_matches_floyd_warshall,
