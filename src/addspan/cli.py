@@ -3,8 +3,9 @@ and run size-scaling sweeps with a log-log exponent fit.
 
 Exit codes: 0 success, 1 verification failure, 2 input contract failure.
 Commands signal an input contract failure by raising ValueError (bad
-arguments or file contents) or OSError (unreadable input, unwritable output);
-``main`` turns either into one ``error:`` line and exit code 2.
+arguments or file contents) or OSError (unreadable input, unwritable output),
+which ``main`` turns into one ``error:`` line and exit code 2; a fault that a
+build finds in its own result, a SelfCheckError, gets one and exit code 1.
 """
 from __future__ import annotations
 
@@ -15,8 +16,8 @@ import sys
 from pathlib import Path as FilePath
 from typing import Sequence
 
-from .diagnostics import _self_check, verify_spanner
-from .engine import CompletionTrace, build_spanner
+from .diagnostics import verify_spanner
+from .engine import CompletionTrace, SelfCheckError, build_spanner, self_check
 from .graph import (
     NAMED_FAMILIES,
     check_k,
@@ -71,11 +72,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
         raise ValueError(f"--trace-out and --out name the same file '{args.out}'")
     g = read_edge_list(args.input)
     h, trace = build_spanner(g, args.k, record_potentials=args.trace_out is not None)
-    failure = _self_check(h, args.k)
-    if failure:
-        print(f"error: {failure}", file=sys.stderr)
-        return 1
-    spanner = h.to_graph()
+    spanner = self_check(h, args.k)
     if args.trace_out is not None:
         _write_trace_csv(args.trace_out, trace)
     # the spanner is written last, so its file exists only after a build that exits 0
@@ -195,9 +192,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         # build, verify and sweep take --k; check it before reading any input
         check_k(getattr(args, "k", 0))
         return args.func(args)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, SelfCheckError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, SelfCheckError) else 2
 
 
 def entry() -> None:

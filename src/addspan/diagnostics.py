@@ -3,14 +3,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .engine import CompletionTrace, SubgraphState, cost_degsq
 # unused here: perfbench's tracer looks the potential up as a name of this module
 from .engine import potential_from_matrices  # noqa: F401
-from .graph import UNREACHABLE, Graph, apsp, check_k, exceeds
+from .graph import UNREACHABLE, Graph, _is_subgraph, apsp, check_k, exceeds
 
 
 class TraceContractError(ValueError):
@@ -39,7 +38,8 @@ def verify_spanner(g: Graph, h: Graph, k: int) -> list[Violation]:
     when H is valid.  Pairs disconnected in G are skipped; k lies in 0..MAX_K."""
     check_k(k)
     dg = apsp(g).dist if h.n <= g.n else None  # no APSP for an H on more nodes
-    _require_subgraph(dg, h)
+    if dg is None or not _is_subgraph(dg, h):
+        raise ValueError("spanner is not a subgraph of the input graph")
     indptr = np.concatenate((h.indptr, np.full(g.n - h.n, h.indptr[-1])))  # isolated tail
     dh = apsp(Graph(g.n, indptr, h.indices)).dist
     out = []
@@ -49,35 +49,6 @@ def verify_spanner(g: Graph, h: Graph, k: int) -> list[Violation]:
         excess = math.inf if d_h == UNREACHABLE else float(d_h - d_g)
         out.append(Violation(u, v, d_g, d_h, excess))
     return out
-
-
-def _require_subgraph(dg: Optional[np.ndarray], h: Graph) -> None:
-    """ValueError unless d_G is given and every edge (x, y) of H has d_G(x, y) = 1."""
-    if dg is None or (dg[np.repeat(np.arange(h.n), np.diff(h.indptr)), h.indices] != 1).any():
-        raise ValueError("spanner is not a subgraph of the input graph")
-
-
-def _self_check(h: SubgraphState, k: int) -> Optional[str]:
-    """The build's check of the H that ``complete`` returned, from the d_G and
-    the repaired d_H that it left in ``h``, which this takes.  ValueError
-    unless H is a subgraph of G, checked through d_G.  Else one line naming
-    what failed: pairs that exceed d_G + k, or cells of the repaired d_H that
-    a fresh APSP of H does not match; None when neither.  d_G is dropped
-    before that APSP, which so runs beside one n x n matrix, as the second
-    APSP of ``verify_spanner`` does."""
-    dg, dh = h._distances
-    h._distances = None
-    spanner = h.to_graph()
-    _require_subgraph(dg, spanner)
-    violations = np.count_nonzero(np.triu(exceeds(dg, dh, k), 1))
-    del dg
-    if violations:
-        return f"self-check found {violations} violations"
-    stale = np.count_nonzero(apsp(spanner).dist != dh)
-    if stale:
-        return (f"self-check found {stale} cells of the repaired d_H "
-                "that a fresh APSP of H does not match")
-    return None
 
 
 def check_cauchy_bound(h: SubgraphState) -> bool:

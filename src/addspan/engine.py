@@ -21,10 +21,12 @@ from .graph import (
     Graph,
     Path,
     _index,
+    _is_subgraph,
     _pair_limit,
     apsp,
     canonical_edge,
     check_k,
+    exceeds,
     insert_edge,
     shortest_path,
 )
@@ -37,8 +39,7 @@ class SubgraphState:
     is one flag per slot of ``host.indices``: an edge's two slots (v in the
     row of u, u in the row of v) are flagged together, so ``to_graph`` is the
     host's CSR with the unflagged slots dropped.  ``deg`` is H's int64 degree array.
-    ``complete`` leaves its read-only d_G and the d_H it repaired in
-    ``_distances``, for the build's self-check to take.
+    ``complete`` leaves d_G and the repaired d_H in ``_distances`` for ``self_check``.
     """
 
     def __init__(self, host: Graph, edges: Iterable[tuple[int, int]] = ()):
@@ -207,6 +208,10 @@ def cost_degsq(h: SubgraphState) -> int:
 CONVENTIONS = {2: (3, cost_degsq), 6: (5, cost_edges)}
 
 
+class SelfCheckError(RuntimeError):
+    """A build found a fault in the H it made: the engine's, not the input's."""
+
+
 def complete(
     g: Graph,
     h: SubgraphState,
@@ -228,8 +233,8 @@ def complete(
     ``CONVENTIONS``: one O(n^2) potential sum for the seed, then each new
     edge adds the change of its pair terms over the cells ``insert_edge``
     repaired, and each step reads ``cost`` of its H.  After every step d_H(u, v)
-    must equal d_G(u, v); a repaired d_H that breaks this raises RuntimeError.
-    d_G, read-only, and the repaired d_H are left in ``h._distances``.
+    must equal d_G(u, v), or SelfCheckError is raised.  d_G, read-only, and the
+    repaired d_H are left in ``h._distances`` for ``self_check``.
     """
     check_k(k)
     if h.host != g:
@@ -238,7 +243,7 @@ def complete(
     # a Python int slack: a narrow numpy k would wrap slack * n in the full sum
     slack, cost = CONVENTIONS.get(k, (max(_index(k) - 1, 0), cost_edges))
     dg = apsp(g).dist
-    dg.setflags(write=False)  # handed back to the self-check: a stray write raises
+    dg.setflags(write=False)  # handed back to self_check: a stray write raises
     dh = apsp(h.to_graph()).dist
     seed_edges = h.edge_count
     steps: list[CompletionStep] = []
@@ -273,7 +278,7 @@ def complete(
             # H now holds a shortest u-v path of G, so any other d_H is a stale
             # repair; the scan moves past the pair whether or not it holds
             if row[v] != dg_row[v]:
-                raise RuntimeError(
+                raise SelfCheckError(
                     f"pair ({u}, {v}) has d_H = {row[v]} but d_G = {dg_row[v]} after "
                     "its shortest path was inserted: the repaired d_H is stale"
                 )
@@ -286,6 +291,27 @@ def complete(
     return h, CompletionTrace(
         k=k, seed_edge_count=seed_edges, potentials_recorded=record_potentials, steps=steps,
     )
+
+
+def self_check(h: SubgraphState, k: int) -> Graph:
+    """H as a Graph, checked through the d_G and repaired d_H that ``complete``
+    left in ``h``, which this takes: SelfCheckError unless every edge of H has
+    d_G = 1, no pair exceeds d_G + k, and a fresh APSP of H equals d_H cell for
+    cell.  d_G is dropped before that APSP, so it runs beside one n x n matrix."""
+    dg, dh = h._distances
+    h._distances = None
+    spanner = h.to_graph()
+    if not _is_subgraph(dg, spanner):
+        raise SelfCheckError("spanner is not a subgraph of the input graph")
+    violations = np.count_nonzero(np.triu(exceeds(dg, dh, k), 1))
+    del dg
+    if violations:
+        raise SelfCheckError(f"self-check found {violations} violations")
+    stale = np.count_nonzero(apsp(spanner).dist != dh)
+    if stale:
+        raise SelfCheckError(f"self-check found {stale} cells of the repaired d_H "
+                             "that a fresh APSP of H does not match")
+    return spanner
 
 
 def build_spanner(

@@ -567,6 +567,11 @@ def exceeds(dg: np.ndarray, dh: np.ndarray, k: int) -> np.ndarray:
     return _as_uint16(dh) > _pair_limit(dg, k)
 
 
+def _is_subgraph(dg: np.ndarray, h: Graph) -> bool:
+    """Whether every edge (x, y) of H, on at most ``len(dg)`` nodes, has d_G(x, y) = 1."""
+    return not (dg[np.repeat(np.arange(h.n), np.diff(h.indptr)), h.indices] != 1).any()
+
+
 def shortest_path(g: Graph, u: int, v: int, distances: np.ndarray) -> Path:
     """Deterministic shortest u-v path.
 

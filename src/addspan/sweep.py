@@ -87,10 +87,9 @@ def run_sweep(
     for n, p, seed in points:
         g = gen_gnp(n, p, seed) if gnp else gen_named(family, n)
         t0 = time.perf_counter()
-        h, trace = build_spanner(g, k)
+        trace = build_spanner(g, k)[1]  # H is not kept: the next build need not sit beside it
         wall_ms = (time.perf_counter() - t0) * 1000.0
-        m = h.edge_count
-        del h  # it holds the build's d_G and d_H, which the next build need not sit beside
+        m = trace.seed_edge_count + sum(s.new_edges for s in trace.steps)
         records.append(SweepRecord(
             family=family,
             n=g.n,

@@ -11,6 +11,7 @@ from addspan import (
     Graph,
     SubgraphState,
     build_spanner,
+    default_cap,
     gen_gnp,
     gen_named,
 )
@@ -82,6 +83,24 @@ def projective_plane_incidence(q: int) -> Graph:
         (i, n + j) for i, p in enumerate(triples) for j, line in enumerate(triples)
         if sum(x * y for x, y in zip(p, line)) % q == 0
     ))
+
+
+def leafed_core(N: int, p: float, seed: int) -> Graph:
+    """A G(N, p) core on the top ids, each core node with c private leaves
+    on the low ids (core node i's are i*c .. i*c + c - 1), where c is the
+    least count with c = floor(n^(1/3)) for n = N(1 + c), the k=6 seed's cap.
+    Each core node's c lowest-id neighbors are its leaves, so the capped seed
+    keeps no core edge and the 6-spanner completion has to build the core's
+    paths itself."""
+    c = 0
+    while default_cap(N * (1 + c)) > c:
+        c += 1
+    n = N * (1 + c)
+    assert default_cap(n) == c
+    top = N * c
+    core = ((u + top, v + top) for u, v in gen_gnp(N, p, seed).sorted_edges())
+    leaves = ((i * c + j, top + i) for i in range(N) for j in range(c))
+    return Graph.from_edges(n, itertools.chain(core, leaves))
 
 
 # (t, s) of the chains in the shared corpus

@@ -2,11 +2,13 @@
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 
-from addspan import UNREACHABLE, Graph, SubgraphState, apsp
-from addspan.engine import potential_from_matrices
+from addspan import UNREACHABLE, Graph, SubgraphState, apsp, verify_spanner
+from addspan.engine import CONVENTIONS, potential_from_matrices
+from addspan.graph import exceeds
 
 
 def naive_neighbors(n: int, edges) -> dict[int, set[int]]:
@@ -199,3 +201,46 @@ def reference_complete(g: Graph, seed_edges, k: int) -> tuple[frozenset, list[tu
                           new_edges, v_cur, v_after, c_cur, c_after))
             v_cur, c_cur = v_after, c_after
     return frozenset(h), steps
+
+
+def reference_rows(trace) -> list[tuple]:
+    """A library trace's steps as ``reference_complete`` lists them."""
+    return [
+        (s.pair, s.path.length, math.inf if s.d_h_before == UNREACHABLE else s.d_h_before,
+         s.path.nodes, s.new_edges, s.v_before, s.v_after, s.c_before, s.c_after)
+        for s in trace.steps
+    ]
+
+
+def random_order_step_law(g: Graph, rng: random.Random) -> list[int]:
+    """2-spanner completion from the empty seed that draws each step's
+    violating pair under the library's pair rule, and at each hop of its path
+    back from v a predecessor one level closer to u, from ``rng``, with a fresh
+    APSP of H after every insertion.  Asserts at each step that the pair
+    violates by the rule written out and that the path is a shortest G-path,
+    and at the end that H is a valid 2-spanner.  Returns the per-step change
+    of cost - 12 * potential under the library's ``CONVENTIONS[2]``."""
+    slack, cost = CONVENTIONS[2]
+    neighbors = naive_neighbors(g.n, g.sorted_edges())
+    dg = apsp(g).dist
+    h = SubgraphState(g)
+    dh = apsp(h.to_graph()).dist
+    before = cost(h) - 12 * potential_from_matrices(dg, dh, slack)
+    deltas = []
+    while (pairs := np.argwhere(np.triu(exceeds(dg, dh, 2), 1))).size:
+        u, v = (int(x) for x in rng.choice(pairs))
+        assert dg[u, v] != UNREACHABLE and (dh[u, v] == UNREACHABLE or dh[u, v] > dg[u, v] + 2)
+        nodes = [v]
+        while nodes[-1] != u:
+            nodes.append(rng.choice(sorted(
+                x for x in neighbors[nodes[-1]] if dg[u, x] == dg[u, nodes[-1]] - 1)))
+        assert len(nodes) - 1 == dg[u, v]
+        assert all(b in neighbors[a] for a, b in zip(nodes, nodes[1:]))
+        for a, b in zip(nodes, nodes[1:]):
+            h.add_edge(a, b)
+        dh = apsp(h.to_graph()).dist
+        after = cost(h) - 12 * potential_from_matrices(dg, dh, slack)
+        deltas.append(after - before)
+        before = after
+    assert verify_spanner(g, h.to_graph(), 2) == []
+    return deltas

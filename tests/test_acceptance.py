@@ -25,7 +25,7 @@ from addspan import (
 )
 from addspan.cli import main as cli_main
 
-from conftest import random_tree
+from conftest import projective_plane_incidence, random_tree
 from oracles import floyd_warshall, dist_matrix_to_float
 
 
@@ -83,8 +83,16 @@ def test_criterion_5_empirical_size_scaling():
             print(f"\n  k={k} {label}: fitted exponent {fit.slope:.4f} (required <= {bound}), "
                   f"r2={fit.r2:.4f}, max ratio_32={max(r.ratio_32 for r in records):.4f}, "
                   f"max ratio_43={max(r.ratio_43 for r in records):.4f}")
+    # PG(2, q)'s incidence graph has girth 6, so its 2-spanner is all of its
+    # (q + 1)(q^2 + q + 1) edges: a slope of 1.45 or more shows that this input
+    # forces the n^{3/2} size, and the bound still holds there
+    planes = [(g, build_spanner(g, 2)[0]) for g in map(projective_plane_incidence, (5, 7, 11, 13))]
+    fit = fit_exponent([(g.n, h.edge_count) for g, h in planes])
+    ok = ok and all(h.edge_count == g.edge_count for g, h in planes) and 1.45 <= fit.slope <= 1.60
+    print(f"\n  k=2 PG(2, q), q = 5, 7, 11, 13: fitted exponent {fit.slope:.4f} "
+          f"(required in [1.45, 1.60]), r2={fit.r2:.4f}")
     report(5, "size-scaling exponents on G(n, 0.5) and G(n, 2/sqrt(n)) "
-              "(k=2 <= 1.60, k=6 <= 1.45)", ok)
+              "(k=2 <= 1.60, k=6 <= 1.45) and on PG(2, q) (k=2, 1.45 to 1.60)", ok)
 
 
 def test_criterion_6_monotonicity_and_idempotence(built_corpus):

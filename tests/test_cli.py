@@ -6,6 +6,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import addspan
@@ -169,6 +170,39 @@ class TestBuild:
                     "--trace-out", str(trace)]) == 1
         assert capsys.readouterr() == ("", "error: self-check found 2 cells of the repaired "
                                            "d_H that a fresh APSP of H does not match\n")
+        assert not out.exists() and not trace.exists()
+
+    def test_stale_repair_mid_scan_exits_1(self, tmp_path, capsys, monkeypatch):
+        # a repair that changes no cell leaves the first pair's d_H UNREACHABLE,
+        # which ``complete`` finds right after inserting its path
+        no_cells = (np.empty(0, np.intp),) * 2 + (np.empty(0, np.int16),) * 2
+        monkeypatch.setattr(addspan.engine, "insert_edge", lambda dist, a, b: no_cells)
+        g = write_graph(tmp_path, "c5.txt", "0 1\n1 2\n2 3\n3 4\n0 4\n")
+        out, trace = tmp_path / "sp.txt", tmp_path / "trace.csv"
+        assert run(["build", "--input", g, "--k", "2", "--out", str(out),
+                    "--trace-out", str(trace)]) == 1
+        assert capsys.readouterr() == ("", "error: pair (0, 1) has d_H = -1 but d_G = 1 after "
+                                           "its shortest path was inserted: the repaired d_H "
+                                           "is stale\n")
+        assert not out.exists() and not trace.exists()
+
+    def test_edge_off_handed_back_dg_exits_1(self, tmp_path, capsys, monkeypatch):
+        # a builder whose d_G says 2 at the edge (0, 1) of H: the engine is at
+        # fault, not the input, so the build exits 1 where ``verify`` exits 2
+        def broken(g, k, *, record_potentials=False):
+            h, trace = build_spanner(g, k, record_potentials=record_potentials)
+            dg, dh = h._distances
+            dg = dg.copy()
+            dg[0, 1] = dg[1, 0] = 2
+            h._distances = dg, dh
+            return h, trace
+
+        monkeypatch.setattr(addspan.cli, "build_spanner", broken)
+        g = write_graph(tmp_path, "c5.txt", "0 1\n1 2\n2 3\n3 4\n0 4\n")
+        out, trace = tmp_path / "sp.txt", tmp_path / "trace.csv"
+        assert run(["build", "--input", g, "--k", "2", "--out", str(out),
+                    "--trace-out", str(trace)]) == 1
+        assert capsys.readouterr() == ("", "error: spanner is not a subgraph of the input graph\n")
         assert not out.exists() and not trace.exists()
 
     def test_byte_identical_reruns(self, tmp_path):

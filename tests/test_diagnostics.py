@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -24,8 +25,9 @@ from addspan import (
 from addspan.engine import potential_from_matrices
 from addspan.graph import MAX_K
 
-from conftest import clique_chain
-from oracles import matrix_power_distances, potential_triu, potential_v
+from conftest import (clique_chain, gnp_corpus_params, leafed_core, named_corpus_graphs,
+                      projective_plane_incidence)
+from oracles import matrix_power_distances, potential_triu, potential_v, random_order_step_law
 
 
 def _star4_state():
@@ -195,7 +197,24 @@ class TestCauchyBound:
         assert check_cauchy_bound(SubgraphState(g, g.sorted_edges()))
 
 
+# every 4th G(n, p) graph of the acceptance corpus, its named graphs, one
+# clique chain, and PG(2, 2) and PG(2, 3), whose every edge a 2-spanner keeps
+_ANY_ORDER_GRAPHS = dict([
+    *((f"gnp-n{n}-p{p}-s{s}", gen_gnp(n, p, s)) for n, p, s in gnp_corpus_params()[::4]),
+    *named_corpus_graphs(),
+    ("chain-4x6", clique_chain(4, 6)),
+    *((f"pg-2-{q}", projective_plane_incidence(q)) for q in (2, 3)),
+])
+
+
 class TestStepLaw:
+    @pytest.mark.parametrize("name", _ANY_ORDER_GRAPHS)
+    def test_never_increases_for_any_pair_and_path(self, name):
+        # the law is the paper's, not a by-product of the engine's pair order
+        # and lowest-id predecessors: each step draws both from a seeded stream
+        deltas = random_order_step_law(_ANY_ORDER_GRAPHS[name], random.Random(name))
+        assert all(d <= 0 for d in deltas), max(deltas)
+
     def test_k4_first_step_delta(self):
         g = gen_named("complete", 4)
         _, trace = build_spanner(g, 2, record_potentials=True)
@@ -240,6 +259,20 @@ class TestStepRatio:
         assert measure_6spanner_step_ratio(trace) == [
             (s.v_after - s.v_before) / s.new_edges for s in trace.steps
         ] == [72.0, 144.0]
+
+    def test_leafed_cores_make_the_completion_work(self):
+        # the capped seed keeps only the leaf edges, so each core's paths are
+        # completion steps; the ratio is reported, not asserted, since the
+        # analysis's constant is not known here
+        lows = []
+        for core in (12, 16, 20, 60):
+            g = leafed_core(core, 0.3, 0)
+            h, trace = build_spanner(g, 6, record_potentials=True)
+            assert trace.seed_edge_count == g.n - core and trace.steps
+            assert verify_spanner(g, h.to_graph(), 6) == []
+            lows.append(min(measure_6spanner_step_ratio(trace)) / g.n ** (2 / 3))
+        print(f"\nleafed cores, k=6: min step ratio / n^(2/3) = "
+              f"{', '.join(f'{x:.2f}' for x in lows)} for N = 12, 16, 20, 60")
 
     def test_potential_gain_nonnegative(self):
         for seed in range(6):

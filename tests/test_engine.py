@@ -19,12 +19,12 @@ from addspan import (
     seed_degree_capped,
     verify_spanner,
 )
-from addspan import diagnostics, engine
+from addspan import engine
 from addspan.engine import potential_from_matrices
 from addspan.graph import MAX_K, insert_edge
 
-from conftest import clique_chain, projective_plane_incidence, random_tree
-from oracles import capped_seed, potential_triu, reference_complete
+from conftest import clique_chain, leafed_core, projective_plane_incidence, random_tree
+from oracles import capped_seed, potential_triu, reference_complete, reference_rows
 
 
 def disjoint_union(a: Graph, b: Graph) -> Graph:
@@ -319,11 +319,7 @@ class TestReferenceCompletion:
         ref_edges, ref_steps = reference_complete(g, seed.edges(), k)
         h, trace = complete(g, seed, k, record_potentials=True)
         assert h.edges() == ref_edges
-        assert [
-            (s.pair, s.path.length, math.inf if s.d_h_before == UNREACHABLE else s.d_h_before,
-             s.path.nodes, s.new_edges, s.v_before, s.v_after, s.c_before, s.c_after)
-            for s in trace.steps
-        ] == ref_steps
+        assert reference_rows(trace) == ref_steps
         if capped == (k == 6):  # the pipeline's own seed: capped for k = 6 only
             built, built_trace = build_spanner(g, k, record_potentials=True)
             assert built.edges() == ref_edges
@@ -340,6 +336,17 @@ class TestReferenceCompletion:
             (r[0], r[5], r[6]) for r in ref_steps
         ]
 
+    @pytest.mark.parametrize("core", [12, 16])
+    def test_matches_reference_on_leafed_cores(self, core):
+        # the capped seed keeps only the leaf edges, so the core's paths are all steps
+        g = leafed_core(core, 0.3, 0)
+        seed = seed_degree_capped(g, default_cap(g.n))
+        assert seed.edge_count == g.n - core
+        ref_edges, ref_steps = reference_complete(g, seed.edges(), 6)
+        h, trace = complete(g, seed, 6, record_potentials=True)
+        assert trace.steps and h.edges() == ref_edges
+        assert reference_rows(trace) == ref_steps
+
     @pytest.mark.parametrize("t", [2, 3, 4, 5])
     @pytest.mark.parametrize("s", [4, 5, 6, 7])
     def test_matches_reference_on_clique_chains(self, t, s):
@@ -351,11 +358,7 @@ class TestReferenceCompletion:
         h, trace = complete(g, seed, 6, record_potentials=True)
         assert len(trace.steps) == t - 1
         assert h.edges() == ref_edges
-        assert [
-            (x.pair, x.path.length, math.inf if x.d_h_before == UNREACHABLE else x.d_h_before,
-             x.path.nodes, x.new_edges, x.v_before, x.v_after, x.c_before, x.c_after)
-            for x in trace.steps
-        ] == ref_steps
+        assert reference_rows(trace) == ref_steps
 
     def test_stale_distances_raise_instead_of_looping(self, monkeypatch):
         monkeypatch.setattr(engine, "insert_edge", lambda dist, a, b: None)
@@ -387,7 +390,7 @@ _HANDED_BACK_GRAPHS = {
 
 class TestHandedBackDistances:
     """``complete`` leaves its d_G and repaired d_H in ``h._distances``, and
-    the build's self-check takes them."""
+    ``engine.self_check`` takes them."""
 
     @pytest.mark.parametrize("name", _HANDED_BACK_GRAPHS)
     @pytest.mark.parametrize("k", [0, 2, 6, MAX_K])
@@ -415,7 +418,7 @@ class TestHandedBackDistances:
     @pytest.mark.parametrize("name", _HANDED_BACK_GRAPHS)
     def test_self_check_passes_and_takes_them(self, name):
         h, _ = build_spanner(_HANDED_BACK_GRAPHS[name], 2)
-        assert diagnostics._self_check(h, 2) is None
+        assert engine.self_check(h, 2) == h.to_graph()
         assert h._distances is None
 
 

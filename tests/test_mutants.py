@@ -18,19 +18,23 @@ product with the same answer; the guard only saves that product.
 """
 import __future__
 
+import contextlib
 import inspect
-import math
+import io
+import tempfile
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import addspan
-from addspan import UNREACHABLE, cli, diagnostics, engine, gen_gnp, gen_named, graph, sweep
+from addspan import cli, diagnostics, engine, gen_gnp, gen_named, graph, sweep
 
 from conftest import clique_chain, stale_insert_edge
 from oracles import (capped_seed, dist_matrix_to_float, floyd_warshall, naive_exceeds,
-                     naive_neighbors, parse_outcome, potential_triu, reference_complete)
+                     naive_neighbors, parse_outcome, potential_triu, reference_complete,
+                     reference_rows)
 
 NAMESPACES = (graph, graph.Graph, engine, engine.SubgraphState, diagnostics, sweep, cli, addspan)
 
@@ -217,11 +221,7 @@ def complete_matches_reference() -> None:
             ref_edges, ref_steps = reference_complete(g, seed.edges(), k)
             h, trace = engine.complete(g, seed, k, record_potentials=True)
             assert h.edges() == ref_edges
-            assert [
-                (s.pair, s.path.length, math.inf if s.d_h_before == UNREACHABLE else s.d_h_before,
-                 s.path.nodes, s.new_edges, s.v_before, s.v_after, s.c_before, s.c_after)
-                for s in trace.steps
-            ] == ref_steps
+            assert reference_rows(trace) == ref_steps
 
 
 def stale_repair_raises() -> None:
@@ -252,6 +252,14 @@ def complete_hands_back_read_only_dg() -> None:
         assert (dg == graph.apsp(g).dist).all()
 
 
+def self_check_outcome(h: engine.SubgraphState, k: int):
+    """The graph ``engine.self_check`` returns, or the message it raises."""
+    try:
+        return engine.self_check(h, k)
+    except engine.SelfCheckError as exc:
+        return str(exc)
+
+
 def self_check_catches_stale_repair() -> None:
     """A repaired cell left one too high where no scan looks fails the build's
     self-check, though H itself is a valid spanner; the true d_H passes."""
@@ -260,7 +268,34 @@ def self_check_catches_stale_repair() -> None:
         with pytest.MonkeyPatch.context() as patch:
             patch.setitem(engine.complete.__globals__, "insert_edge", repair)
             h, _ = engine.complete(g, engine.SubgraphState(g), 2)
-        assert (diagnostics._self_check(h, 2) is None) == passes
+        assert isinstance(self_check_outcome(h, 2), graph.Graph) == passes
+
+
+def self_check_counts_violations() -> None:
+    """H = the empty seed of C5, handed back with its true d_G and d_H, leaves
+    all 10 pairs unspanned, and the self-check says so."""
+    g = gen_named("cycle", 5)
+    h = engine.SubgraphState(g)
+    h._distances = graph.apsp(g).dist, graph.apsp(h.to_graph()).dist
+    assert self_check_outcome(h, 2) == "self-check found 10 violations"
+
+
+def build_fault_exits_1() -> None:
+    """A build whose repair changes nothing stops at its first step, and
+    ``cli.main`` reports that with exit code 1 and one ``error:`` line, not a
+    traceback; any exception is a defect."""
+    with (pytest.MonkeyPatch.context() as patch, tempfile.TemporaryDirectory() as tmp,
+          contextlib.redirect_stderr(io.StringIO()) as err):
+        patch.setitem(engine.complete.__globals__, "insert_edge", lambda dist, a, b: None)
+        tmp = Path(tmp)
+        (tmp / "c5.txt").write_text(graph.serialize_edge_list(gen_named("cycle", 5)))
+        try:
+            code = cli.main(["build", "--input", str(tmp / "c5.txt"), "--k", "2",
+                             "--out", str(tmp / "sp.txt")])
+        except Exception as exc:
+            raise AssertionError(f"the build raised {exc!r}") from None
+        assert code == 1 and err.getvalue().count("\n") == 1, (code, err.getvalue())
+        assert err.getvalue().startswith("error: pair (0, 1) "), err.getvalue()
 
 
 # name -> (owner, function, snippet, replacement, detector)
@@ -385,8 +420,16 @@ MUTANTS = {
         complete_hands_back_read_only_dg,
     ),
     "self-check-no-fresh-comparison": (
-        diagnostics, "_self_check", "np.count_nonzero(apsp(spanner).dist != dh)", "0",
+        engine, "self_check", "np.count_nonzero(apsp(spanner).dist != dh)", "0",
         self_check_catches_stale_repair,
+    ),
+    "self-check-no-violation-count": (
+        engine, "self_check", "np.count_nonzero(np.triu(exceeds(dg, dh, k), 1))", "0",
+        self_check_counts_violations,
+    ),
+    "cli-main-without-self-check-clause": (
+        cli, "main", "(OSError, ValueError, SelfCheckError)", "(OSError, ValueError)",
+        build_fault_exits_1,
     ),
     "seidel-no-parity-correction": (
         graph, "apsp", "            tr -= odd\n", "", apsp_matches_floyd_warshall,
