@@ -295,9 +295,11 @@ def complete(
 
 def self_check(h: SubgraphState, k: int) -> Graph:
     """H as a Graph, checked through the d_G and repaired d_H that ``complete``
-    left in ``h``, which this takes: SelfCheckError unless every edge of H has
-    d_G = 1, no pair exceeds d_G + k, and a fresh APSP of H equals d_H cell for
-    cell.  d_G is dropped before that APSP, so it runs beside one n x n matrix."""
+    left in ``h``, which this takes (ValueError if there are none): SelfCheckError
+    unless every edge of H has d_G = 1, no pair exceeds d_G + k, and a fresh APSP
+    of H, run after d_G is dropped, equals d_H cell for cell."""
+    if h._distances is None:
+        raise ValueError("h holds no distances from complete: call self_check once after it")
     dg, dh = h._distances
     h._distances = None
     spanner = h.to_graph()

@@ -23,6 +23,7 @@ UNREACHABLE = -1
 #: allocated: a build keeps int16 n x n distance matrices, 128 MiB each here.
 #: A finite distance is at most MAX_NODES - 1, so d(x, a) + 1 + d(b, y) and
 #: d_G + min(k, MAX_NODES) fit int16, and UNREACHABLE read as uint16 exceeds both.
+#: (n + 3)**2 / 8 < 2**24 keeps ``apsp``'s float32 products exact: n <= 11,582.
 MAX_NODES = 1 << 13
 
 #: Largest additive constant k accepted.  The pair rule clamps k to MAX_NODES,
@@ -409,12 +410,6 @@ NAMED_FAMILIES = ("path", "cycle", "complete", "star", "grid")
 _BLOCK_ROWS = 1024
 
 
-def _exact_float(bound: int) -> type:
-    """The float type that holds every integer 0..bound exactly: float32 below
-    2**24 (a 24-bit significand), else float64."""
-    return np.float32 if bound < 1 << 24 else np.float64
-
-
 def apsp(g: Graph) -> DistanceMatrix:
     """All-pairs hop distances: ``dist[u]`` is the hop-distance row of u.
 
@@ -432,6 +427,14 @@ def apsp(g: Graph) -> DistanceMatrix:
     2t - A_j, elementwise, with no product.  A pair of different components
     keeps t = 0, as does the diagonal.
 
+    Every product is float32, exact while its partial sums are integers below
+    2**24.  Going up they are at most n.  Going down, a shortest x-y path of
+    A_j, of length d, has d - 1 nodes outside N_j(y) and y, so d + D <= n for
+    D = deg_j(y); with t = ceil(d / 2), each w in N_j(y) has t[x, w] <= t + 1,
+    so the partial sums of (t (A_j - D_j))[x, y] lie in [-D t, D (t + 1)],
+    within D (n - D + 3) / 2 <= (n + 3)**2 / 8: 8,394,753 at n = MAX_NODES.
+    Other components sum to 0, and the diagonal to D.
+
     ``dist`` is a C-contiguous int16 matrix, exact since t is at most
     n - 1 < MAX_NODES."""
     n = g.n
@@ -440,9 +443,8 @@ def apsp(g: Graph) -> DistanceMatrix:
     b = a > 0
     levels = [np.packbits(b, axis=1)]
     pairs = g.indices.size
-    # a, b and one block of products are reused at every level, and no view of
-    # them is kept: a fresh n x n temporary per level let the allocator hand it
-    # back and fault it in again
+    # a, b and the product block are reused at every level, and no view of them is
+    # kept: a fresh n x n temporary per level was handed back and faulted in again
     prod = np.empty((min(n, _BLOCK_ROWS), n), dtype=np.float32)
     while 0 < pairs < n * (n - 1):
         for r in range(0, n, _BLOCK_ROWS):
@@ -458,17 +460,13 @@ def apsp(g: Graph) -> DistanceMatrix:
         a[...] = b
         pairs = count
     del b
-    down = _exact_float((n - 1) ** 2)  # t . A sums at most n - 1 values of t below n
-    if down is not np.float32:
-        a, prod = np.empty(a.shape, dtype=down), np.empty(prod.shape, dtype=down)
-    t = np.unpackbits(levels.pop(), axis=1, count=n).astype(down)
+    t = np.unpackbits(levels.pop(), axis=1, count=n).astype(np.float32)
     if levels:
         t *= 2
         a[...] = np.unpackbits(levels.pop(), axis=1, count=n)
         t -= a
     while levels:
-        # A_j - D_j: every partial sum of t . a is an integer of magnitude at most
-        # (n - 1)**2, so ``down`` holds it exactly
+        # A_j - D_j: float32 holds every partial sum of t . a (see above)
         a[...] = np.unpackbits(levels.pop(), axis=1, count=n)
         np.fill_diagonal(a, -a.sum(axis=1))
         for r in range(0, n, _BLOCK_ROWS):
@@ -478,7 +476,6 @@ def apsp(g: Graph) -> DistanceMatrix:
             tr -= odd
     del a, prod
     dist = t.astype(np.int16)
-    del t
     dist[dist == 0] = UNREACHABLE
     np.fill_diagonal(dist, 0)
     return DistanceMatrix(n, dist)

@@ -15,6 +15,7 @@ from addspan import (
     gen_gnp,
     gen_named,
 )
+from addspan.engine import self_check
 from addspan.graph import insert_edge
 
 GNP_PS = (0.1, 0.3, 0.5, 0.9)
@@ -50,6 +51,15 @@ def stale_insert_edge(dist, a, b):
 def random_tree(n: int, seed: int) -> Graph:
     rng = random.Random(seed)
     return Graph.from_edges(n, ((rng.randrange(i), i) for i in range(1, n)))
+
+
+def broom(n: int, leaves: int) -> Graph:
+    """A path 0..h ending in the hub h = n - leaves - 1, whose ``leaves``
+    leaves take the ids above it.  With about n / 2 leaves it makes the
+    largest partial sums of ``apsp``'s parity products, near (n + 3)**2 / 8."""
+    hub = n - leaves - 1
+    path = ((i, i + 1) for i in range(hub))
+    return Graph.from_edges(n, itertools.chain(path, ((hub, v) for v in range(hub + 1, n))))
 
 
 def clique_chain(t: int, s: int) -> Graph:
@@ -130,10 +140,13 @@ def corpus_graphs() -> list[tuple[str, Graph]]:
 @pytest.fixture(scope="session")
 def built_corpus(corpus_graphs) -> list[BuiltCase]:
     """Both spanner pipelines over the whole corpus; 2-spanner traces carry
-    potentials for the step-law check."""
+    potentials for the step-law check.  Each H passes the build's self-check,
+    which also drops the distances ``complete`` left in it."""
     out = []
     for label, g in corpus_graphs:
         h2, tr2 = build_spanner(g, 2, record_potentials=True)
         h6, tr6 = build_spanner(g, 6)
+        self_check(h2, 2)
+        self_check(h6, 6)
         out.append(BuiltCase(label, g, h2, tr2, h6, tr6))
     return out

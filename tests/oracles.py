@@ -11,6 +11,23 @@ from addspan.engine import CONVENTIONS, potential_from_matrices
 from addspan.graph import exceeds
 
 
+def largest_parity_sum(dist: np.ndarray) -> int:
+    """The largest magnitude that a partial sum of ``apsp``'s parity product
+    t (A_j - D_j) can reach at any level j, in int64, from exact hop distances
+    ``dist``: per cell (x, y), the larger of t summed over y's A_j-neighbors
+    and t[x, y] times y's A_j-degree.  A_j = (0 < d <= 2**j), and
+    t = ceil(d / 2**(j + 1)), 0 where d is 0 or UNREACHABLE."""
+    d = dist.astype(np.int64)
+    finite = d > 0
+    largest, j = 0, 0
+    while 1 << j < d.max(initial=0):
+        a = (finite & (d <= 1 << j)).astype(np.int64)
+        t = np.where(finite, -(-d // (2 << j)), 0)
+        largest = max(largest, int((t @ a).max()), int((t * a.sum(axis=0)).max()))
+        j += 1
+    return largest
+
+
 def naive_neighbors(n: int, edges) -> dict[int, set[int]]:
     """Dict-of-sets adjacency of the simple undirected graph on 0..n-1 with
     the given pairs, in either direction and possibly repeated."""

@@ -421,6 +421,17 @@ class TestHandedBackDistances:
         assert engine.self_check(h, 2) == h.to_graph()
         assert h._distances is None
 
+    def test_self_check_without_complete_raises(self):
+        h = SubgraphState(gen_gnp(30, 0.2, 0))
+        with pytest.raises(ValueError, match="no distances from complete"):
+            engine.self_check(h, 2)
+
+    def test_second_self_check_raises(self):
+        h, _ = build_spanner(gen_named("path", 15), 2)
+        engine.self_check(h, 2)
+        with pytest.raises(ValueError, match="call self_check once after it"):
+            engine.self_check(h, 2)
+
 
 _RUNNING_POTENTIAL_GRAPHS = {
     "gnp-200": gen_gnp(200, 0.05, 1),

@@ -29,9 +29,9 @@ from addspan import (
 from addspan import graph
 from addspan.graph import MAX_NODES, _splitmix64_floats, check_k, insert_edge
 
-from conftest import clique_chain, random_tree
-from oracles import (SplitMix64, floyd_warshall, dist_matrix_to_float, naive_exceeds,
-                     naive_neighbors, parse_outcome)
+from conftest import broom, clique_chain, random_tree
+from oracles import (SplitMix64, floyd_warshall, dist_matrix_to_float, largest_parity_sum,
+                     naive_exceeds, naive_neighbors, parse_outcome)
 
 
 def rect_grid(rows: int, cols: int) -> Graph:
@@ -529,13 +529,27 @@ class TestDistances:
     def test_apsp_matches_scipy(self, label, g):
         assert np.array_equal(apsp(g).dist, scipy_apsp(g))
 
-    def test_apsp_in_small_blocks_and_float64_matches_scipy(self, monkeypatch):
-        # above 4096 nodes Seidel's products span several row blocks and come
-        # down in float64; both are forced here on small graphs
+    def test_apsp_in_small_blocks_matches_scipy(self, monkeypatch):
+        # above 1024 nodes Seidel's products span several row blocks; forced
+        # here on small graphs
         monkeypatch.setattr(graph, "_BLOCK_ROWS", 7)
-        monkeypatch.setattr(graph, "_exact_float", lambda bound: np.float64)
         for label, g in APSP_CASES:
             assert np.array_equal(apsp(g).dist, scipy_apsp(g)), label
+
+    @pytest.mark.parametrize("g", [
+        *(broom(60, leaves) for leaves in range(58)),
+        *(broom(300, leaves) for leaves in (1, 100, 149, 150, 151, 152, 200, 297)),
+        *(gen_gnp(n, p, seed) for n, p, seed in ((60, 0.05, 1), (200, 0.02, 2), (200, 0.1, 3))),
+        gen_named("grid", 12), gen_named("path", 200), gen_named("star", 200),
+        gen_named("cycle", 201), gen_named("complete", 30), clique_chain(12, 5),
+    ])
+    def test_parity_sums_within_bound(self, g):
+        # the bound of apsp's docstring, which keeps its float32 products exact
+        assert largest_parity_sum(scipy_apsp(g)) <= (g.n + 3) ** 2 / 8
+
+    def test_broom_nearly_reaches_parity_bound(self):
+        # the bound is tight, and the oracle above does not pass by reading low
+        assert largest_parity_sum(scipy_apsp(broom(300, 151))) > 0.99 * 303 ** 2 / 8
 
     @pytest.mark.parametrize("g", [gen_named("grid", 20), gen_gnp(400, 0.5, 1)],
                              ids=["grid-20", "gnp-400-0.5"])

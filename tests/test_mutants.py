@@ -1,10 +1,11 @@
-"""Committed mutants: each is a buggy copy of one library function, made by
-replacing one exact snippet of its source, and each names a deterministic
-detector on a small corpus that must fail on the mutant and pass on the
-unmutated code.
+"""Committed mutants: each is a buggy copy of one library function or
+module constant, made by replacing one exact snippet of its source, and each
+names a deterministic detector on a small corpus that must fail on the mutant
+and pass on the unmutated code.
 
-A mutant is compiled from ``inspect.getsource`` of the target in a copy of
-its defining module's globals, then patched into every namespace of the
+A mutant is compiled from ``inspect.getsource`` of the target, or of a
+constant's one assignment line, in a copy of its defining module's globals,
+then patched into every namespace of the
 package bound to the original, the way the benchmark's tracer swaps names,
 and into the rows of tables that hold it, such as ``engine.CONVENTIONS``.
 The snippet must occur exactly once, so a rewrite of a target has to update
@@ -64,9 +65,14 @@ def install(monkeypatch, owner, name: str, old: str, new: str) -> None:
     function tables included."""
     original = vars(owner)[name]
     function = getattr(original, "__func__", original)  # a classmethod's function
-    source = textwrap.dedent(inspect.getsource(function))
+    if inspect.isfunction(function):
+        source = textwrap.dedent(inspect.getsource(function))
+        namespace = dict(function.__globals__)
+    else:  # a module constant: its assignment line
+        [source] = [line for line in inspect.getsource(owner).splitlines()
+                    if line.startswith(f"{name} = ")]
+        namespace = dict(vars(owner))
     assert source.count(old) == 1, f"snippet of the {name} mutant is not in its source once"
-    namespace = dict(function.__globals__)
     code = compile(source.replace(old, new), f"<mutant of {name}>", "exec",
                    flags=__future__.annotations.compiler_flag, dont_inherit=True)
     exec(code, namespace)
@@ -123,10 +129,10 @@ def apsp_matches_floyd_warshall() -> None:
         assert dist_matrix_to_float(graph.apsp(g).dist) == floyd_warshall(g)
 
 
-def exact_float_boundary() -> None:
-    """float32 holds the integers below 2**24 exactly and no bound from there."""
-    assert graph._exact_float((1 << 24) - 1) is np.float32
-    assert graph._exact_float(1 << 24) is np.float64
+def max_nodes_keeps_parity_sums_in_float32() -> None:
+    """apsp's float32 parity products are exact while (n + 3)**2 / 8 < 2**24
+    (see its docstring), so raising MAX_NODES past 11,582 fails this."""
+    assert (graph.MAX_NODES + 3) ** 2 / 8 < 1 << 24
 
 
 def from_edges_matches_naive_neighbors() -> None:
@@ -445,9 +451,9 @@ MUTANTS = {
     "seidel-diagonal-kept": (
         graph, "apsp", "        np.fill_diagonal(b, False)\n", "", apsp_matches_floyd_warshall,
     ),
-    "exact_float-always-float32": (
-        graph, "_exact_float", "np.float32 if bound < 1 << 24 else np.float64", "np.float32",
-        exact_float_boundary,
+    # 16,384 nodes would let a parity sum reach 2**24, where float32 rounds
+    "max-nodes-2**14": (
+        graph, "MAX_NODES", "1 << 13", "1 << 14", max_nodes_keeps_parity_sums_in_float32,
     ),
     "regular-no-two-per-line-check": (
         graph, "_regular_edges",
