@@ -156,39 +156,36 @@ def seed_degree_capped(g: Graph, cap: int) -> SubgraphState:
     return h
 
 
-def potential_from_matrices(dg: np.ndarray, dh: np.ndarray, slack: int) -> int:
-    """Sum over unordered distinct pairs of max(0, d_G - d_H + slack); pairs
-    unreachable in either graph contribute 0.  ``slack`` must be >= 0."""
-    # in int64, since slack is up to MAX_K - 1: one temporary, updated in place
-    vals = dg.astype(np.int64)
-    vals -= dh
-    vals += slack
-    np.maximum(vals, 0, out=vals)
-    vals[(dg == UNREACHABLE) | (dh == UNREACHABLE)] = 0
-    # each diagonal entry holds slack and every pair is counted twice
-    return (int(vals.sum()) - dg.shape[0] * slack) // 2
-
-
 def potential_change(dg: np.ndarray, cells: tuple, slack: int) -> int:
-    """Change of the potential when ``insert_edge`` repaired ``cells``, its
-    (x, y, old, new) arrays: each changed unordered pair appears there once,
-    so its mirror cell is not counted again.
+    """Change of the potential when the d_H cells (x, y) go from ``old`` to
+    ``new``, as ``insert_edge`` returns ``cells``: each changed unordered pair
+    appears there once, so its mirror cell is not counted again.  H must be a
+    subgraph of G, so G connects every pair with a finite d_H.
 
-    A changed pair has a finite new d_H, so G connects it.  With L = d_G + slack
-    and d_H read as uint16, where UNREACHABLE is above every L, its term is
-    L - min(d_H, L), and the change is the sum of min(old, L) - min(new, L).
-    L is the pair rule's ``_pair_limit`` at k = slack, which caps slack at
-    MAX_NODES.  The cap takes slack - MAX_NODES off every finite term and
-    nothing off an UNREACHABLE one, so each UNREACHABLE old value adds that
-    much back."""
+    With L = d_G + slack and d_H read as uint16, where UNREACHABLE is above
+    every L, a pair's term is L - min(d_H, L), and the change is the sum of
+    min(old, L) - min(new, L).  L is the pair rule's ``_pair_limit`` at
+    k = slack, which caps slack at MAX_NODES.  The cap takes slack - MAX_NODES
+    off every finite term and nothing off an UNREACHABLE one, so that much is
+    added per finite new value and taken off per finite old one."""
     x, y, old, new = cells
     limit = _pair_limit(dg[x, y], slack)
     gain = np.minimum(old.view(np.uint16), limit)
-    gain -= np.minimum(new.view(np.uint16), limit)  # new < old: no wrap
+    gain -= np.minimum(new.view(np.uint16), limit)  # new <= old: no wrap
     change = int(gain.sum())
     if slack > MAX_NODES:
-        change += (slack - MAX_NODES) * int(np.count_nonzero(old == UNREACHABLE))
+        change += (slack - MAX_NODES) * (
+            np.count_nonzero(new != UNREACHABLE) - np.count_nonzero(old != UNREACHABLE))
     return change
+
+
+def potential_from_matrices(dg: np.ndarray, dh: np.ndarray, slack: int) -> int:
+    """Sum over unordered distinct pairs of max(0, d_G - d_H + slack), 0 where H
+    does not connect the pair, for slack >= 0 and H a subgraph of G: the change
+    from every cell UNREACHABLE, which connects no pair and sums to 0, to ``dh``,
+    less the slack each diagonal cell adds, halved since each pair counts twice."""
+    every_cell = (slice(None), slice(None), np.int16(UNREACHABLE), dh)
+    return (potential_change(dg, every_cell, slack) - dg.shape[0] * slack) // 2
 
 
 def cost_edges(h: SubgraphState) -> int:

@@ -27,8 +27,8 @@ UNREACHABLE = -1
 MAX_NODES = 1 << 13
 
 #: Largest additive constant k accepted.  The pair rule clamps k to MAX_NODES,
-#: which gives the same answers; the potential sum (n^2 terms of at most
-#: n + k + 1 each) is formed in int64, where it fits.
+#: which gives the same answers; the potential (n^2 / 2 terms of at most n + k
+#: each) fits int64, and its sum adds back what the clamp takes off.
 MAX_K = 2 ** 31 - 1
 
 Edge = tuple[int, int]
@@ -459,15 +459,17 @@ def apsp(g: Graph) -> DistanceMatrix:
         levels.append(np.packbits(b, axis=1))
         a[...] = b
         pairs = count
-    del b
-    t = np.unpackbits(levels.pop(), axis=1, count=n).astype(np.float32)
-    if levels:
-        t *= 2
-        a[...] = np.unpackbits(levels.pop(), axis=1, count=n)
-        t -= a
-    while levels:
+    del b, levels[-1]
+    t = a.copy()  # the top level, which the squaring leaves in a
+    for step in range(len(levels)):
+        packed = levels.pop()
+        for r in range(0, n, _BLOCK_ROWS):  # in row blocks: no n x n uint8 temporary
+            a[r:r + _BLOCK_ROWS] = np.unpackbits(packed[r:r + _BLOCK_ROWS], axis=1, count=n)
+        if step == 0:  # the top level is 0/1: 2t - A_j, with no product (see above)
+            t *= 2
+            t -= a
+            continue
         # A_j - D_j: float32 holds every partial sum of t . a (see above)
-        a[...] = np.unpackbits(levels.pop(), axis=1, count=n)
         np.fill_diagonal(a, -a.sum(axis=1))
         for r in range(0, n, _BLOCK_ROWS):
             tr = t[r:r + _BLOCK_ROWS]  # a view: t . A reads only these rows of t

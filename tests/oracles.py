@@ -7,7 +7,7 @@ import random
 import numpy as np
 
 from addspan import UNREACHABLE, Graph, SubgraphState, apsp, verify_spanner
-from addspan.engine import CONVENTIONS, potential_from_matrices
+from addspan.engine import CONVENTIONS
 from addspan.graph import exceeds
 
 
@@ -79,10 +79,11 @@ class SplitMix64:
 
 
 def potential_v(g: Graph, h: SubgraphState, slack: int) -> int:
-    """Potential of H against its host (see ``potential_from_matrices``)."""
+    """Potential of H against its host, the int64 pairwise sum of
+    ``potential_triu``, which shares no code with the engine's."""
     if slack < 0:
         raise ValueError("slack must be non-negative")
-    return potential_from_matrices(apsp(g).dist, apsp(h.to_graph()).dist, slack)
+    return potential_triu(apsp(g).dist, apsp(h.to_graph()).dist, slack)
 
 
 def potential_triu(dg: np.ndarray, dh: np.ndarray, slack: int) -> int:
@@ -236,13 +237,14 @@ def random_order_step_law(g: Graph, rng: random.Random) -> list[int]:
     APSP of H after every insertion.  Asserts at each step that the pair
     violates by the rule written out and that the path is a shortest G-path,
     and at the end that H is a valid 2-spanner.  Returns the per-step change
-    of cost - 12 * potential under the library's ``CONVENTIONS[2]``."""
+    of cost - 12 * potential under the library's ``CONVENTIONS[2]``, the
+    potential summed by ``potential_triu``, apart from the engine's sum."""
     slack, cost = CONVENTIONS[2]
     neighbors = naive_neighbors(g.n, g.sorted_edges())
     dg = apsp(g).dist
     h = SubgraphState(g)
     dh = apsp(h.to_graph()).dist
-    before = cost(h) - 12 * potential_from_matrices(dg, dh, slack)
+    before = cost(h) - 12 * potential_triu(dg, dh, slack)
     deltas = []
     while (pairs := np.argwhere(np.triu(exceeds(dg, dh, 2), 1))).size:
         u, v = (int(x) for x in rng.choice(pairs))
@@ -256,7 +258,7 @@ def random_order_step_law(g: Graph, rng: random.Random) -> list[int]:
         for a, b in zip(nodes, nodes[1:]):
             h.add_edge(a, b)
         dh = apsp(h.to_graph()).dist
-        after = cost(h) - 12 * potential_from_matrices(dg, dh, slack)
+        after = cost(h) - 12 * potential_triu(dg, dh, slack)
         deltas.append(after - before)
         before = after
     assert verify_spanner(g, h.to_graph(), 2) == []

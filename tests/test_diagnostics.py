@@ -23,7 +23,7 @@ from addspan import (
     verify_spanner,
 )
 from addspan.engine import potential_from_matrices
-from addspan.graph import MAX_K
+from addspan.graph import MAX_K, MAX_NODES
 
 from conftest import (clique_chain, gnp_corpus_params, leafed_core, named_corpus_graphs,
                       projective_plane_incidence)
@@ -144,12 +144,13 @@ class TestPotential:
     @given(
         st.builds(gen_gnp, st.integers(0, 12), st.sampled_from((0.1, 0.3, 0.7)),
                   st.integers(0, 2 ** 32)),
-        st.sampled_from((0, 1, 3, 5, 9)),
+        st.sampled_from((0, 1, 3, 5, 9, MAX_NODES - 1, MAX_NODES, MAX_NODES + 1, MAX_K - 1)),
         st.data(),
     )
     @settings(max_examples=80)
     def test_full_matrix_sum_matches_pairwise(self, g, slack, data):
-        # sparse G and random subsets H cover pairs unreachable in one or both
+        # sparse G and random subsets H cover pairs unreachable in one or both; a slack
+        # above MAX_NODES reaches potential_change's rest above the pair rule's cap
         edges = g.sorted_edges()
         h = data.draw(st.lists(st.sampled_from(edges), unique=True)) if edges else []
         dg, dh = apsp(g).dist, apsp(Graph.from_edges(g.n, h)).dist

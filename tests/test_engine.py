@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -451,8 +452,8 @@ class TestRunningPotential:
     def test_equals_full_recompute(self, name, k):
         g = _RUNNING_POTENTIAL_GRAPHS[name]
         # each potential snapshot, a running sum over the repaired cells, must equal the
-        # O(n^2) sum over a fresh APSP of that step's H, and each cost must equal the one
-        # counted off H's replayed edge set, which shares no code with SubgraphState
+        # int64 pairwise sum over a fresh APSP of that step's H, and each cost must equal
+        # the one counted off H's replayed edge set: neither shares code with the engine
         slack = {2: 3, 6: 5}.get(k, max(k - 1, 0))
         edges = capped_seed(g, default_cap(g.n) if k == 6 else 0)  # the pipeline's seed
         _, trace = build_spanner(g, k, record_potentials=True)
@@ -463,7 +464,7 @@ class TestRunningPotential:
             h = Graph.from_edges(g.n, sorted(edges))
             deg = np.diff(h.indptr)
             cost = int((deg ** 2).sum()) if k == 2 else h.edge_count
-            return potential_from_matrices(dg, apsp(h).dist, slack), cost
+            return potential_triu(dg, apsp(h).dist, slack), cost
 
         v, c = snapshot()
         for s in trace.steps:
@@ -486,6 +487,22 @@ class TestRunningPotential:
         change = engine.potential_change(dg, cells, slack)
         assert before + change == potential_from_matrices(dg, dh, slack) == \
             potential_triu(dg, dh, slack)
+
+    def test_full_sum_peak_memory(self):
+        # the pair limit, the gain and one uint16 temporary: 6 bytes per cell, where
+        # the int64 difference with its UNREACHABLE mask took 10
+        n = 1024
+        g = gen_gnp(n, 4 / n, 1)  # a third of H's pairs are UNREACHABLE
+        dg, dh = apsp(g).dist, apsp(Graph.from_edges(n, g.sorted_edges()[::2])).dist
+        for slack in (3, MAX_K - 1):  # the second also counts the finite cells
+            potential_from_matrices(dg, dh, slack)  # numpy's one-time set-up stays out
+            tracemalloc.start()
+            try:
+                potential_from_matrices(dg, dh, slack)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 6 * n * n + (64 << 10), slack  # and one reduction buffer at most
 
     def test_one_full_potential_sum_per_build(self, monkeypatch):
         # every later snapshot comes from the repaired cells, not an n x n sum

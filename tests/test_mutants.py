@@ -391,19 +391,22 @@ MUTANTS = {
         graph.Graph, "from_edges", "np.diff(codes, prepend=-1) != 0",
         "np.diff(codes, prepend=-1) >= 0", from_edges_matches_naive_neighbors,
     ),
-    "potential-no-unreachable-zeroing": (
-        engine, "potential_from_matrices",
-        "    vals[(dg == UNREACHABLE) | (dh == UNREACHABLE)] = 0\n", "",
-        complete_matches_reference,
+    # the full sum from d_H = 0 in every cell: each UNREACHABLE cell's uint16 gain wraps
+    "potential-start-at-zero": (
+        engine, "potential_from_matrices", "np.int16(UNREACHABLE), dh)", "np.int16(0), dh)",
+        potential_matches_full_sums,
     ),
     "potential-no-diagonal-correction": (
         engine, "potential_from_matrices", " - dg.shape[0] * slack", "",
         complete_matches_reference,
     ),
-    # d_G - d_H + slack in int16: numpy 2 refuses a slack beyond int16, numpy 1 wraps it
-    "potential-slack-formed-in-int16": (
-        engine, "potential_from_matrices", "vals = dg.astype(np.int64)\n    vals -= dh\n",
-        "vals = dg - dh\n", potential_matches_full_sums,
+    # right for a repair, whose new cells are all finite, but the full sum, from a
+    # scalar UNREACHABLE old, then adds back slack - MAX_NODES once, not per finite d_H
+    "potential-rest-counts-unreachable-old": (
+        engine, "potential_change",
+        "(\n            np.count_nonzero(new != UNREACHABLE)"
+        " - np.count_nonzero(old != UNREACHABLE))",
+        "np.count_nonzero(old == UNREACHABLE)", potential_matches_full_sums,
     ),
     "seed_degree_capped-one-more": (
         engine, "seed_degree_capped", "min(cap, n)", "min(cap + 1, n)", seed_matches_capped_seed,
@@ -413,11 +416,11 @@ MUTANTS = {
         seed_matches_capped_seed,
     ),
     "seidel-free-step-without-a_j": (
-        graph, "apsp", "        t -= a\n", "",
+        graph, "apsp", "            t -= a\n", "",
         apsp_matches_floyd_warshall,
     ),
     "seidel-free-step-subtracts-top": (
-        graph, "apsp", "        t -= a\n", "        t -= t > 0\n",
+        graph, "apsp", "            t -= a\n", "            t -= t > 0\n",
         apsp_matches_floyd_warshall,
     ),
     "complete-writes-dg": (
