@@ -56,12 +56,14 @@ class SubgraphState:
 
     def _slot(self, u: int, v: int) -> int:
         """Index of v in the row of u in ``host.indices``, or -1 if (u, v) is
-        not a host edge.  Called twice per ``add_edge`` only."""
+        not a host edge: a bisection of the row through memoryviews, which
+        read Python ints with no copy.  Called twice per ``add_edge`` only."""
         if not 0 <= u < self.host.n:  # a negative u would pick a row from the end
             return -1
-        row = self.host.adjacency[u]
-        i = bisect_left(row, v)
-        return int(self.host.indptr[u]) + i if i < len(row) and row[i] == v else -1
+        ptr, indices = memoryview(self.host.indptr), memoryview(self.host.indices)
+        end = ptr[u + 1]
+        i = bisect_left(indices, v, ptr[u], end)
+        return i if i < end and indices[i] == v else -1
 
     def edges(self) -> frozenset[Edge]:
         return frozenset(self.to_graph().sorted_edges())

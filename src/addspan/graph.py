@@ -77,10 +77,9 @@ class Graph:
     """Simple undirected unweighted graph in CSR form.
 
     The neighbors of node v are ``indices[indptr[v]:indptr[v + 1]]``, sorted
-    ascending.  ``sorted_edges()`` (pairs u < v) and ``adjacency`` (the rows
-    as tuples of Python ints) are views derived from the arrays.  Nothing
-    writes the arrays after construction, so instances are safe for
-    concurrent reads.
+    ascending; the arrays are the only copy of the graph, and ``sorted_edges()``
+    (pairs u < v) is derived from them.  Nothing writes the arrays after
+    construction, so instances are safe for concurrent reads.
     """
 
     n: int
@@ -132,11 +131,6 @@ class Graph:
         src = np.repeat(np.arange(self.n), np.diff(self.indptr))
         keep = src < self.indices
         return list(zip(src[keep].tolist(), self.indices[keep].tolist()))
-
-    @cached_property
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        ptr, flat = self.indptr.tolist(), self.indices.tolist()
-        return tuple(tuple(flat[ptr[v]:ptr[v + 1]]) for v in range(self.n))
 
     @cached_property
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
@@ -578,20 +572,22 @@ def shortest_path(g: Graph, u: int, v: int, distances: np.ndarray) -> Path:
     node, the lowest-id neighbor on the previous level.  Equivalently the
     path is reconstructed backwards from v choosing the smallest predecessor
     at each hop.  ``distances`` is the hop-distance row of u,
-    ``apsp(g).dist[u]``.
+    ``apsp(g).dist[u]``.  The walk reads the CSR rows and ``distances``
+    through memoryviews, which give Python ints with no copy.
     """
     for x in (u, v):
         if not 0 <= x < g.n:
             raise ValueError(f"node {x} out of range 0..{g.n - 1}")
-    if distances[v] == UNREACHABLE:
+    ptr, indices, dist = memoryview(g.indptr), memoryview(g.indices), memoryview(distances)
+    if dist[v] == UNREACHABLE:
         raise NoPathError(f"no path from {u} to {v}")
     nodes = [v]
-    cur, d = v, int(distances[v])
+    cur, d = v, dist[v]
     while d > 0:
-        for x in g.adjacency[cur]:
-            if distances[x] == d - 1:
+        d -= 1
+        for x in indices[ptr[cur]:ptr[cur + 1]]:
+            if dist[x] == d:
                 cur = x
                 break
         nodes.append(cur)
-        d -= 1
     return Path(tuple(reversed(nodes)))

@@ -161,6 +161,16 @@ def dist_matrix_to_float(dist: np.ndarray) -> list[list[float]]:
     ]
 
 
+def reference_path(neighbors, dg: list[list[float]], u: int, v: int) -> tuple[int, ...]:
+    """The lowest-id shortest u-v path: from v, each hop goes to the lowest-id
+    neighbor one step nearer u.  ``dg`` is ``floyd_warshall``'s, and G must
+    connect u and v."""
+    nodes = [v]
+    while nodes[-1] != u:
+        nodes.append(min(x for x in neighbors[nodes[-1]] if dg[u][x] == dg[u][nodes[-1]] - 1))
+    return tuple(reversed(nodes))
+
+
 def reference_complete(g: Graph, seed_edges, k: int) -> tuple[frozenset, list[tuple]]:
     """Naive completion: one lexicographic pass over pairs u < v, inserting
     the lowest-id shortest G-path whenever d_H(u, v) > d_G(u, v) + k, with a
@@ -205,11 +215,7 @@ def reference_complete(g: Graph, seed_edges, k: int) -> tuple[frozenset, list[tu
         for v in range(u + 1, n):
             if dg[u][v] == math.inf or dh[u][v] <= dg[u][v] + k:
                 continue
-            nodes = [v]
-            while nodes[-1] != u:
-                nodes.append(min(x for x in neighbors[nodes[-1]]
-                                 if dg[u][x] == dg[u][nodes[-1]] - 1))
-            nodes.reverse()
+            nodes = reference_path(neighbors, dg, u, v)
             hops = {(min(a, b), max(a, b)) for a, b in zip(nodes, nodes[1:])}
             new_edges = len(hops - h)
             h |= hops

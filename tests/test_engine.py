@@ -18,6 +18,7 @@ from addspan import (
     gen_gnp,
     gen_named,
     seed_degree_capped,
+    shortest_path,
     verify_spanner,
 )
 from addspan import engine
@@ -66,13 +67,17 @@ class TestSeeds:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_low_degree_nodes_keep_all_edges(self, seed):
-        g = gen_gnp(25, 0.25, seed)
-        cap = default_cap(g.n)
-        h = seed_degree_capped(g, cap)
-        edges = h.edges()
-        for v in range(g.n):
-            if h.deg[v] < cap:
-                assert all((min(v, w), max(v, w)) in edges for w in g.adjacency[v])
+        # each input has nodes of degree 0 or 1: G(25, 0.08), and a core whose
+        # nodes each hold cap = 2 pendant leaves
+        for g in (gen_gnp(25, 0.08, seed), leafed_core(8, 0.5, seed)):
+            cap = default_cap(g.n)
+            h = seed_degree_capped(g, cap)
+            edges = h.edges()
+            low = [v for v in range(g.n) if h.deg[v] < cap]
+            assert any(g.indptr[v] < g.indptr[v + 1] for v in low)  # a node with edges is checked
+            for v in low:
+                row = g.indices[g.indptr[v]:g.indptr[v + 1]].tolist()
+                assert all((min(v, w), max(v, w)) in edges for w in row)
 
     @given(completion_graphs)
     @settings(max_examples=80, deadline=None)
@@ -143,6 +148,26 @@ class TestSubgraphState:
         h.add_edge(0, 1)
         h.add_edge(1, 0)
         assert h.deg[0] == 1 and h.deg[1] == 1
+
+    def test_path_and_slot_reads_copy_no_graph(self):
+        # shortest_path and add_edge read the host's CSR arrays in place: no per-row
+        # tuples of Python ints (4 MiB here), and nothing cached on the graph
+        g = gen_gnp(1024, 0.1, 1)
+        dist = apsp(g).dist[0]
+        h = SubgraphState(g)
+        tracemalloc.start()
+        try:
+            path = shortest_path(g, 0, g.n - 1, dist)
+            h.add_edge(*path.nodes[:2])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 10
+        small = gen_gnp(128, 0.1, 1)
+        h, trace = build_spanner(small, 2)
+        assert trace.steps
+        engine.self_check(h, 2)
+        assert vars(small).keys() == {"n", "indptr", "indices"}
 
     def test_bfs_row_respects_subset(self):
         g = gen_named("path", 4)

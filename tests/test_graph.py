@@ -380,14 +380,15 @@ class TestGraphInvariants:
         n, pairs = case
         g = Graph.from_edges(n, EDGE_FORMS[form](pairs))
         neighbors = naive_neighbors(n, pairs)
-        adjacency = tuple(tuple(sorted(neighbors[v])) for v in range(n))
-        assert g.adjacency == adjacency
-        assert g.sorted_edges() == sorted((v, w) for v in range(n) for w in neighbors[v] if v < w)
-        views = [*itertools.chain(*g.adjacency), *itertools.chain(*g.sorted_edges())]
-        assert all(type(x) is int for x in views)
-        indptr = [0, *itertools.accumulate(len(a) for a in adjacency)]
-        indices = list(itertools.chain(*adjacency))
+        rows = [sorted(neighbors[v]) for v in range(n)]
+        indptr = [0, *itertools.accumulate(len(row) for row in rows)]
+        indices = list(itertools.chain(*rows))
         assert [g.indptr.tolist(), g.indices.tolist()] == [indptr, indices]
+        assert g.sorted_edges() == sorted((v, w) for v in range(n) for w in neighbors[v] if v < w)
+        # the path walk and the slot lookup read the rows through memoryviews
+        views = [*memoryview(g.indptr), *memoryview(g.indices),
+                 *itertools.chain(*g.sorted_edges())]
+        assert all(type(x) is int for x in views)
         assert g.edge_count == len(g.sorted_edges())
         assert g == Graph(n, np.array(indptr, dtype=np.int64), np.array(indices, dtype=np.int64))
         assert g.indptr.dtype == g.indices.dtype == np.int64  # also with no edges

@@ -22,6 +22,8 @@ import __future__
 import contextlib
 import inspect
 import io
+import itertools
+import math
 import tempfile
 import textwrap
 from pathlib import Path
@@ -35,7 +37,7 @@ from addspan import cli, diagnostics, engine, gen_gnp, gen_named, graph, sweep
 from conftest import clique_chain, stale_insert_edge
 from oracles import (capped_seed, dist_matrix_to_float, floyd_warshall, naive_exceeds,
                      naive_neighbors, parse_outcome, potential_triu, reference_complete,
-                     reference_rows)
+                     reference_path, reference_rows)
 
 NAMESPACES = (graph, graph.Graph, engine, engine.SubgraphState, diagnostics, sweep, cli, addspan)
 
@@ -136,12 +138,14 @@ def max_nodes_keeps_parity_sums_in_float32() -> None:
 
 
 def from_edges_matches_naive_neighbors() -> None:
-    """Repeated and reversed pairs collapse to the dict-of-sets adjacency."""
+    """Repeated and reversed pairs collapse to the dict-of-sets adjacency:
+    each CSR row holds its node's neighbors once, ascending."""
     for g in CORPUS:
         pairs = [*g.sorted_edges(), *((v, u) for u, v in g.sorted_edges()), *g.sorted_edges()[:3]]
         neighbors = naive_neighbors(g.n, pairs)
-        adjacency = graph.Graph.from_edges(g.n, pairs).adjacency
-        assert adjacency == tuple(tuple(sorted(neighbors[v])) for v in range(g.n))
+        built = graph.Graph.from_edges(g.n, pairs)
+        rows = [built.indices[built.indptr[v]:built.indptr[v + 1]].tolist() for v in range(g.n)]
+        assert rows == [sorted(neighbors[v]) for v in range(g.n)]
 
 
 def host_is_exact_0_spanner() -> None:
@@ -228,6 +232,32 @@ def complete_matches_reference() -> None:
             h, trace = engine.complete(g, seed, k, record_potentials=True)
             assert h.edges() == ref_edges
             assert reference_rows(trace) == ref_steps
+
+
+def add_edge_rejects_non_host_edges() -> None:
+    """``add_edge`` raises ValueError on every pair that is not a host edge,
+    first on a graph whose row 0 is followed by a row that starts with 3."""
+    for g in (graph.Graph.from_edges(4, [(0, 2), (1, 3)]), *CORPUS):
+        edges = set(g.sorted_edges())
+        for u, v in itertools.combinations(range(g.n), 2):
+            if (u, v) in edges:
+                continue
+            try:
+                engine.SubgraphState(g).add_edge(u, v)
+            except ValueError:
+                continue
+            raise AssertionError(f"({u}, {v}) is no host edge but add_edge took it")
+
+
+def shortest_path_matches_reference() -> None:
+    """Every connected pair's path is the naive lowest-id shortest path."""
+    for g in CORPUS:
+        neighbors, dg = naive_neighbors(g.n, g.sorted_edges()), floyd_warshall(g)
+        dist = graph.apsp(g).dist
+        for u, v in itertools.product(range(g.n), repeat=2):
+            if dg[u][v] != math.inf:
+                path = graph.shortest_path(g, u, v, dist[u])
+                assert path.nodes == reference_path(neighbors, dg, u, v)
 
 
 def stale_repair_raises() -> None:
@@ -384,8 +414,16 @@ MUTANTS = {
         exceeds_matches_naive_rule,
     ),
     "shortest_path-highest-predecessor": (
-        graph, "shortest_path", "for x in g.adjacency[cur]:",
-        "for x in reversed(g.adjacency[cur]):", complete_matches_reference,
+        graph, "shortest_path", "indices[ptr[cur]:ptr[cur + 1]]:",
+        "indices[ptr[cur]:ptr[cur + 1]][::-1]:", complete_matches_reference,
+    ),
+    "shortest_path-same-level": (
+        graph, "shortest_path", "dist[x] == d:", "dist[x] == d + 1:",
+        shortest_path_matches_reference,
+    ),
+    # (0, 3) on edges {(0, 2), (1, 3)}: row 0 ends where row 1 starts with 3
+    "slot-reads-past-row-end": (
+        engine.SubgraphState, "_slot", "i < end", "i <= end", add_edge_rejects_non_host_edges,
     ),
     "from_edges-dedupe-mask": (
         graph.Graph, "from_edges", "np.diff(codes, prepend=-1) != 0",
