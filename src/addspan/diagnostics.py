@@ -35,7 +35,9 @@ def verify_spanner(g: Graph, h: Graph, k: int) -> list[Violation]:
     """Exact check that H is an additive k-spanner of G via full APSP on both
     graphs: ValueError unless H is a subgraph of G (H may lack trailing
     isolated nodes of G), else the pairs with d_H(u, v) > d_G(u, v) + k, empty
-    when H is valid.  Pairs disconnected in G are skipped; k lies in 0..MAX_K."""
+    when H is valid.  Pairs disconnected in G are skipped; k lies in 0..MAX_K.
+    Both APSPs stay: unlike the build's self-check, which certifies the d_H
+    that ``complete`` repaired, this has no d_H to certify."""
     check_k(k)
     dg = apsp(g).dist if h.n <= g.n else None  # no APSP for an H on more nodes
     if dg is None or not _is_subgraph(dg, h):

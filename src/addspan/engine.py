@@ -21,6 +21,7 @@ from .graph import (
     Graph,
     Path,
     _index,
+    _is_hop_distance,
     _is_subgraph,
     _pair_limit,
     apsp,
@@ -54,13 +55,13 @@ class SubgraphState:
     def edge_count(self) -> int:
         return int(self.deg.sum()) // 2
 
-    def _slot(self, u: int, v: int) -> int:
+    def _slot(self, ptr: memoryview, indices: memoryview, u: int, v: int) -> int:
         """Index of v in the row of u in ``host.indices``, or -1 if (u, v) is
-        not a host edge: a bisection of the row through memoryviews, which
-        read Python ints with no copy.  Called twice per ``add_edge`` only."""
+        not a host edge: a bisection of the row through memoryviews of the
+        host's ``indptr`` and ``indices``, which read Python ints with no copy.
+        Called twice per ``add_edge`` only, which makes the views once."""
         if not 0 <= u < self.host.n:  # a negative u would pick a row from the end
             return -1
-        ptr, indices = memoryview(self.host.indptr), memoryview(self.host.indices)
         end = ptr[u + 1]
         i = bisect_left(indices, v, ptr[u], end)
         return i if i < end and indices[i] == v else -1
@@ -70,11 +71,12 @@ class SubgraphState:
 
     def add_edge(self, u: int, v: int) -> None:
         """Insert a host edge into H; an edge already in H is left as it is."""
-        i = self._slot(u, v)
+        ptr, indices = memoryview(self.host.indptr), memoryview(self.host.indices)
+        i = self._slot(ptr, indices, u, v)
         if i < 0:
             raise ValueError(f"edge {canonical_edge(u, v)} is not an edge of the host graph")
         if not self._in_h[i]:
-            self._in_h[i] = self._in_h[self._slot(v, u)] = 1
+            self._in_h[i] = self._in_h[self._slot(ptr, indices, v, u)] = 1
             self.deg[u] += 1
             self.deg[v] += 1
 
@@ -295,8 +297,10 @@ def complete(
 def self_check(h: SubgraphState, k: int) -> Graph:
     """H as a Graph, checked through the d_G and repaired d_H that ``complete``
     left in ``h``, which this takes (ValueError if there are none): SelfCheckError
-    unless every edge of H has d_G = 1, no pair exceeds d_G + k, and a fresh APSP
-    of H, run after d_G is dropped, equals d_H cell for cell."""
+    unless every edge of H has d_G = 1, no pair exceeds d_G + k, and d_H is H's
+    hop-distance matrix.  That last check is ``graph._is_hop_distance``, a local
+    certificate in O(m_H n) time and row-block memory, run after d_G is
+    dropped: it certifies the d_H it is handed and runs no APSP of H."""
     if h._distances is None:
         raise ValueError("h holds no distances from complete: call self_check once after it")
     dg, dh = h._distances
@@ -308,10 +312,9 @@ def self_check(h: SubgraphState, k: int) -> Graph:
     del dg
     if violations:
         raise SelfCheckError(f"self-check found {violations} violations")
-    stale = np.count_nonzero(apsp(spanner).dist != dh)
-    if stale:
-        raise SelfCheckError(f"self-check found {stale} cells of the repaired d_H "
-                             "that a fresh APSP of H does not match")
+    if not _is_hop_distance(spanner, dh):
+        raise SelfCheckError("self-check found that the repaired d_H is not the "
+                             "hop-distance matrix of H")
     return spanner
 
 

@@ -400,7 +400,8 @@ NAMED_FAMILIES = ("path", "cycle", "complete", "star", "grid")
 # APSP / deterministic shortest paths
 # ---------------------------------------------------------------------------
 
-#: Rows per block of Seidel's products, which bounds their temporaries.
+#: Rows per block of Seidel's products and of ``_is_hop_distance``, which
+#: bounds their temporaries.
 _BLOCK_ROWS = 1024
 
 
@@ -565,6 +566,49 @@ def _is_subgraph(dg: np.ndarray, h: Graph) -> bool:
     return not (dg[np.repeat(np.arange(h.n), np.diff(h.indptr)), h.indices] != 1).any()
 
 
+def _is_hop_distance(h: Graph, d: np.ndarray) -> bool:
+    """Whether the int16 matrix ``d`` is H's hop-distance matrix, certified
+    column by column in O(m_H n) with no APSP.  Read as uint16, with lo the
+    least d(y, z) over the neighbors y of x (UNREACHABLE if x has none), it is
+    exactly when:
+
+    - the diagonal is 0 and no other cell is 0;
+    - every finite d(x, z) > 0 has lo = d(x, z) - 1;
+    - every UNREACHABLE d(x, z) has lo UNREACHABLE.
+
+    Following lo from a finite d(x, z) walks that many edges down to the one 0
+    of column z, so d(x, z) is at least the distance.  Along a shortest x-z
+    path, each node's d is finite, since its neighbor toward z has a finite d,
+    and at most 1 above that neighbor's, since it is lo + 1; so d(x, z) is at
+    most the distance.  Both ends of an edge hold lo = d - 1, so its two cells
+    are within 1 with no bound on the neighbors' largest d.
+
+    Rows go in blocks of _BLOCK_ROWS in order of falling H-degree, so the rows
+    with a neighbor of rank j are a prefix of their block: one gather and one
+    minimum per rank, and no temporary larger than a block."""
+    n, indptr, indices = h.n, h.indptr, h.indices
+    if d.shape != (n, n) or d.diagonal().any():
+        return False
+    du = _as_uint16(d)
+    deg = np.diff(indptr)
+    order = np.argsort(-deg, kind="stable")
+    zeros = 0
+    for r in range(0, n, _BLOCK_ROWS):
+        rows = order[r:r + _BLOCK_ROWS]
+        rank, start = deg[rows], indptr[rows]
+        lo = np.full((rows.size, n), 0xFFFF, dtype=np.uint16)
+        for j in range(int(rank[0])):
+            c = np.count_nonzero(rank > j)
+            np.minimum(lo[:c], du[indices[start[:c] + j]], out=lo[:c])
+        f = du[rows]
+        zero = f == 0
+        zeros += np.count_nonzero(zero)
+        # f - 1 wraps only at f = 0, which needs nothing of lo
+        if not np.where(f != 0xFFFF, (lo == f - 1) | zero, lo == 0xFFFF).all():
+            return False
+    return zeros == n
+
+
 def shortest_path(g: Graph, u: int, v: int, distances: np.ndarray) -> Path:
     """Deterministic shortest u-v path.
 
@@ -573,7 +617,8 @@ def shortest_path(g: Graph, u: int, v: int, distances: np.ndarray) -> Path:
     path is reconstructed backwards from v choosing the smallest predecessor
     at each hop.  ``distances`` is the hop-distance row of u,
     ``apsp(g).dist[u]``.  The walk reads the CSR rows and ``distances``
-    through memoryviews, which give Python ints with no copy.
+    through memoryviews, which give Python ints with no copy.  A row that is
+    not u's, where some node has no neighbor one level closer, raises ValueError.
     """
     for x in (u, v):
         if not 0 <= x < g.n:
@@ -589,5 +634,8 @@ def shortest_path(g: Graph, u: int, v: int, distances: np.ndarray) -> Path:
             if dist[x] == d:
                 cur = x
                 break
+        else:
+            raise ValueError(f"node {cur} at distance {d + 1} has no neighbor at distance "
+                             f"{d}: the distances are not the row of {u}")
         nodes.append(cur)
     return Path(tuple(reversed(nodes)))

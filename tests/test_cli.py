@@ -168,8 +168,8 @@ class TestBuild:
         out, trace = tmp_path / "sp.txt", tmp_path / "trace.csv"
         assert run(["build", "--input", g, "--k", "2", "--out", str(out),
                     "--trace-out", str(trace)]) == 1
-        assert capsys.readouterr() == ("", "error: self-check found 2 cells of the repaired "
-                                           "d_H that a fresh APSP of H does not match\n")
+        assert capsys.readouterr() == ("", "error: self-check found that the repaired d_H "
+                                           "is not the hop-distance matrix of H\n")
         assert not out.exists() and not trace.exists()
 
     def test_stale_repair_mid_scan_exits_1(self, tmp_path, capsys, monkeypatch):

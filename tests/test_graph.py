@@ -635,6 +635,120 @@ class TestDistances:
         assert np.array_equal(dist, before)
 
 
+def two_source_column(d: np.ndarray, z: int, w: int) -> np.ndarray:
+    """``d`` with column z read as a BFS from both z and w: every local
+    condition of the certificate holds, but the column has two zeros."""
+    e = d.copy()
+    e[:, z] = np.minimum(d[:, z].view(np.uint16), d[:, w].view(np.uint16)).view(np.int16)
+    return e
+
+
+#: the one-cell changes the certificate must reject, as functions of the value
+ONE_CELL_CHANGES = {
+    "plus-one": lambda v: v + 1, "minus-one": lambda v: v - 1, "doubled": lambda v: 2 * v,
+    "unreachable": lambda v: UNREACHABLE, "zero": lambda v: 0,
+}
+
+
+@st.composite
+def certificate_cases(draw):
+    """(H, D): H a union of up to three small graphs, so it may have several
+    components and isolated nodes, and D its hop-distance matrix, either as
+    ``apsp`` gives it or with one corruption."""
+    h = disjoint_union(*draw(st.lists(small_graphs(max_n=6), min_size=1, max_size=3)))
+    d = apsp(h).dist
+    off_diagonal = ~np.eye(h.n, dtype=bool)
+    kind = draw(st.sampled_from(["exact", "one-cell", "unreachable-flip", "two-sources"]))
+    if kind == "exact" or h.n < 2:
+        return h, d
+    if kind == "two-sources":
+        z, w = draw(st.permutations(range(h.n)))[:2]
+        return h, two_source_column(d, z, w)
+    if kind == "one-cell":
+        x, z = draw(st.permutations(range(h.n)))[:2]
+        value = ONE_CELL_CHANGES[draw(st.sampled_from(sorted(ONE_CELL_CHANGES)))](int(d[x, z]))
+    else:  # a connected pair made UNREACHABLE, or a disconnected one given a distance
+        cells = np.argwhere(off_diagonal & ((d == UNREACHABLE) == draw(st.booleans())))
+        if not cells.size:
+            return h, d
+        x, z = cells[draw(st.integers(0, len(cells) - 1))].tolist()
+        value = UNREACHABLE if d[x, z] != UNREACHABLE else draw(st.integers(1, h.n))
+    d[x, z] = value
+    if draw(st.booleans()):  # the mirrored pair
+        d[z, x] = value
+    return h, d
+
+
+class TestHopDistanceCertificate:
+    """``graph._is_hop_distance``, which certifies the build's repaired d_H
+    without an APSP, accepts a matrix exactly when it is ``apsp``'s."""
+
+    @given(certificate_cases())
+    @settings(max_examples=400)
+    @example((Graph.from_edges(0, []), np.zeros((0, 0), dtype=np.int16)))
+    @example((Graph.from_edges(1, []), np.zeros((1, 1), dtype=np.int16)))
+    @example((Graph.from_edges(1, []), np.ones((1, 1), dtype=np.int16)))
+    @example((Graph.from_edges(2, []), np.zeros((2, 2), dtype=np.int16)))
+    # isolated nodes that reach each other
+    @example((Graph.from_edges(2, []), apsp(gen_named("path", 2)).dist))
+    # n zeros, but column 0 reads as the BFS from 1: one 0 off the diagonal
+    @example((gen_named("path", 2), np.array([[1, 1], [0, 0]], dtype=np.int16)))
+    # column 0 reads 0 1 2 1 0, the BFS from both 0 and 4
+    @example((gen_named("path", 5), two_source_column(apsp(gen_named("path", 5)).dist, 0, 4)))
+    # matrices of another size
+    @example((gen_named("path", 4), apsp(gen_named("path", 5)).dist))
+    @example((gen_named("path", 4), apsp(gen_named("path", 4)).dist[:3]))
+    def test_accepts_exactly_the_hop_distances(self, case):
+        h, d = case
+        assert graph._is_hop_distance(h, d) == np.array_equal(d, apsp(h).dist)
+
+    @pytest.mark.parametrize("block_rows", [7, graph._BLOCK_ROWS])
+    def test_accepts_every_apsp_case(self, monkeypatch, block_rows):
+        monkeypatch.setattr(graph, "_BLOCK_ROWS", block_rows)
+        for label, g in APSP_CASES:
+            assert graph._is_hop_distance(g, apsp(g).dist), label
+
+    @pytest.mark.parametrize("block_rows", [3, graph._BLOCK_ROWS])
+    @pytest.mark.parametrize("change", sorted(ONE_CELL_CHANGES))
+    def test_rejects_every_one_cell_change(self, monkeypatch, block_rows, change):
+        # two components, an isolated node between them, and uneven degrees,
+        # so the degree order crosses the blocks of three rows
+        h = disjoint_union(gen_named("star", 4), Graph.from_edges(1, []),
+                           Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)]))
+        monkeypatch.setattr(graph, "_BLOCK_ROWS", block_rows)
+        d = apsp(h).dist
+        for x, z in itertools.permutations(range(h.n), 2):
+            value = ONE_CELL_CHANGES[change](int(d[x, z]))
+            if value == d[x, z]:
+                continue
+            for cells in ([x], [z]), ([x, z], [z, x]):  # one cell, then the mirrored pair
+                e = d.copy()
+                e[cells] = value
+                assert not graph._is_hop_distance(h, e), (x, z, cells)
+
+    @pytest.mark.parametrize("g", [gen_named("grid", 20), gen_gnp(400, 0.5, 1)],
+                             ids=["grid-20", "gnp-400-0.5"])
+    def test_peak_memory_bounded_by_row_blocks(self, monkeypatch, g):
+        # blocks of 40 rows: one more n x n int16 matrix would be 2 n**2 = 320,000 bytes
+        h = seed_degree_capped(g, 3).to_graph()
+        d = apsp(h).dist
+        monkeypatch.setattr(graph, "_BLOCK_ROWS", 40)
+        graph._is_hop_distance(h, d)  # numpy's one-time set-up stays out of the measurement
+        tracemalloc.start()
+        try:
+            assert graph._is_hop_distance(h, d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * 40 * g.n  # 9.6 bytes per block cell measured on both
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint16, np.float64])
+    def test_refuses_other_dtypes(self, dtype):
+        h = gen_named("path", 4)
+        with pytest.raises(ValueError, match="int16"):
+            graph._is_hop_distance(h, apsp(h).dist.astype(dtype))
+
+
 @st.composite
 def pair_rule_cases(draw):
     """(dg, dh, k): a graph's distances and those of a random subgraph, and a
@@ -704,6 +818,18 @@ class TestShortestPath:
     def test_trivial_path(self):
         g = gen_named("path", 3)
         assert shortest_path(g, 1, 1, apsp(g).dist[1]).nodes == (1,)
+
+    @pytest.mark.parametrize("row, message", [
+        ([0, 2, 1], "node 2 at distance 1 has no neighbor at distance 0: "
+                    "the distances are not the row of 0"),
+        ([0, 2, 2], "node 2 at distance 2 has no neighbor at distance 1"),
+    ])
+    def test_row_without_predecessor_raises(self, row, message):
+        # without the check the walk kept node 2 and returned the "path" (2, 2)
+        g = gen_named("path", 3)
+        with pytest.raises(ValueError, match=f"^{message}") as exc:
+            shortest_path(g, 0, 2, np.array(row, dtype=np.int16))
+        assert type(exc.value) is ValueError
 
     @given(small_graphs(), st.integers(0, 9), st.integers(0, 9))
     @settings(max_examples=80)

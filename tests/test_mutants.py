@@ -16,6 +16,10 @@ as a Seidel stop rule that tests only for a complete square, are left out.
 Dropping the ``0 < pairs`` guard of ``apsp``'s squaring is no mutant either:
 the square of an edgeless graph adds no pair, so the loop stops after one
 product with the same answer; the guard only saves that product.
+``_is_hop_distance`` has no upper bound hi <= f + 1 over the neighbors to
+drop: the edges are symmetric, so lo == f - 1 at each end of an edge already
+keeps its two cells within 1, and a certificate with that bound gives the same
+verdict; its ``lo <= f - 1`` mutant is the one that loses the bound.
 """
 import __future__
 
@@ -250,14 +254,42 @@ def add_edge_rejects_non_host_edges() -> None:
 
 
 def shortest_path_matches_reference() -> None:
-    """Every connected pair's path is the naive lowest-id shortest path."""
+    """Every connected pair's path is the naive lowest-id shortest path; a
+    walk that finds no predecessor in u's own row is a defect too."""
     for g in CORPUS:
         neighbors, dg = naive_neighbors(g.n, g.sorted_edges()), floyd_warshall(g)
         dist = graph.apsp(g).dist
         for u, v in itertools.product(range(g.n), repeat=2):
             if dg[u][v] != math.inf:
-                path = graph.shortest_path(g, u, v, dist[u])
+                try:
+                    path = graph.shortest_path(g, u, v, dist[u])
+                except ValueError as exc:
+                    raise AssertionError(f"({u}, {v}): {exc}") from None
                 assert path.nodes == reference_path(neighbors, dg, u, v)
+
+
+def hop_distance_certificate_matches_apsp() -> None:
+    """The certificate accepts a matrix exactly when it is apsp's, on each
+    graph's matrix and these changes of its column 0: one cell one off or
+    UNREACHABLE, and the column read as the BFS from another node (n zeros,
+    one off the diagonal) or from node 0 and another (two zeros)."""
+    for g in CORPUS:
+        d = graph.apsp(g).dist
+        assert graph._is_hop_distance(g, d)
+        changed = []
+        for x in range(1, g.n):
+            for value in (d[x, 0] + 1, d[x, 0] - 1, graph.UNREACHABLE):
+                e = d.copy()
+                e[x, 0] = value
+                changed.append(e)
+            e = d.copy()
+            e[:, 0] = d[:, x]
+            changed.append(e)
+            e = d.copy()
+            e[:, 0] = np.minimum(d[:, 0].view(np.uint16), d[:, x].view(np.uint16)).view(np.int16)
+            changed.append(e)
+        for e in changed:
+            assert graph._is_hop_distance(g, e) == np.array_equal(e, d)
 
 
 def stale_repair_raises() -> None:
@@ -467,8 +499,27 @@ MUTANTS = {
         complete_hands_back_read_only_dg,
     ),
     "self-check-no-fresh-comparison": (
-        engine, "self_check", "np.count_nonzero(apsp(spanner).dist != dh)", "0",
+        engine, "self_check", "not _is_hop_distance(spanner, dh)", "False",
         self_check_catches_stale_repair,
+    ),
+    # a column read as the BFS from two sources holds every local condition
+    "hop-distance-no-zero-count": (
+        graph, "_is_hop_distance", "return zeros == n", "return True",
+        hop_distance_certificate_matches_apsp,
+    ),
+    # a column read as the BFS from another node has n zeros, one off the diagonal
+    "hop-distance-no-diagonal-check": (
+        graph, "_is_hop_distance", " or d.diagonal().any()", "",
+        hop_distance_certificate_matches_apsp,
+    ),
+    # lo == f - 1 is also the upper bound: with <=, a cell may sit any height above
+    "hop-distance-lo-at-most": (
+        graph, "_is_hop_distance", "lo == f - 1", "lo <= f - 1",
+        hop_distance_certificate_matches_apsp,
+    ),
+    "hop-distance-no-unreachable-row": (
+        graph, "_is_hop_distance", "lo == 0xFFFF)", "True)",
+        hop_distance_certificate_matches_apsp,
     ),
     "self-check-no-violation-count": (
         engine, "self_check", "np.count_nonzero(np.triu(exceeds(dg, dh, k), 1))", "0",
