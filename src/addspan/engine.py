@@ -24,12 +24,12 @@ from .graph import (
     _is_hop_distance,
     _is_subgraph,
     _pair_limit,
+    _walk_to_tree,
     apsp,
     canonical_edge,
     check_k,
     exceeds,
     insert_edge,
-    shortest_path,
 )
 
 
@@ -228,7 +228,11 @@ def complete(
     scan resumes after the pair it just repaired, so the loop ends after at
     most n(n-1)/2 steps.  Disconnected pairs of G are skipped (H never
     connects what G does not).  d_H is one APSP of the seed, repaired in
-    place by ``insert_edge`` for every new edge.
+    place by ``insert_edge`` for every new edge.  Each row keeps the tree of
+    the paths it has inserted: a step walks back from v only to the first
+    tree node (``graph._walk_to_tree``), whose path prefix is already in H,
+    and checks and inserts only the hops it walked.  A violating v is never in
+    the tree, so each step walks a new node, and a row at most n - 1 hops.
     Mutates and returns ``h`` together with the step trace.  With
     ``record_potentials`` every step snapshots the potential and cost of
     ``CONVENTIONS``: one O(n^2) potential sum for the seed, then each new
@@ -252,7 +256,10 @@ def complete(
     v_cur = c_cur = None
     if record_potentials:
         v_cur, c_cur = potential_from_matrices(dg, dh, slack), cost(h)
+    ptr, indices = memoryview(g.indptr), memoryview(g.indices)
     for u in range(g.n):
+        # node -> (a path the row inserted, the node's index there), from its first step
+        tree = None
         dg_row, row = dg[u], dh[u]
         # the pair rule of ``exceeds``: row u of d_H, read as uint16, above its limit
         limit, row_u16 = _pair_limit(dg_row, k), row.view(np.uint16)
@@ -262,10 +269,14 @@ def complete(
         while (viol := (row_u16[v + 1:] > limit[v + 1:]).nonzero()[0]).size:
             v += 1 + int(viol[0])
             d_h_before = int(row[v])
-            path = shortest_path(g, u, v, distances=dg_row)
+            tree = tree or {u: ((u,), 0)}
+            # the path up to nodes[start] is in H: only the hops after it are walked
+            nodes, start = _walk_to_tree(ptr, indices, memoryview(dg_row), tree, v)
             v_before, c_before = v_cur, c_cur
             added = 0
-            for a, b in path.hops():
+            for j in range(start + 1, len(nodes)):
+                a, b = nodes[j - 1], nodes[j]
+                tree[b] = nodes, j
                 # the repaired d_H is exact: d_H(a, b) = 1 iff (a, b) is in H
                 if dh[a, b] == 1:
                     continue
@@ -284,7 +295,7 @@ def complete(
                     "its shortest path was inserted: the repaired d_H is stale"
                 )
             steps.append(CompletionStep(
-                pair=(u, v), d_h_before=d_h_before, path=path, new_edges=added,
+                pair=(u, v), d_h_before=d_h_before, path=Path(nodes), new_edges=added,
                 v_before=v_before, v_after=v_cur, c_before=c_before, c_after=c_cur,
             ))
 

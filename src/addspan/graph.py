@@ -609,26 +609,22 @@ def _is_hop_distance(h: Graph, d: np.ndarray) -> bool:
     return zeros == n
 
 
-def shortest_path(g: Graph, u: int, v: int, distances: np.ndarray) -> Path:
-    """Deterministic shortest u-v path.
+def _walk_to_tree(ptr: memoryview, indices: memoryview, dist: memoryview,
+                  tree: dict, v: int) -> tuple[tuple[int, ...], int]:
+    """The deterministic shortest path from the root of ``tree`` to v, and the
+    index in it of the first tree node that the walk back from v reaches.
 
-    Tie-break: level-synchronous BFS from u whose parent rule picks, for each
-    node, the lowest-id neighbor on the previous level.  Equivalently the
-    path is reconstructed backwards from v choosing the smallest predecessor
-    at each hop.  ``distances`` is the hop-distance row of u,
-    ``apsp(g).dist[u]``.  The walk reads the CSR rows and ``distances``
-    through memoryviews, which give Python ints with no copy.  A row that is
-    not u's, where some node has no neighbor one level closer, raises ValueError.
+    ``tree`` maps each node on deterministic paths from its root, the first
+    key, to (one such path's nodes, the node's index there); ``dist`` is the
+    root's hop-distance row.  The path to a node is the path to its
+    lowest-id neighbor one level closer plus one hop, so the walk stops at a
+    tree node and takes its prefix from the tree.  ``ptr`` and ``indices``
+    are the CSR arrays as memoryviews, which read Python ints with no copy.
     """
-    for x in (u, v):
-        if not 0 <= x < g.n:
-            raise ValueError(f"node {x} out of range 0..{g.n - 1}")
-    ptr, indices, dist = memoryview(g.indptr), memoryview(g.indices), memoryview(distances)
-    if dist[v] == UNREACHABLE:
-        raise NoPathError(f"no path from {u} to {v}")
-    nodes = [v]
+    walked = []
     cur, d = v, dist[v]
-    while d > 0:
+    while cur not in tree:
+        walked.append(cur)
         d -= 1
         for x in indices[ptr[cur]:ptr[cur + 1]]:
             if dist[x] == d:
@@ -636,6 +632,33 @@ def shortest_path(g: Graph, u: int, v: int, distances: np.ndarray) -> Path:
                 break
         else:
             raise ValueError(f"node {cur} at distance {d + 1} has no neighbor at distance "
-                             f"{d}: the distances are not the row of {u}")
-        nodes.append(cur)
-    return Path(tuple(reversed(nodes)))
+                             f"{d}: the distances are not the row of {next(iter(tree))}")
+    nodes, i = tree[cur]
+    return nodes[:i + 1] + tuple(reversed(walked)), i
+
+
+def shortest_path(g: Graph, u: int, v: int, distances: np.ndarray) -> Path:
+    """Deterministic shortest u-v path.
+
+    Tie-break: level-synchronous BFS from u whose parent rule picks, for each
+    node, the lowest-id neighbor on the previous level.  Equivalently the
+    path is reconstructed backwards from v choosing the smallest predecessor
+    at each hop: ``_walk_to_tree`` from the one-node tree {u}.  ``distances``
+    is the hop-distance row of u, ``apsp(g).dist[u]``.  A row that is not
+    1-D of length n, that does not put u at distance 0, or where some node
+    has no neighbor one level closer, is not u's and raises ValueError.
+    """
+    for x in (u, v):
+        if not 0 <= x < g.n:
+            raise ValueError(f"node {x} out of range 0..{g.n - 1}")
+    if distances.shape != (g.n,):
+        raise ValueError(f"distances of shape {distances.shape} are not a row of {g.n} nodes")
+    if distances[u] != 0:
+        raise ValueError(f"distances put node {u} at distance {distances[u]}, "
+                         f"not 0: they are not the row of {u}")
+    dist = memoryview(distances)
+    if dist[v] == UNREACHABLE:
+        raise NoPathError(f"no path from {u} to {v}")
+    nodes, _ = _walk_to_tree(memoryview(g.indptr), memoryview(g.indices), dist,
+                             {u: ((u,), 0)}, v)
+    return Path(nodes)

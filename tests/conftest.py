@@ -113,6 +113,18 @@ def leafed_core(N: int, p: float, seed: int) -> Graph:
     return Graph.from_edges(n, itertools.chain(core, leaves))
 
 
+#: the small graphs of the committed mutants' detectors
+MUTANT_CORPUS = [
+    *(gen_gnp(n, p, seed) for n, p, seed in ((6, 0.5, 1), (9, 0.3, 2), (11, 0.4, 3))),
+    gen_named("cycle", 6),
+    gen_named("grid", 3),
+    clique_chain(3, 4),
+    # diameters 19 and 14, so apsp squares five times on each
+    gen_named("path", 20),
+    Graph.from_edges(30, [(i, i + 1) for i in range(29) if i != 14]),
+]
+
+
 # (t, s) of the chains in the shared corpus
 CHAIN_SHAPES = ((4, 6), (8, 6), (10, 5))
 

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import tracemalloc
@@ -23,9 +24,10 @@ from addspan import (
 )
 from addspan import engine
 from addspan.engine import potential_from_matrices
-from addspan.graph import MAX_K, insert_edge
+from addspan.graph import MAX_K, canonical_edge, insert_edge
 
-from conftest import clique_chain, leafed_core, projective_plane_incidence, random_tree
+from conftest import (MUTANT_CORPUS, clique_chain, leafed_core, projective_plane_incidence,
+                      random_tree)
 from oracles import capped_seed, potential_triu, reference_complete, reference_rows
 
 
@@ -405,6 +407,63 @@ class TestReferenceCompletion:
         first = int(np.flatnonzero(apsp(g).dist[0] > 0)[0])
         with pytest.raises(RuntimeError, match=rf"^pair \(0, {first}\) .* stale"):
             complete(g, seed_degree_capped(g, 0), 2)
+
+
+_TREE_GRAPHS = {
+    **{f"mutant-corpus-{i}": g for i, g in enumerate(MUTANT_CORPUS)},
+    "path-160": gen_named("path", 160),
+    "cycle-200": gen_named("cycle", 200),
+    "grid-18": gen_named("grid", 18),
+}
+
+
+class TestRowTree:
+    """Each row of the scan walks only the hops of a path that its tree of
+    inserted paths does not hold."""
+
+    @pytest.mark.parametrize("name, k", [
+        *itertools.product(_TREE_GRAPHS, (2, 6)),
+        # G(60, 0.3) alone makes no k=6 step; with private leaves its capped seed
+        # holds the leaf edges, which begin the paths of a leaf's row
+        ("leafed-core-60", 6),
+    ])
+    def test_steps_keep_paths_and_new_edge_counts(self, name, k):
+        g = _TREE_GRAPHS.get(name) or leafed_core(60, 0.3, 0)
+        seed = seed_degree_capped(g, default_cap(g.n) if k == 6 else 0)
+        edges = set(seed.edges())
+        h, trace = build_spanner(g, k)
+        dg = apsp(g).dist
+        for step in trace.steps:
+            u, v = step.pair
+            assert step.path == shortest_path(g, u, v, dg[u])
+            hops = {canonical_edge(a, b) for a, b in step.path.hops()}
+            assert step.new_edges == len(hops - edges)
+            edges |= hops
+        assert edges == h.edges()
+        if name == "leafed-core-60":
+            # a row's first step walks its whole path, which in a leaf's row
+            # starts with the leaf's seeded edge
+            firsts = {s.pair[0]: s for s in reversed(trace.steps)}.values()
+            assert any(canonical_edge(*s.path.nodes[:2]) in seed.edges() for s in firsts)
+
+    def test_rows_walk_at_most_n_minus_1_hops(self, monkeypatch):
+        walk = engine._walk_to_tree
+        walked = collections.Counter()
+
+        def counted(ptr, indices, dist, tree, v):
+            nodes, start = walk(ptr, indices, dist, tree, v)
+            walked[nodes[0]] += len(nodes) - 1 - start
+            return nodes, start
+
+        monkeypatch.setattr(engine, "_walk_to_tree", counted)
+        for name, g in _TREE_GRAPHS.items():
+            walked.clear()
+            _, trace = build_spanner(g, 2)
+            assert max(walked.values(), default=0) <= g.n - 1, name
+            if name == "path-160":
+                # one row, 159 steps: the full walks took 1 + 2 + ... + 159 hops
+                assert sum(s.path.length for s in trace.steps) == 12_720
+                assert walked == {0: 159}
 
 
 _HANDED_BACK_GRAPHS = {

@@ -831,6 +831,23 @@ class TestShortestPath:
             shortest_path(g, 0, 2, np.array(row, dtype=np.int16))
         assert type(exc.value) is ValueError
 
+    def test_row_of_another_node_raises(self):
+        # v's own row puts v at 0: the walk used to stop there and return (4,)
+        g = gen_named("path", 5)
+        with pytest.raises(ValueError, match="^distances put node 0 at distance 4, not 0"):
+            shortest_path(g, 0, 4, apsp(g).dist[4])
+
+    @pytest.mark.parametrize("rows", [
+        lambda d: d[0, :3],  # an IndexError at v = 4
+        lambda d: np.append(d[0], 0),
+        lambda d: d,  # a NotImplementedError from the 2-D memoryview
+    ])
+    def test_row_of_wrong_shape_raises(self, rows):
+        g = gen_named("path", 5)
+        with pytest.raises(ValueError, match="are not a row of 5 nodes") as exc:
+            shortest_path(g, 0, 4, rows(apsp(g).dist))
+        assert type(exc.value) is ValueError
+
     @given(small_graphs(), st.integers(0, 9), st.integers(0, 9))
     @settings(max_examples=80)
     def test_path_properties(self, g, u, v):

@@ -36,24 +36,14 @@ import numpy as np
 import pytest
 
 import addspan
-from addspan import cli, diagnostics, engine, gen_gnp, gen_named, graph, sweep
+from addspan import cli, diagnostics, engine, gen_named, graph, sweep
 
-from conftest import clique_chain, stale_insert_edge
+from conftest import MUTANT_CORPUS as CORPUS, stale_insert_edge
 from oracles import (capped_seed, dist_matrix_to_float, floyd_warshall, naive_exceeds,
                      naive_neighbors, parse_outcome, potential_triu, reference_complete,
                      reference_path, reference_rows)
 
 NAMESPACES = (graph, graph.Graph, engine, engine.SubgraphState, diagnostics, sweep, cli, addspan)
-
-CORPUS = [
-    *(gen_gnp(n, p, seed) for n, p, seed in ((6, 0.5, 1), (9, 0.3, 2), (11, 0.4, 3))),
-    gen_named("cycle", 6),
-    gen_named("grid", 3),
-    clique_chain(3, 4),
-    # diameters 19 and 14, so apsp squares five times on each
-    gen_named("path", 20),
-    graph.Graph.from_edges(30, [(i, i + 1) for i in range(29) if i != 14]),
-]
 
 
 # edge lists for the parser: regular texts first, then each kind of line the
@@ -228,12 +218,15 @@ def seed_matches_capped_seed() -> None:
 def complete_matches_reference() -> None:
     """Each build's edges and steps, potentials included, equal the naive
     reference completion's, for k = 2 from no edges and k = 6 from the
-    capped seed."""
+    capped seed; any exception is a defect."""
     for g in CORPUS:
         for k, cap in ((2, 0), (6, engine.default_cap(g.n))):
             seed = engine.seed_degree_capped(g, cap)
             ref_edges, ref_steps = reference_complete(g, seed.edges(), k)
-            h, trace = engine.complete(g, seed, k, record_potentials=True)
+            try:
+                h, trace = engine.complete(g, seed, k, record_potentials=True)
+            except Exception as exc:
+                raise AssertionError(f"the build raised {exc!r}") from None
             assert h.edges() == ref_edges
             assert reference_rows(trace) == ref_steps
 
@@ -266,6 +259,22 @@ def shortest_path_matches_reference() -> None:
                 except ValueError as exc:
                     raise AssertionError(f"({u}, {v}): {exc}") from None
                 assert path.nodes == reference_path(neighbors, dg, u, v)
+
+
+def shortest_path_refuses_other_rows() -> None:
+    """A row that puts u at a distance other than 0 is not u's, and is refused
+    for every v, though the walk back from v to u along it is a shortest path
+    whenever it passes through u."""
+    for g in CORPUS:
+        dist = graph.apsp(g).dist
+        for u, s, v in itertools.product(range(g.n), repeat=3):
+            if s == u:
+                continue
+            try:
+                graph.shortest_path(g, u, v, dist[s])
+            except ValueError:
+                continue
+            raise AssertionError(f"({u}, {v}) took the row of {s}")
 
 
 def hop_distance_certificate_matches_apsp() -> None:
@@ -446,12 +455,29 @@ MUTANTS = {
         exceeds_matches_naive_rule,
     ),
     "shortest_path-highest-predecessor": (
-        graph, "shortest_path", "indices[ptr[cur]:ptr[cur + 1]]:",
+        graph, "_walk_to_tree", "indices[ptr[cur]:ptr[cur + 1]]:",
         "indices[ptr[cur]:ptr[cur + 1]][::-1]:", complete_matches_reference,
     ),
     "shortest_path-same-level": (
-        graph, "shortest_path", "dist[x] == d:", "dist[x] == d + 1:",
+        graph, "_walk_to_tree", "dist[x] == d:", "dist[x] == d + 1:",
         shortest_path_matches_reference,
+    ),
+    "shortest_path-no-source-check": (
+        graph, "shortest_path", "if distances[u] != 0:", "if False:",
+        shortest_path_refuses_other_rows,
+    ),
+    # a later row's walks stop at an earlier row's nodes and take their paths
+    "complete-tree-once-per-build": (
+        engine, "complete", "tree = None", "tree = tree if u else None",
+        complete_matches_reference,
+    ),
+    "complete-tree-index-one-early": (
+        engine, "complete", "tree[b] = nodes, j", "tree[b] = nodes, j - 1",
+        complete_matches_reference,
+    ),
+    "complete-new-hops-one-late": (
+        engine, "complete", "range(start + 1, len(nodes))", "range(start + 2, len(nodes))",
+        complete_matches_reference,
     ),
     # (0, 3) on edges {(0, 2), (1, 3)}: row 0 ends where row 1 starts with 3
     "slot-reads-past-row-end": (
