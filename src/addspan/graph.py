@@ -23,7 +23,7 @@ UNREACHABLE = -1
 #: allocated: a build keeps int16 n x n distance matrices, 128 MiB each here.
 #: A finite distance is at most MAX_NODES - 1, so d(x, a) + 1 + d(b, y) and
 #: d_G + min(k, MAX_NODES) fit int16, and UNREACHABLE read as uint16 exceeds both.
-#: (n + 3)**2 / 8 < 2**24 keeps ``apsp``'s float32 products exact: n <= 11,582.
+#: (n + 3)**2 / 8 < 2**24 keeps ``_seidel``'s float32 products exact: n <= 11,582.
 MAX_NODES = 1 << 13
 
 #: Largest additive constant k accepted.  The pair rule clamps k to MAX_NODES,
@@ -400,27 +400,132 @@ NAMED_FAMILIES = ("path", "cycle", "complete", "star", "grid")
 # APSP / deterministic shortest paths
 # ---------------------------------------------------------------------------
 
-#: Rows per block of Seidel's products and of ``_is_hop_distance``, which
-#: bounds their temporaries.
+#: Rows per block of Seidel's products, of ``_bfs``'s unpacking and of
+#: ``_is_hop_distance``, which bounds their temporaries.
 _BLOCK_ROWS = 1024
+#: Bytes of frontier words that one gather of a ``_bfs`` level reads at most.
+_GATHER_BYTES = 32 << 20
+#: ``apsp``'s cost model, in Seidel's float32 multiply-adds: one gathered
+#: frontier word of a ``_bfs`` level, and the fixed cost of a level.
+_WORD_COST = 200
+_LEVEL_COST = 500_000
 
 
 def apsp(g: Graph) -> DistanceMatrix:
-    """All-pairs hop distances: ``dist[u]`` is the hop-distance row of u.
+    """All-pairs hop distances: ``dist[u]`` is the hop-distance row of u, a
+    C-contiguous int16 matrix, exact since a distance is at most n - 1 < MAX_NODES.
 
-    Seidel's doubling (JCSS 1995) over the bit-packed rows of
-    A_j = (0 < d <= 2**j), A_0 being the adjacency matrix.  Going up,
-    A_{j+1} = A_j + A_j A_j, squared only while A_j has a pair but not all of
-    them, so an edgeless or complete graph makes no product.  Squaring stops
-    when A_{j+1} is complete, so its distances are all 1, or adds no pair, so
-    A_j's are.  Going down, t = d_{A_{j+1}} = ceil(d_{A_j} / 2), and d_{A_j}
-    is 2t, less one where the row of t summed over the neighbors of the
-    column node falls below t times its degree: where t (A_j - D_j) < 0,
+    Two kernels give the same matrix, and the route reads only n, m and the
+    levels run, never a clock.  ``_bfs`` runs one BFS from all n sources at
+    once; a level costs c = _WORD_COST (2m + n) ceil(n / 64) + _LEVEL_COST
+    multiply-adds, its gathered frontier words and its fixed cost.
+    ``_seidel`` spends at least 2 ceil(log2(L + 1)) - 1 products of n**3
+    multiply-adds on any graph of diameter above L.  After L levels, ``_bfs``
+    runs the next one only while (L + 1) c is below that, and otherwise
+    ``apsp`` returns ``_seidel``'s matrix; when the second level already fails,
+    before any BFS allocation.  So by the model ``apsp`` costs at most about
+    twice the cheaper kernel: levels given up after L cost less than Seidel's
+    own bill on a graph of diameter at least L, and a finished BFS of a graph
+    of diameter D, D + 1 levels, costs less than Seidel's bill for D + 1.
+
+    The weights were checked by timing both kernels with one BLAS thread on
+    a 2-core x86-64 VM, on 18 grids, paths, cycles, G(n, p) graphs and a k=6
+    seed with n = 64 to 2048, a level's time counted in its graph's Seidel
+    product time over n**3: a level took 0.24 to 1.7 times c, 1.2 in the
+    median.  c errs high on paths and cycles of up to 200 nodes, whose levels
+    are mostly numpy's per-call cost, and on G(n, p) graphs of mean degree
+    38 or more: so a path that the BFS cannot win gives up early."""
+    dist = _bfs(g, g.n ** 3)
+    return DistanceMatrix(g.n, _seidel(g) if dist is None else dist)
+
+
+def _bfs(g: Graph, budget: float) -> Optional[np.ndarray]:
+    """All-pairs hop distances by one level-synchronous BFS from all n sources
+    at once, 64 sources per uint64 word, or None as soon as ``apsp``'s rule
+    stops it, ``budget`` being the multiply-adds of one of Seidel's products
+    (math.inf runs every level).
+
+    Bit i of row w, column v, stands for source 64 w + i at node v; a row of
+    words is contiguous, so a block of words is a slice.  Column n is a node
+    with no neighbor and no source, so its frontier stays zero.  The frontier
+    starts at each node's own bit.  A level gathers the frontier columns of
+    each node's neighbors with ``np.take``, in blocks of words that read at
+    most _GATHER_BYTES, and ORs them over the CSR with
+    ``np.bitwise_or.reduceat``, where an isolated node reads column n, since
+    reduceat gives an empty segment its first element.  It keeps the bits not
+    yet reached and adds its level number to the bit planes of the pairs it
+    reached, plane b holding bit b of the distance.  The planes, at most
+    ceil(log2 n), are unpacked into the int16 matrix in blocks of _BLOCK_ROWS
+    sources, the rows of the symmetric matrix."""
+    n = g.n
+    words = -(-n // 64)
+    level_cost = _WORD_COST * (g.indices.size + n) * words + _LEVEL_COST
+
+    def affordable(levels: int) -> bool:  # the next level, against Seidel on diameter > levels
+        return (levels + 1) * level_cost < (2 * levels.bit_length() - 1) * budget
+
+    if not affordable(1):
+        return None
+    # every array below is (words, n + 1) and contiguous: a strided view of n
+    # columns made each level's elementwise steps about 2.5 times slower
+    lonely = np.flatnonzero(np.diff(g.indptr, append=g.indptr[-1]) == 0)
+    src = np.insert(g.indices, g.indptr[lonely], n)  # an isolated node reads column n
+    starts = g.indptr + np.searchsorted(lonely, np.arange(n + 1))
+    block = max(1, _GATHER_BYTES // (8 * src.size))  # words per gather
+    ids = np.arange(n)
+    front = np.zeros((words, n + 1), dtype=np.uint64)
+    front[ids >> 6, ids] = np.left_shift(np.uint64(1), (ids & 63).astype(np.uint64))
+    unreached = ~front
+    new = np.empty_like(front)
+    planes: list[np.ndarray] = []
+    for level in range(1, n + 1):  # level n at the latest reaches no pair
+        for w in range(0, words, block):
+            np.bitwise_or.reduceat(np.take(front[w:w + block], src, axis=1), starts,
+                                   axis=1, out=new[w:w + block])
+        new &= unreached
+        if not np.count_nonzero(new):
+            break
+        unreached ^= new
+        if level == 1 << len(planes):
+            planes.append(np.zeros_like(front))
+        for b, plane in enumerate(planes):
+            if level >> b & 1:
+                plane |= new
+        front, new = new, front
+        if not affordable(level):
+            return None
+    step = max(1, _BLOCK_ROWS // 64)
+
+    def bits(x: np.ndarray, w: int) -> np.ndarray:  # [word, i, node]: source 64 word + i
+        part = x[w:w + step].astype("<u8", copy=False)  # bit i in byte i >> 3, as unpacked
+        return np.unpackbits(part.view(np.uint8).reshape(len(part), n + 1, 8), axis=2,
+                             bitorder="little").transpose(0, 2, 1)[:, :, :n]
+
+    # whole words of rows, so that each block is a (words, 64, n) view
+    dist = np.empty((64 * words, n), dtype=np.int16)
+    for w in range(0, words, step):
+        rows = dist[64 * w:64 * (w + step)].reshape(-1, 64, n)
+        np.negative(bits(unreached, w), out=rows, dtype=np.int16)  # UNREACHABLE or 0
+        for b, plane in enumerate(planes):
+            rows += np.left_shift(bits(plane, w), b, dtype=np.int16)
+    return dist[:n]
+
+
+def _seidel(g: Graph) -> np.ndarray:
+    """All-pairs hop distances by Seidel's doubling (JCSS 1995) over the
+    bit-packed rows of A_j = (0 < d <= 2**j), A_0 being the adjacency matrix.
+    Going up, A_{j+1} = A_j + A_j A_j, squared only while A_j has a pair but
+    not all of them, so an edgeless or complete graph makes no product.
+    Squaring stops when A_{j+1} is complete, so its distances are all 1, or
+    adds no pair, so A_j's are.  Going down, t = d_{A_{j+1}} = ceil(d_{A_j} / 2),
+    and d_{A_j} is 2t, less one where the row of t summed over the neighbors
+    of the column node falls below t times its degree: where t (A_j - D_j) < 0,
     D_j holding A_j's degrees on the diagonal.  The top level is 0/1 (all
     pairs, or the pairs of each component), and there that product falls
     below exactly where A_j has the pair, so the first step down is
     2t - A_j, elementwise, with no product.  A pair of different components
-    keeps t = 0, as does the diagonal.
+    keeps t = 0, as does the diagonal.  A graph of diameter D > 1 costs
+    2 ceil(log2 D) - 1 products of n**3 multiply-adds when connected.
 
     Every product is float32, exact while its partial sums are integers below
     2**24.  Going up they are at most n.  Going down, a shortest x-y path of
@@ -428,10 +533,7 @@ def apsp(g: Graph) -> DistanceMatrix:
     D = deg_j(y); with t = ceil(d / 2), each w in N_j(y) has t[x, w] <= t + 1,
     so the partial sums of (t (A_j - D_j))[x, y] lie in [-D t, D (t + 1)],
     within D (n - D + 3) / 2 <= (n + 3)**2 / 8: 8,394,753 at n = MAX_NODES.
-    Other components sum to 0, and the diagonal to D.
-
-    ``dist`` is a C-contiguous int16 matrix, exact since t is at most
-    n - 1 < MAX_NODES."""
+    Other components sum to 0, and the diagonal to D."""
     n = g.n
     a = np.zeros((n, n), dtype=np.float32)
     a[np.repeat(np.arange(n), np.diff(g.indptr)), g.indices] = 1.0
@@ -475,7 +577,7 @@ def apsp(g: Graph) -> DistanceMatrix:
     dist = t.astype(np.int16)
     dist[dist == 0] = UNREACHABLE
     np.fill_diagonal(dist, 0)
-    return DistanceMatrix(n, dist)
+    return dist
 
 
 def insert_edge(

@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .engine import build_spanner
+from .engine import build_spanner, self_check
 from .graph import _index, gen_gnp, gen_named
 
 
@@ -70,7 +70,9 @@ def run_sweep(
     in first-seen order.  For gnp, p_values must be non-empty.  seeds is an
     int (not a bool) of at least 1.  The named families are deterministic:
     they ignore p and seeds and emit one row per n.  A value outside these
-    ranges raises ValueError; a value of the wrong type raises TypeError."""
+    ranges raises ValueError; a value of the wrong type raises TypeError.
+    Each spanner goes through ``engine.self_check``, outside the timed build,
+    and a fault it finds raises its SelfCheckError."""
     if any(n < 1 for n in n_values):  # the size ratios divide by n
         raise ValueError("sweep node counts must be at least 1")
     if _index(seeds) < 1:
@@ -87,9 +89,10 @@ def run_sweep(
     for n, p, seed in points:
         g = gen_gnp(n, p, seed) if gnp else gen_named(family, n)
         t0 = time.perf_counter()
-        trace = build_spanner(g, k)[1]  # H is not kept: the next build need not sit beside it
+        h, trace = build_spanner(g, k)
         wall_ms = (time.perf_counter() - t0) * 1000.0
-        m = trace.seed_edge_count + sum(s.new_edges for s in trace.steps)
+        m = self_check(h, k).edge_count  # untimed, as in ``addspan build``
+        del h  # H is not kept: the next build need not sit beside it
         records.append(SweepRecord(
             family=family,
             n=g.n,

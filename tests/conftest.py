@@ -56,7 +56,7 @@ def random_tree(n: int, seed: int) -> Graph:
 def broom(n: int, leaves: int) -> Graph:
     """A path 0..h ending in the hub h = n - leaves - 1, whose ``leaves``
     leaves take the ids above it.  With about n / 2 leaves it makes the
-    largest partial sums of ``apsp``'s parity products, near (n + 3)**2 / 8."""
+    largest partial sums of ``_seidel``'s parity products, near (n + 3)**2 / 8."""
     hub = n - leaves - 1
     path = ((i, i + 1) for i in range(hub))
     return Graph.from_edges(n, itertools.chain(path, ((hub, v) for v in range(hub + 1, n))))

@@ -12,7 +12,7 @@ from addspan.graph import exceeds
 
 
 def largest_parity_sum(dist: np.ndarray) -> int:
-    """The largest magnitude that a partial sum of ``apsp``'s parity product
+    """The largest magnitude that a partial sum of ``_seidel``'s parity product
     t (A_j - D_j) can reach at any level j, in int64, from exact hop distances
     ``dist``: per cell (x, y), the larger of t summed over y's A_j-neighbors
     and t[x, y] times y's A_j-degree.  A_j = (0 < d <= 2**j), and

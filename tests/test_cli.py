@@ -457,6 +457,16 @@ class TestSweep:
                     "--seeds", "1", "--k", "2", "--out", out]) == 0
         assert "fit omitted" in capsys.readouterr().out
 
+    def test_self_check_fault_exits_1(self, tmp_path, capsys, monkeypatch):
+        # a certificate that rejects every d_H: each spanner a sweep counts is checked
+        monkeypatch.setattr(addspan.engine, "_is_hop_distance", lambda h, d: False)
+        out = tmp_path / "s.csv"
+        assert run(["sweep", "--family", "path", "--n", "4,8,16", "--k", "2",
+                    "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", "error: self-check found that the repaired d_H "
+                                           "is not the hop-distance matrix of H\n")
+        assert not out.exists()
+
     def test_gnp_requires_p(self, tmp_path):
         assert run(["sweep", "--family", "gnp", "--n", "8,12,16",
                     "--out", str(tmp_path / "s.csv")]) == 2

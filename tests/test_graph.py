@@ -84,6 +84,15 @@ APSP_CASES = [
     ("edgeless-5", Graph.from_edges(5, [])),
 ]
 
+# ``_bfs`` packs 64 sources per word: paths and cycles that end just below, at
+# and just above a word boundary, and isolated nodes on either side of one
+WORD_BOUNDARY_CASES = [
+    *((f"{family}-{n}", gen_named(family, n)) for family in ("path", "cycle")
+      for n in (63, 64, 65, 127, 128, 129)),
+    ("isolated-63-and-64", Graph.from_edges(
+        130, [(u, u + 1) for u in range(129) if not {u, u + 1} & {63, 64}] + [(62, 65)])),
+]
+
 
 @st.composite
 def small_graphs(draw, max_n=10):
@@ -528,14 +537,61 @@ class TestDistances:
 
     @pytest.mark.parametrize("label, g", APSP_CASES, ids=[label for label, _ in APSP_CASES])
     def test_apsp_matches_scipy(self, label, g):
-        assert np.array_equal(apsp(g).dist, scipy_apsp(g))
+        # apsp sends most of these small graphs to Seidel, so each kernel also runs by itself
+        expected = scipy_apsp(g)
+        assert np.array_equal(apsp(g).dist, expected)
+        assert np.array_equal(graph._bfs(g, math.inf), expected)
+        assert np.array_equal(graph._seidel(g), expected)
+
+    @pytest.mark.parametrize("label, g", WORD_BOUNDARY_CASES,
+                             ids=[label for label, _ in WORD_BOUNDARY_CASES])
+    def test_kernels_match_scipy_at_word_boundaries(self, label, g):
+        expected = scipy_apsp(g)
+        bfs = graph._bfs(g, math.inf)
+        assert np.array_equal(bfs, expected)
+        assert bfs.dtype == np.int16 and bfs.flags.c_contiguous
+        assert np.array_equal(graph._seidel(g), expected)
 
     def test_apsp_in_small_blocks_matches_scipy(self, monkeypatch):
-        # above 1024 nodes Seidel's products span several row blocks; forced
-        # here on small graphs
+        # above 1024 nodes Seidel's products and the BFS's unpacking span
+        # several row blocks; forced here on small graphs
         monkeypatch.setattr(graph, "_BLOCK_ROWS", 7)
-        for label, g in APSP_CASES:
-            assert np.array_equal(apsp(g).dist, scipy_apsp(g)), label
+        for label, g in APSP_CASES + WORD_BOUNDARY_CASES:
+            expected = scipy_apsp(g)
+            assert np.array_equal(graph._seidel(g), expected), label
+            assert np.array_equal(graph._bfs(g, math.inf), expected), label
+
+    @pytest.mark.parametrize("gather_bytes", [8, 8 * 2 * 129, graph._GATHER_BYTES])
+    def test_bfs_gathers(self, monkeypatch, gather_bytes):
+        # every graph with one word, a few, or all of them per gather
+        monkeypatch.setattr(graph, "_GATHER_BYTES", gather_bytes)
+        for label, g in APSP_CASES + WORD_BOUNDARY_CASES:
+            assert np.array_equal(graph._bfs(g, math.inf), scipy_apsp(g)), label
+
+    @given(small_graphs(max_n=12))
+    @settings(max_examples=200)
+    def test_bfs_equals_seidel(self, g):
+        assert np.array_equal(graph._bfs(g, math.inf), graph._seidel(g))
+
+    @pytest.mark.parametrize("g, kernel", [
+        (gen_named("grid", 18), "bfs"),
+        (seed_degree_capped(gen_gnp(384, 0.5, 3), default_cap(384)).to_graph(), "bfs"),
+        (gen_gnp(150, 0.05, 3), "bfs"),
+        (gen_gnp(384, 0.5, 3), "seidel"),
+        # 57 levels of 160, then Seidel's 15 products
+        (gen_named("path", 160), "seidel"),
+    ], ids=["grid-18", "gnp-384-0.5-k6-seed", "gnp-150-0.05", "gnp-384-0.5", "path-160"])
+    def test_route(self, monkeypatch, g, kernel):
+        calls = []
+
+        def spy(h):
+            calls.append(h)
+            return seidel(h)
+
+        seidel = graph._seidel
+        monkeypatch.setattr(graph, "_seidel", spy)
+        assert np.array_equal(apsp(g).dist, scipy_apsp(g))
+        assert len(calls) == (kernel == "seidel")
 
     @pytest.mark.parametrize("g", [
         *(broom(60, leaves) for leaves in range(58)),
@@ -545,16 +601,20 @@ class TestDistances:
         gen_named("cycle", 201), gen_named("complete", 30), clique_chain(12, 5),
     ])
     def test_parity_sums_within_bound(self, g):
-        # the bound of apsp's docstring, which keeps its float32 products exact
+        # the bound of _seidel's docstring, which keeps its float32 products exact
         assert largest_parity_sum(scipy_apsp(g)) <= (g.n + 3) ** 2 / 8
 
     def test_broom_nearly_reaches_parity_bound(self):
         # the bound is tight, and the oracle above does not pass by reading low
         assert largest_parity_sum(scipy_apsp(broom(300, 151))) > 0.99 * 303 ** 2 / 8
 
-    @pytest.mark.parametrize("g", [gen_named("grid", 20), gen_gnp(400, 0.5, 1)],
-                             ids=["grid-20", "gnp-400-0.5"])
-    def test_apsp_peak_memory(self, g):
+    # Seidel takes 13 bytes per cell on G(400, 0.5); the BFS, which the sparse
+    # graphs take, 7.1 on the grid and 7.0 on G(400, 0.05), most of it the int16
+    # matrix and one block of unpacked bit planes
+    @pytest.mark.parametrize("g, bytes_per_cell", [
+        (gen_named("grid", 20), 8), (gen_gnp(400, 0.05, 1), 8), (gen_gnp(400, 0.5, 1), 20),
+    ], ids=["grid-20", "gnp-400-0.05", "gnp-400-0.5"])
+    def test_apsp_peak_memory(self, g, bytes_per_cell):
         apsp(g)  # numpy's and BLAS's one-time set-up stays out of the measurement
         tracemalloc.start()
         try:
@@ -562,7 +622,7 @@ class TestDistances:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 20 * g.n ** 2  # 18.5 bytes per cell on the grid, 17 on G(400, 0.5)
+        assert peak <= bytes_per_cell * g.n ** 2
 
     @given(small_graphs())
     @settings(max_examples=40)

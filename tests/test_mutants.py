@@ -11,11 +11,15 @@ and into the rows of tables that hold it, such as ``engine.CONVENTIONS``.
 The snippet must occur exactly once, so a rewrite of a target has to update
 this table rather than silently skip its mutant.  Each row's scan in
 ``complete`` moves strictly forward whatever its repair, its stale-d_H check
-or its pair rule returns, so mutants of those end.  Mutants that can loop, such
-as a Seidel stop rule that tests only for a complete square, are left out.
-Dropping the ``0 < pairs`` guard of ``apsp``'s squaring is no mutant either:
+or its pair rule returns, so mutants of those end, and ``_bfs`` runs at most
+n levels, so a mutant whose frontier never empties ends too.  Mutants that can
+loop, such as a Seidel stop rule that tests only for a complete square, are
+left out.
+Dropping the ``0 < pairs`` guard of ``_seidel``'s squaring is no mutant either:
 the square of an edgeless graph adds no pair, so the loop stops after one
 product with the same answer; the guard only saves that product.
+Flipping ``_bfs``'s choice between its two gathers is no mutant: both give
+the same matrix, and the choice only sets the speed.
 ``_is_hop_distance`` has no upper bound hi <= f + 1 over the neighbors to
 drop: the edges are symmetric, so lo == f - 1 at each end of an edge already
 keeps its two cells within 1, and a certificate with that bound gives the same
@@ -36,7 +40,7 @@ import numpy as np
 import pytest
 
 import addspan
-from addspan import cli, diagnostics, engine, gen_named, graph, sweep
+from addspan import Graph, cli, diagnostics, engine, gen_named, graph, sweep
 
 from conftest import MUTANT_CORPUS as CORPUS, stale_insert_edge
 from oracles import (capped_seed, dist_matrix_to_float, floyd_warshall, naive_exceeds,
@@ -119,14 +123,25 @@ def insert_edge_repairs_only_c_contiguous() -> None:
             raise AssertionError("a matrix that is not C-contiguous was accepted")
 
 
-def apsp_matches_floyd_warshall() -> None:
-    """apsp equals the textbook all-pairs distances, UNREACHABLE as inf."""
+def seidel_matches_floyd_warshall() -> None:
+    """Seidel's doubling by itself equals the textbook all-pairs distances,
+    UNREACHABLE as inf, whichever kernel apsp would pick."""
     for g in CORPUS:
-        assert dist_matrix_to_float(graph.apsp(g).dist) == floyd_warshall(g)
+        assert dist_matrix_to_float(graph._seidel(g)) == floyd_warshall(g)
+
+
+def bfs_matches_floyd_warshall() -> None:
+    """The bit-parallel BFS by itself, run to its last level, equals the
+    textbook all-pairs distances; with isolated nodes after the edges of a
+    path and of a star, and with sources in two words."""
+    for g in (*CORPUS, Graph.from_edges(7, [(0, 1), (1, 2), (2, 3)]),
+              Graph.from_edges(8, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5)]),
+              gen_named("cycle", 70)):
+        assert dist_matrix_to_float(graph._bfs(g, math.inf)) == floyd_warshall(g)
 
 
 def max_nodes_keeps_parity_sums_in_float32() -> None:
-    """apsp's float32 parity products are exact while (n + 3)**2 / 8 < 2**24
+    """_seidel's float32 parity products are exact while (n + 3)**2 / 8 < 2**24
     (see its docstring), so raising MAX_NODES past 11,582 fails this."""
     assert (graph.MAX_NODES + 3) ** 2 / 8 < 1 << 24
 
@@ -512,12 +527,12 @@ MUTANTS = {
         seed_matches_capped_seed,
     ),
     "seidel-free-step-without-a_j": (
-        graph, "apsp", "            t -= a\n", "",
-        apsp_matches_floyd_warshall,
+        graph, "_seidel", "            t -= a\n", "",
+        seidel_matches_floyd_warshall,
     ),
     "seidel-free-step-subtracts-top": (
-        graph, "apsp", "            t -= a\n", "            t -= t > 0\n",
-        apsp_matches_floyd_warshall,
+        graph, "_seidel", "            t -= a\n", "            t -= t > 0\n",
+        seidel_matches_floyd_warshall,
     ),
     "complete-writes-dg": (
         engine, "complete", "        dg_row, row = dg[u], dh[u]\n",
@@ -556,18 +571,30 @@ MUTANTS = {
         build_fault_exits_1,
     ),
     "seidel-no-parity-correction": (
-        graph, "apsp", "            tr -= odd\n", "", apsp_matches_floyd_warshall,
+        graph, "_seidel", "            tr -= odd\n", "", seidel_matches_floyd_warshall,
     ),
     # without -deg on the diagonal, t . a < 0 never holds and no parity step subtracts
     "seidel-no-degree-diagonal": (
-        graph, "apsp", "        np.fill_diagonal(a, -a.sum(axis=1))\n", "",
-        apsp_matches_floyd_warshall,
+        graph, "_seidel", "        np.fill_diagonal(a, -a.sum(axis=1))\n", "",
+        seidel_matches_floyd_warshall,
     ),
     "seidel-square-without-a_j": (
-        graph, "apsp", "            prod[:m] += a[r:r + m]\n", "", apsp_matches_floyd_warshall,
+        graph, "_seidel", "            prod[:m] += a[r:r + m]\n", "", seidel_matches_floyd_warshall,
     ),
     "seidel-diagonal-kept": (
-        graph, "apsp", "        np.fill_diagonal(b, False)\n", "", apsp_matches_floyd_warshall,
+        graph, "_seidel", "        np.fill_diagonal(b, False)\n", "", seidel_matches_floyd_warshall,
+    ),
+    # a level's OR keeps reached pairs, which its XOR then marks unreached again
+    "bfs-no-unreached-mask": (
+        graph, "_bfs", "        new &= unreached\n", "", bfs_matches_floyd_warshall,
+    ),
+    "bfs-records-level-minus-one": (
+        graph, "_bfs", "if level >> b & 1:", "if level - 1 >> b & 1:", bfs_matches_floyd_warshall,
+    ),
+    # an isolated node then ORs the frontier of node 0 into its own
+    "bfs-isolated-reads-a-real-column": (
+        graph, "_bfs", "np.insert(g.indices, g.indptr[lonely], n)",
+        "np.insert(g.indices, g.indptr[lonely], 0)", bfs_matches_floyd_warshall,
     ),
     # 16,384 nodes would let a parity sum reach 2**24, where float32 rounds
     "max-nodes-2**14": (
