@@ -40,14 +40,12 @@ class SubgraphState:
     is one flag per slot of ``host.indices``: an edge's two slots (v in the
     row of u, u in the row of v) are flagged together, so ``to_graph`` is the
     host's CSR with the unflagged slots dropped.  ``deg`` is H's int64 degree array.
-    ``complete`` leaves d_G and the repaired d_H in ``_distances`` for ``self_check``.
     """
 
     def __init__(self, host: Graph, edges: Iterable[tuple[int, int]] = ()):
         self.host = host
         self.deg = np.zeros(host.n, dtype=np.int64)
         self._in_h = bytearray(host.indices.size)
-        self._distances: Optional[tuple[np.ndarray, np.ndarray]] = None
         for u, v in edges:
             self.add_edge(u, v)
 
@@ -238,8 +236,14 @@ def complete(
     ``CONVENTIONS``: one O(n^2) potential sum for the seed, then each new
     edge adds the change of its pair terms over the cells ``insert_edge``
     repaired, and each step reads ``cost`` of its H.  After every step d_H(u, v)
-    must equal d_G(u, v), or SelfCheckError is raised.  d_G, read-only, and the
-    repaired d_H are left in ``h._distances`` for ``self_check``.
+    must equal d_G(u, v), or SelfCheckError is raised.
+
+    The build then checks its own result and raises SelfCheckError unless
+    every edge of H has d_G = 1, no pair exceeds d_G + k, and the repaired d_H
+    is H's hop-distance matrix.  That last check is ``graph._is_hop_distance``,
+    a local certificate in O(m_H n) time and row-block memory, run after every
+    reference to d_G is dropped: it runs no APSP of H.  Neither matrix outlives
+    the call.
     """
     check_k(k)
     if h.host != g:
@@ -248,7 +252,7 @@ def complete(
     # a Python int slack: a narrow numpy k would wrap slack * n in the full sum
     slack, cost = CONVENTIONS.get(k, (max(_index(k) - 1, 0), cost_edges))
     dg = apsp(g).dist
-    dg.setflags(write=False)  # handed back to self_check: a stray write raises
+    dg.setflags(write=False)  # the final checks trust it: a stray write raises
     dh = apsp(h.to_graph()).dist
     seed_edges = h.edge_count
     steps: list[CompletionStep] = []
@@ -299,34 +303,19 @@ def complete(
                 v_before=v_before, v_after=v_cur, c_before=c_before, c_after=c_cur,
             ))
 
-    h._distances = dg, dh
-    return h, CompletionTrace(
-        k=k, seed_edge_count=seed_edges, potentials_recorded=record_potentials, steps=steps,
-    )
-
-
-def self_check(h: SubgraphState, k: int) -> Graph:
-    """H as a Graph, checked through the d_G and repaired d_H that ``complete``
-    left in ``h``, which this takes (ValueError if there are none): SelfCheckError
-    unless every edge of H has d_G = 1, no pair exceeds d_G + k, and d_H is H's
-    hop-distance matrix.  That last check is ``graph._is_hop_distance``, a local
-    certificate in O(m_H n) time and row-block memory, run after d_G is
-    dropped: it certifies the d_H it is handed and runs no APSP of H."""
-    if h._distances is None:
-        raise ValueError("h holds no distances from complete: call self_check once after it")
-    dg, dh = h._distances
-    h._distances = None
     spanner = h.to_graph()
     if not _is_subgraph(dg, spanner):
         raise SelfCheckError("spanner is not a subgraph of the input graph")
     violations = np.count_nonzero(np.triu(exceeds(dg, dh, k), 1))
-    del dg
+    dg = dg_row = None  # the certificate runs beside d_H alone
     if violations:
         raise SelfCheckError(f"self-check found {violations} violations")
     if not _is_hop_distance(spanner, dh):
         raise SelfCheckError("self-check found that the repaired d_H is not the "
                              "hop-distance matrix of H")
-    return spanner
+    return h, CompletionTrace(
+        k=k, seed_edge_count=seed_edges, potentials_recorded=record_potentials, steps=steps,
+    )
 
 
 def build_spanner(

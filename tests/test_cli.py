@@ -11,13 +11,10 @@ import pytest
 
 import addspan
 from addspan import (
-    CompletionTrace,
-    apsp,
     build_spanner,
     fit_exponent,
     read_edge_list,
     run_sweep,
-    seed_degree_capped,
     serialize_edge_list,
 )
 from addspan.cli import SWEEP_COLUMNS, TRACE_COLUMNS, main
@@ -145,16 +142,10 @@ class TestBuild:
         assert first[:6] == ["0", "0", "1", "1", "-1", "1"]
 
     def test_self_check_failure_writes_nothing(self, tmp_path, capsys, monkeypatch):
-        # a builder that returns the empty seed leaves all 10 pairs of C5 unspanned;
-        # it hands back d_G and the seed's d_H the way ``complete`` does
-        def broken(g, k, *, record_potentials=False):
-            h = seed_degree_capped(g, 0)
-            dg = apsp(g).dist
-            dg.setflags(write=False)
-            h._distances = dg, apsp(h.to_graph()).dist
-            return h, CompletionTrace(k, 0, record_potentials)
-
-        monkeypatch.setattr(addspan.cli, "build_spanner", broken)
+        # a scan whose pair rule never fires keeps the empty seed of C5, and the
+        # build's final count, through ``graph.exceeds``, finds all 10 pairs unspanned
+        monkeypatch.setattr(addspan.engine, "_pair_limit",
+                            lambda dg, k: np.full(dg.shape, 0xFFFF, np.uint16))
         g = write_graph(tmp_path, "c5.txt", "0 1\n1 2\n2 3\n3 4\n0 4\n")
         out, trace = tmp_path / "sp.txt", tmp_path / "trace.csv"
         assert run(["build", "--input", g, "--k", "2", "--out", str(out),
@@ -187,20 +178,21 @@ class TestBuild:
         assert not out.exists() and not trace.exists()
 
     def test_edge_off_handed_back_dg_exits_1(self, tmp_path, capsys, monkeypatch):
-        # a builder whose d_G says 2 at the edge (0, 1) of H: the engine is at
-        # fault, not the input, so the build exits 1 where ``verify`` exits 2
-        def broken(g, k, *, record_potentials=False):
-            h, trace = build_spanner(g, k, record_potentials=record_potentials)
-            dg, dh = h._distances
-            dg = dg.copy()
-            dg[0, 1] = dg[1, 0] = 2
-            h._distances = dg, dh
-            return h, trace
+        # the engine's d_G says 2 at the edge (0, 1) of C5, which the k = 6 seed
+        # keeps and no step touches: the engine is at fault, not the input, so
+        # the build exits 1 where ``verify`` exits 2
+        real_apsp = addspan.engine.apsp
 
-        monkeypatch.setattr(addspan.cli, "build_spanner", broken)
+        def off_at_0_1(g):
+            d = real_apsp(g)
+            if g.edge_count == 5:  # G itself, not the seed's 4 edges
+                d.dist[0, 1] = d.dist[1, 0] = 2
+            return d
+
+        monkeypatch.setattr(addspan.engine, "apsp", off_at_0_1)
         g = write_graph(tmp_path, "c5.txt", "0 1\n1 2\n2 3\n3 4\n0 4\n")
         out, trace = tmp_path / "sp.txt", tmp_path / "trace.csv"
-        assert run(["build", "--input", g, "--k", "2", "--out", str(out),
+        assert run(["build", "--input", g, "--k", "6", "--out", str(out),
                     "--trace-out", str(trace)]) == 1
         assert capsys.readouterr() == ("", "error: spanner is not a subgraph of the input graph\n")
         assert not out.exists() and not trace.exists()

@@ -2,6 +2,7 @@ import collections
 import itertools
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -168,7 +169,6 @@ class TestSubgraphState:
         small = gen_gnp(128, 0.1, 1)
         h, trace = build_spanner(small, 2)
         assert trace.steps
-        engine.self_check(h, 2)
         assert vars(small).keys() == {"n", "indptr", "indices"}
 
     def test_bfs_row_respects_subset(self):
@@ -473,49 +473,82 @@ _HANDED_BACK_GRAPHS = {
 }
 
 
+def spied_build(monkeypatch, g: Graph, k: int) -> tuple[SubgraphState, np.ndarray, np.ndarray]:
+    """``build_spanner(g, k)`` with spies on ``engine.apsp`` and the certificate
+    ``engine._is_hop_distance``: H, the d_G that apsp returned and the repaired
+    d_H that the certificate received."""
+    seen = []
+    real_apsp, real_certificate = engine.apsp, engine._is_hop_distance
+
+    def apsp_spy(graph):
+        d = real_apsp(graph)
+        seen.append(d.dist)
+        return d
+
+    def certificate_spy(h, d):
+        seen.append(d)
+        return real_certificate(h, d)
+
+    monkeypatch.setattr(engine, "apsp", apsp_spy)
+    monkeypatch.setattr(engine, "_is_hop_distance", certificate_spy)
+    h, _ = build_spanner(g, k)
+    dg, _, dh = seen  # apsp of G, apsp of the seed, then the certificate's
+    return h, dg, dh
+
+
 class TestHandedBackDistances:
-    """``complete`` leaves its d_G and repaired d_H in ``h._distances``, and
-    ``engine.self_check`` takes them."""
+    """``complete`` checks its H with its own d_G and repaired d_H, which it
+    hands to the certificate, and keeps neither."""
 
     @pytest.mark.parametrize("name", _HANDED_BACK_GRAPHS)
     @pytest.mark.parametrize("k", [0, 2, 6, MAX_K])
-    def test_equal_fresh_apsps(self, name, k):
+    def test_equal_fresh_apsps(self, monkeypatch, name, k):
         g = _HANDED_BACK_GRAPHS[name]
-        h, _ = build_spanner(g, k)
-        dg, dh = h._distances
+        h, dg, dh = spied_build(monkeypatch, g, k)
         assert np.array_equal(dg, apsp(g).dist)
         assert np.array_equal(dh, apsp(h.to_graph()).dist)
 
     @pytest.mark.parametrize("name", _HANDED_BACK_GRAPHS)
-    def test_are_c_contiguous_int16(self, name):
+    def test_are_c_contiguous_int16(self, monkeypatch, name):
         # the layout insert_edge repairs and the pair rule reads as uint16
-        h, _ = build_spanner(_HANDED_BACK_GRAPHS[name], 2)
-        for d in h._distances:
+        _, dg, dh = spied_build(monkeypatch, _HANDED_BACK_GRAPHS[name], 2)
+        for d in (dg, dh):
             assert d.dtype == np.int16 and d.flags.c_contiguous
 
-    def test_dg_is_read_only(self):
-        h, _ = build_spanner(gen_named("path", 15), 2)
-        dg, dh = h._distances
+    def test_dg_is_read_only(self, monkeypatch):
+        _, dg, dh = spied_build(monkeypatch, gen_named("path", 15), 2)
         assert not dg.flags.writeable and dh.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             dg[0, 1] = 1
 
     @pytest.mark.parametrize("name", _HANDED_BACK_GRAPHS)
     def test_self_check_passes_and_takes_them(self, name):
-        h, _ = build_spanner(_HANDED_BACK_GRAPHS[name], 2)
-        assert engine.self_check(h, 2) == h.to_graph()
-        assert h._distances is None
+        h, _ = build_spanner(_HANDED_BACK_GRAPHS[name], 2)  # a failed check raises
+        assert vars(h).keys() == {"host", "deg", "_in_h"}
 
-    def test_self_check_without_complete_raises(self):
-        h = SubgraphState(gen_gnp(30, 0.2, 0))
-        with pytest.raises(ValueError, match="no distances from complete"):
-            engine.self_check(h, 2)
+    def test_library_build_keeps_no_distances(self, monkeypatch):
+        # d_G is freed before the certificate runs, and the caller that keeps H
+        # keeps no n x n matrix with it (4 MiB for the two here)
+        dg_refs, dg_alive = [], []
+        real_apsp, real_certificate = engine.apsp, engine._is_hop_distance
 
-    def test_second_self_check_raises(self):
-        h, _ = build_spanner(gen_named("path", 15), 2)
-        engine.self_check(h, 2)
-        with pytest.raises(ValueError, match="call self_check once after it"):
-            engine.self_check(h, 2)
+        def apsp_spy(graph):
+            d = real_apsp(graph)
+            owner = d.dist  # the array that holds the cells, which a row view keeps alive
+            while isinstance(owner.base, np.ndarray):
+                owner = owner.base
+            dg_refs.append(weakref.ref(owner))
+            return d
+
+        def certificate_spy(h, d):
+            dg_alive.append(dg_refs[0]() is not None)
+            return real_certificate(h, d)
+
+        monkeypatch.setattr(engine, "apsp", apsp_spy)
+        monkeypatch.setattr(engine, "_is_hop_distance", certificate_spy)
+        h, trace = build_spanner(gen_gnp(1024, 0.02, 1), 2)
+        assert trace.steps and dg_alive == [False]
+        assert vars(h).keys() == {"host", "deg", "_in_h"}
 
 
 _RUNNING_POTENTIAL_GRAPHS = {

@@ -331,45 +331,58 @@ def stale_repair_raises() -> None:
             raise AssertionError("a stale repair went unreported")
 
 
-def complete_hands_back_read_only_dg() -> None:
-    """Each build leaves a read-only d_G equal to a fresh APSP of G, so a write
-    into it raises instead of passing unseen."""
+def complete_keeps_dg_read_only() -> None:
+    """Each build's d_G, as ``apsp`` returns it, is left read-only and equal to
+    a fresh APSP of G, so a write into it raises instead of passing unseen."""
     for g in CORPUS:
-        try:
-            h, _ = engine.complete(g, engine.seed_degree_capped(g, 0), 2)
-        except ValueError as exc:  # numpy's "assignment destination is read-only"
-            raise AssertionError(f"complete wrote into d_G: {exc}") from None
-        dg, _ = h._distances
+        dists = []
+
+        def kept_apsp(g_or_h):
+            d = graph.apsp(g_or_h)
+            dists.append(d.dist)
+            return d
+
+        with pytest.MonkeyPatch.context() as patch:
+            # the name ``complete`` itself reads, which a mutant copies
+            patch.setitem(engine.complete.__globals__, "apsp", kept_apsp)
+            try:
+                engine.complete(g, engine.seed_degree_capped(g, 0), 2)
+            except ValueError as exc:  # numpy's "assignment destination is read-only"
+                raise AssertionError(f"complete wrote into d_G: {exc}") from None
+        dg = dists[0]
         assert not dg.flags.writeable
         assert (dg == graph.apsp(g).dist).all()
 
 
-def self_check_outcome(h: engine.SubgraphState, k: int):
-    """The graph ``engine.self_check`` returns, or the message it raises."""
-    try:
-        return engine.self_check(h, k)
-    except engine.SelfCheckError as exc:
-        return str(exc)
+def complete_outcome(g: graph.Graph, k: int, **names):
+    """The H that ``complete`` builds from no edges, with ``names`` patched
+    into the globals it reads, or the message of the SelfCheckError it raises."""
+    with pytest.MonkeyPatch.context() as patch:
+        for name, value in names.items():
+            patch.setitem(engine.complete.__globals__, name, value)
+        try:
+            return engine.complete(g, engine.SubgraphState(g), k)[0]
+        except engine.SelfCheckError as exc:
+            return str(exc)
 
 
-def self_check_catches_stale_repair() -> None:
+def complete_catches_stale_repair() -> None:
     """A repaired cell left one too high where no scan looks fails the build's
     self-check, though H itself is a valid spanner; the true d_H passes."""
     g = gen_named("path", 5)
     for repair, passes in ((graph.insert_edge, True), (stale_insert_edge, False)):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setitem(engine.complete.__globals__, "insert_edge", repair)
-            h, _ = engine.complete(g, engine.SubgraphState(g), 2)
-        assert isinstance(self_check_outcome(h, 2), graph.Graph) == passes
+        outcome = complete_outcome(g, 2, insert_edge=repair)
+        assert isinstance(outcome, engine.SubgraphState) == passes, outcome
 
 
-def self_check_counts_violations() -> None:
-    """H = the empty seed of C5, handed back with its true d_G and d_H, leaves
-    all 10 pairs unspanned, and the self-check says so."""
-    g = gen_named("cycle", 5)
-    h = engine.SubgraphState(g)
-    h._distances = graph.apsp(g).dist, graph.apsp(h.to_graph()).dist
-    assert self_check_outcome(h, 2) == "self-check found 10 violations"
+def complete_counts_violations() -> None:
+    """A scan whose pair rule never fires keeps the empty seed of C5, which
+    leaves all 10 pairs unspanned, and the build's final count says so."""
+    def no_limit(dg, k):
+        return np.full(dg.shape, 0xFFFF, np.uint16)
+
+    outcome = complete_outcome(gen_named("cycle", 5), 2, _pair_limit=no_limit)
+    assert outcome == "self-check found 10 violations", outcome
 
 
 def build_fault_exits_1() -> None:
@@ -537,11 +550,11 @@ MUTANTS = {
     "complete-writes-dg": (
         engine, "complete", "        dg_row, row = dg[u], dh[u]\n",
         "        dg_row, row = dg[u], dh[u]\n        dg_row[u] = 0\n",
-        complete_hands_back_read_only_dg,
+        complete_keeps_dg_read_only,
     ),
     "self-check-no-fresh-comparison": (
-        engine, "self_check", "not _is_hop_distance(spanner, dh)", "False",
-        self_check_catches_stale_repair,
+        engine, "complete", "not _is_hop_distance(spanner, dh)", "False",
+        complete_catches_stale_repair,
     ),
     # a column read as the BFS from two sources holds every local condition
     "hop-distance-no-zero-count": (
@@ -563,8 +576,8 @@ MUTANTS = {
         hop_distance_certificate_matches_apsp,
     ),
     "self-check-no-violation-count": (
-        engine, "self_check", "np.count_nonzero(np.triu(exceeds(dg, dh, k), 1))", "0",
-        self_check_counts_violations,
+        engine, "complete", "np.count_nonzero(np.triu(exceeds(dg, dh, k), 1))", "0",
+        complete_counts_violations,
     ),
     "cli-main-without-self-check-clause": (
         cli, "main", "(OSError, ValueError, SelfCheckError)", "(OSError, ValueError)",
