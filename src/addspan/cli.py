@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import os
 import sys
 from pathlib import Path as FilePath
@@ -45,7 +46,7 @@ def _write_trace_csv(path: str, trace: CompletionTrace) -> None:
         writer.writerow(TRACE_COLUMNS)
         for i, s in enumerate(trace.steps):
             writer.writerow([
-                i, s.pair[0], s.pair[1], s.path.length, s.d_h_before, s.new_edges,
+                i, s.pair[0], s.pair[1], s.d_g, s.d_h_before, s.new_edges,
                 s.v_before, s.v_after, s.c_before, s.c_after,
             ])
 
@@ -146,6 +147,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache  # main parses with one parser per process
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="addspan",

@@ -93,11 +93,14 @@ class SubgraphState:
 class CompletionStep:
     """One completion insertion: the violating pair and what it cost.
 
-    Its d_G is ``path.length``; ``d_h_before`` is UNREACHABLE when it was disconnected in H.
+    ``path`` holds only the hops the step walked: the tail of the pair's
+    ``shortest_path`` from the first node its row's earlier steps reached, or
+    from u.  ``d_h_before`` is UNREACHABLE when the pair was disconnected in H.
     Potential/cost snapshots are None unless the run recorded them.
     """
 
     pair: Edge
+    d_g: int
     d_h_before: int
     path: Path
     new_edges: int
@@ -227,10 +230,10 @@ def complete(
     most n(n-1)/2 steps.  Disconnected pairs of G are skipped (H never
     connects what G does not).  d_H is one APSP of the seed, repaired in
     place by ``insert_edge`` for every new edge.  Each row keeps the tree of
-    the paths it has inserted: a step walks back from v only to the first
+    nodes its steps walked, from u: a step walks back from v only to the first
     tree node (``graph._walk_to_tree``), whose path prefix is already in H,
-    and checks and inserts only the hops it walked.  A violating v is never in
-    the tree, so each step walks a new node, and a row at most n - 1 hops.
+    and checks, inserts and records only the hops it walked.  A violating v is
+    never in the tree, so each step walks a new node, and a row n - 1 hops at most.
     Mutates and returns ``h`` together with the step trace.  With
     ``record_potentials`` every step snapshots the potential and cost of
     ``CONVENTIONS``: one O(n^2) potential sum for the seed, then each new
@@ -262,8 +265,8 @@ def complete(
         v_cur, c_cur = potential_from_matrices(dg, dh, slack), cost(h)
     ptr, indices = memoryview(g.indptr), memoryview(g.indices)
     for u in range(g.n):
-        # node -> (a path the row inserted, the node's index there), from its first step
-        tree = None
+        # the nodes the row's steps walked, from u: H holds the path from u to each
+        tree = {u}
         dg_row, row = dg[u], dh[u]
         # the pair rule of ``exceeds``: row u of d_H, read as uint16, above its limit
         limit, row_u16 = _pair_limit(dg_row, k), row.view(np.uint16)
@@ -273,14 +276,12 @@ def complete(
         while (viol := (row_u16[v + 1:] > limit[v + 1:]).nonzero()[0]).size:
             v += 1 + int(viol[0])
             d_h_before = int(row[v])
-            tree = tree or {u: ((u,), 0)}
-            # the path up to nodes[start] is in H: only the hops after it are walked
-            nodes, start = _walk_to_tree(ptr, indices, memoryview(dg_row), tree, v)
+            # the path up to nodes[0] is in H: only the hops after it are walked
+            nodes = _walk_to_tree(ptr, indices, memoryview(dg_row), tree, v)
+            tree.update(nodes)
             v_before, c_before = v_cur, c_cur
             added = 0
-            for j in range(start + 1, len(nodes)):
-                a, b = nodes[j - 1], nodes[j]
-                tree[b] = nodes, j
+            for a, b in zip(nodes, nodes[1:]):
                 # the repaired d_H is exact: d_H(a, b) = 1 iff (a, b) is in H
                 if dh[a, b] == 1:
                     continue
@@ -299,8 +300,9 @@ def complete(
                     "its shortest path was inserted: the repaired d_H is stale"
                 )
             steps.append(CompletionStep(
-                pair=(u, v), d_h_before=d_h_before, path=Path(nodes), new_edges=added,
-                v_before=v_before, v_after=v_cur, c_before=c_before, c_after=c_cur,
+                pair=(u, v), d_g=int(dg_row[v]), d_h_before=d_h_before, path=Path(nodes),
+                new_edges=added, v_before=v_before, v_after=v_cur,
+                c_before=c_before, c_after=c_cur,
             ))
 
     spanner = h.to_graph()

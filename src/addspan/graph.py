@@ -7,7 +7,6 @@ pairs carry the sentinel :data:`UNREACHABLE`.
 """
 from __future__ import annotations
 
-import itertools
 import operator
 import re
 from dataclasses import dataclass
@@ -366,31 +365,29 @@ def gen_gnp(n: int, p: float, seed: int) -> Graph:
 
 def gen_named(family: str, n: int) -> Graph:
     """Standard families with canonical numbering: path, cycle, complete,
-    star (center 0), grid (n = side length, n*n nodes row-major).  Edges are
-    generated lazily, so ``from_edges`` checks the node count (grid: n) first."""
+    star (center 0), grid (n = side length, n*n nodes row-major).  The pairs
+    are made as arrays once the node count (grid: n*n) passes ``_check_node_count``."""
+    if family not in NAMED_FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    least = 3 if family == "cycle" else 1
+    if n < least:
+        what = "side length n" if family == "grid" else "n"
+        raise ValueError(f"{family} requires {what} >= {least}")
+    nodes = _check_node_count(_index(n) * n if family == "grid" else n)
+    v = np.arange(nodes)
     if family == "path":
-        if n < 1:
-            raise ValueError("path requires n >= 1")
-        return Graph.from_edges(n, ((i, i + 1) for i in range(n - 1)))
-    if family == "cycle":
-        if n < 3:
-            raise ValueError("cycle requires n >= 3")
-        return Graph.from_edges(n, ((i, (i + 1) % n) for i in range(n)))
-    if family == "complete":
-        if n < 1:
-            raise ValueError("complete requires n >= 1")
-        return Graph.from_edges(n, ((u, v) for u in range(n) for v in range(u + 1, n)))
-    if family == "star":
-        if n < 1:
-            raise ValueError("star requires n >= 1")
-        return Graph.from_edges(n, ((0, i) for i in range(1, n)))
-    if family == "grid":
-        if n < 1:
-            raise ValueError("grid requires side length n >= 1")
-        right = ((v, v + 1) for v in range(n * n) if v % n < n - 1)
-        down = ((v, v + n) for v in range(n * n - n))
-        return Graph.from_edges(_index(n) * n, itertools.chain(right, down))
-    raise ValueError(f"unknown family {family!r}")
+        pairs = np.column_stack((v[:-1], v[1:]))
+    elif family == "cycle":
+        pairs = np.column_stack((v, np.roll(v, -1)))
+    elif family == "complete":
+        pairs = np.column_stack(np.triu_indices(nodes, 1))
+    elif family == "star":
+        pairs = np.column_stack((0 * v[1:], v[1:]))
+    else:  # grid: each node's right neighbor, then its lower one
+        v = v.reshape(n, n)
+        pairs = np.column_stack((np.concatenate((v[:, :-1], v[:-1]), axis=None),
+                                 np.concatenate((v[:, 1:], v[1:]), axis=None)))
+    return Graph.from_edges(nodes, pairs)
 
 
 NAMED_FAMILIES = ("path", "cycle", "complete", "star", "grid")
@@ -712,31 +709,27 @@ def _is_hop_distance(h: Graph, d: np.ndarray) -> bool:
 
 
 def _walk_to_tree(ptr: memoryview, indices: memoryview, dist: memoryview,
-                  tree: dict, v: int) -> tuple[tuple[int, ...], int]:
-    """The deterministic shortest path from the root of ``tree`` to v, and the
-    index in it of the first tree node that the walk back from v reaches.
-
-    ``tree`` maps each node on deterministic paths from its root, the first
-    key, to (one such path's nodes, the node's index there); ``dist`` is the
-    root's hop-distance row.  The path to a node is the path to its
-    lowest-id neighbor one level closer plus one hop, so the walk stops at a
-    tree node and takes its prefix from the tree.  ``ptr`` and ``indices``
-    are the CSR arrays as memoryviews, which read Python ints with no copy.
+                  tree: set, v: int) -> tuple[int, ...]:
+    """The tail of the deterministic shortest path to v from the root of
+    ``dist``, the root's hop-distance row: the walk back from v, from the first
+    node of ``tree`` it reaches.  ``tree`` holds nodes on such paths, and the
+    path to a node is the path to its lowest-id neighbor one level closer plus
+    one hop, so the path to v is the path to that node followed by the tail.
+    ``ptr`` and ``indices`` are the CSR arrays as memoryviews, which read
+    Python ints with no copy.
     """
-    walked = []
+    nodes = [v]
     cur, d = v, dist[v]
     while cur not in tree:
-        walked.append(cur)
         d -= 1
         for x in indices[ptr[cur]:ptr[cur + 1]]:
             if dist[x] == d:
                 cur = x
                 break
         else:
-            raise ValueError(f"node {cur} at distance {d + 1} has no neighbor at distance "
-                             f"{d}: the distances are not the row of {next(iter(tree))}")
-    nodes, i = tree[cur]
-    return nodes[:i + 1] + tuple(reversed(walked)), i
+            raise ValueError(f"node {cur} at distance {d + 1} has no neighbor at distance {d}")
+        nodes.append(cur)
+    return tuple(reversed(nodes))
 
 
 def shortest_path(g: Graph, u: int, v: int, distances: np.ndarray) -> Path:
@@ -761,6 +754,7 @@ def shortest_path(g: Graph, u: int, v: int, distances: np.ndarray) -> Path:
     dist = memoryview(distances)
     if dist[v] == UNREACHABLE:
         raise NoPathError(f"no path from {u} to {v}")
-    nodes, _ = _walk_to_tree(memoryview(g.indptr), memoryview(g.indices), dist,
-                             {u: ((u,), 0)}, v)
-    return Path(nodes)
+    try:
+        return Path(_walk_to_tree(memoryview(g.indptr), memoryview(g.indices), dist, {u}, v))
+    except ValueError as exc:
+        raise ValueError(f"{exc}: the distances are not the row of {u}") from None

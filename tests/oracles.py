@@ -177,8 +177,10 @@ def reference_complete(g: Graph, seed_edges, k: int) -> tuple[frozenset, list[tu
     fresh Floyd-Warshall of H after every insertion.
 
     Returns H's final edges and one tuple per step: (pair, d_g, d_h_before,
-    path nodes, new_edges, v_before, v_after, c_before, c_after), with
-    d_h_before = math.inf for pairs disconnected in H.
+    walked nodes, new_edges, v_before, v_after, c_before, c_after), with
+    d_h_before = math.inf for pairs disconnected in H.  The walked nodes are
+    the path's tail from its last node that an earlier path of row u holds,
+    or from u itself; new_edges counts the whole path's hops not in H.
     """
     n = g.n
     slack = {2: 3, 6: 5}.get(k, max(k - 1, 0))
@@ -212,16 +214,19 @@ def reference_complete(g: Graph, seed_edges, k: int) -> tuple[frozenset, list[tu
     v_cur, c_cur = potential(dh), cost()
     steps = []
     for u in range(n):
+        row = {u}  # the nodes of the paths inserted for row u
         for v in range(u + 1, n):
             if dg[u][v] == math.inf or dh[u][v] <= dg[u][v] + k:
                 continue
             nodes = reference_path(neighbors, dg, u, v)
+            walked = nodes[max(i for i, x in enumerate(nodes) if x in row):]
+            row.update(nodes)
             hops = {(min(a, b), max(a, b)) for a, b in zip(nodes, nodes[1:])}
             new_edges = len(hops - h)
             h |= hops
             d_h_before, dh = dh[u][v], dist_h()
             v_after, c_after = potential(dh), cost()
-            steps.append(((u, v), int(dg[u][v]), d_h_before, tuple(nodes),
+            steps.append(((u, v), int(dg[u][v]), d_h_before, walked,
                           new_edges, v_cur, v_after, c_cur, c_after))
             v_cur, c_cur = v_after, c_after
     return frozenset(h), steps
@@ -230,7 +235,7 @@ def reference_complete(g: Graph, seed_edges, k: int) -> tuple[frozenset, list[tu
 def reference_rows(trace) -> list[tuple]:
     """A library trace's steps as ``reference_complete`` lists them."""
     return [
-        (s.pair, s.path.length, math.inf if s.d_h_before == UNREACHABLE else s.d_h_before,
+        (s.pair, s.d_g, math.inf if s.d_h_before == UNREACHABLE else s.d_h_before,
          s.path.nodes, s.new_edges, s.v_before, s.v_after, s.c_before, s.c_after)
         for s in trace.steps
     ]

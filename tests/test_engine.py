@@ -311,7 +311,8 @@ class TestComplete:
         _, trace = build_spanner(g, 2)
         for s in trace.steps:
             assert s.new_edges >= 1
-            assert s.d_h_before == UNREACHABLE or s.d_h_before > s.path.length + trace.k
+            assert s.d_h_before == UNREACHABLE or s.d_h_before > s.d_g + trace.k
+            assert 1 <= s.path.length <= s.d_g
 
     def test_deterministic(self):
         g = gen_gnp(25, 0.4, 3)
@@ -418,8 +419,8 @@ _TREE_GRAPHS = {
 
 
 class TestRowTree:
-    """Each row of the scan walks only the hops of a path that its tree of
-    inserted paths does not hold."""
+    """Each row of the scan walks and records only the hops of a path that
+    its tree of walked nodes does not hold."""
 
     @pytest.mark.parametrize("name, k", [
         *itertools.product(_TREE_GRAPHS, (2, 6)),
@@ -433,10 +434,16 @@ class TestRowTree:
         edges = set(seed.edges())
         h, trace = build_spanner(g, k)
         dg = apsp(g).dist
+        walked = {}  # row u -> u and the nodes its steps walked
         for step in trace.steps:
             u, v = step.pair
-            assert step.path == shortest_path(g, u, v, dg[u])
-            hops = {canonical_edge(a, b) for a, b in step.path.hops()}
+            path, tail = shortest_path(g, u, v, dg[u]), step.path.nodes
+            assert step.d_g == path.length and path.nodes[-len(tail):] == tail
+            # the walk stops at the first node the row holds, u or one walked before
+            row = walked.setdefault(u, {u})
+            assert tail[0] in row and row.isdisjoint(tail[1:])
+            row.update(tail)
+            hops = {canonical_edge(a, b) for a, b in path.hops()}
             assert step.new_edges == len(hops - edges)
             edges |= hops
         assert edges == h.edges()
@@ -446,24 +453,30 @@ class TestRowTree:
             firsts = {s.pair[0]: s for s in reversed(trace.steps)}.values()
             assert any(canonical_edge(*s.path.nodes[:2]) in seed.edges() for s in firsts)
 
-    def test_rows_walk_at_most_n_minus_1_hops(self, monkeypatch):
-        walk = engine._walk_to_tree
-        walked = collections.Counter()
-
-        def counted(ptr, indices, dist, tree, v):
-            nodes, start = walk(ptr, indices, dist, tree, v)
-            walked[nodes[0]] += len(nodes) - 1 - start
-            return nodes, start
-
-        monkeypatch.setattr(engine, "_walk_to_tree", counted)
+    def test_rows_walk_at_most_n_minus_1_hops(self):
         for name, g in _TREE_GRAPHS.items():
-            walked.clear()
             _, trace = build_spanner(g, 2)
+            walked = collections.Counter()
+            for s in trace.steps:
+                walked[s.pair[0]] += s.path.length
             assert max(walked.values(), default=0) <= g.n - 1, name
             if name == "path-160":
-                # one row, 159 steps: the full walks took 1 + 2 + ... + 159 hops
-                assert sum(s.path.length for s in trace.steps) == 12_720
+                # one row, 159 steps: the full paths have 1 + 2 + ... + 159 hops
+                assert sum(s.d_g for s in trace.steps) == 12_720
                 assert walked == {0: 159}
+
+    def test_trace_holds_no_full_paths(self):
+        # path-1500's 1499 steps have 1,124,250 full-path hops and walk 1499:
+        # a trace that kept its full paths held about 6.2 KiB per step, this one 0.4
+        g = gen_named("path", 1500)
+        tracemalloc.start()
+        try:
+            trace = build_spanner(g, 2)[1]
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(trace.steps) == 1499
+        assert held <= 1024 * len(trace.steps)
 
 
 _HANDED_BACK_GRAPHS = {

@@ -369,6 +369,16 @@ class TestGenerators:
     def test_named_star(self):
         assert gen_named("star", 4).sorted_edges() == [(0, 1), (0, 2), (0, 3)]
 
+    def test_named_complete_peak_memory(self):
+        tracemalloc.start()
+        try:
+            g = gen_named("complete", 1024)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 64 bytes per edge, 16 of them the CSR's; pairs made as tuples took 160
+        assert peak <= 80 * g.edge_count
+
     def test_named_grid(self):
         g = gen_named("grid", 3)
         assert g.n == 9 and g.edge_count == 12

@@ -494,17 +494,23 @@ MUTANTS = {
         graph, "shortest_path", "if distances[u] != 0:", "if False:",
         shortest_path_refuses_other_rows,
     ),
-    # a later row's walks stop at an earlier row's nodes and take their paths
+    # a later row's walks stop at an earlier row's nodes, whose paths H may lack
     "complete-tree-once-per-build": (
-        engine, "complete", "tree = None", "tree = tree if u else None",
+        engine, "complete", "tree = {u}", "tree = tree if u else {u}",
         complete_matches_reference,
     ),
-    "complete-tree-index-one-early": (
-        engine, "complete", "tree[b] = nodes, j", "tree[b] = nodes, j - 1",
+    # a later walk passes the step's v and records hops the row already holds
+    "complete-walked-v-not-in-tree": (
+        engine, "complete", "tree.update(nodes)", "tree.update(nodes[:-1])",
         complete_matches_reference,
     ),
-    "complete-new-hops-one-late": (
-        engine, "complete", "range(start + 1, len(nodes))", "range(start + 2, len(nodes))",
+    # the hop from the tree node is never inserted, so the pair's d_H stays stale
+    "walk-returns-without-tree-node": (
+        graph, "_walk_to_tree", "return tuple(reversed(nodes))",
+        "return tuple(reversed(nodes[:-1]))", complete_matches_reference,
+    ),
+    "complete-d_g-is-walked-length": (
+        engine, "complete", "d_g=int(dg_row[v])", "d_g=len(nodes) - 1",
         complete_matches_reference,
     ),
     # (0, 3) on edges {(0, 2), (1, 3)}: row 0 ends where row 1 starts with 3
