@@ -69,6 +69,7 @@ class SubgraphState:
 
     def add_edge(self, u: int, v: int) -> None:
         """Insert a host edge into H; an edge already in H is left as it is."""
+        u, v = _index(u), _index(v)
         ptr, indices = memoryview(self.host.indptr), memoryview(self.host.indices)
         i = self._slot(ptr, indices, u, v)
         if i < 0:
@@ -89,7 +90,7 @@ class SubgraphState:
         return Graph(self.host.n, indptr, self.host.indices[np.frombuffer(self._in_h, dtype=bool)])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CompletionStep:
     """One completion insertion: the violating pair and what it cost.
 

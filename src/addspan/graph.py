@@ -97,7 +97,7 @@ class Graph:
             # no edges, or ids beyond int64: keep them exact for the range check
             pairs = np.array(edges, dtype=object)
             for x in pairs.flat:
-                if not isinstance(x, (int, np.integer)):
+                if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
                     raise GraphFormatError(f"node id {_quote(x)} is not an integer")
         pairs = pairs.reshape(len(edges), 2)
         u, v = pairs[:, 0], pairs[:, 1]
@@ -160,7 +160,7 @@ class DistanceMatrix:
     dist: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Path:
     """A simple path as a node sequence; consecutive nodes are adjacent."""
 
@@ -443,17 +443,16 @@ def _bfs(g: Graph, budget: float) -> Optional[np.ndarray]:
     (math.inf runs every level).
 
     Bit i of row w, column v, stands for source 64 w + i at node v; a row of
-    words is contiguous, so a block of words is a slice.  Column n is a node
-    with no neighbor and no source, so its frontier stays zero.  The frontier
-    starts at each node's own bit.  A level gathers the frontier columns of
-    each node's neighbors with ``np.take``, in blocks of words that read at
-    most _GATHER_BYTES, and ORs them over the CSR with
-    ``np.bitwise_or.reduceat``, where an isolated node reads column n, since
-    reduceat gives an empty segment its first element.  It keeps the bits not
-    yet reached and adds its level number to the bit planes of the pairs it
-    reached, plane b holding bit b of the distance.  The planes, at most
-    ceil(log2 n), are unpacked into the int16 matrix in blocks of _BLOCK_ROWS
-    sources, the rows of the symmetric matrix."""
+    words is contiguous, so a block of words is a slice.  The frontier starts
+    at each node's own bit.  A level gathers the frontier columns of each
+    node's neighbors with ``np.take``, in blocks of words that read at most
+    _GATHER_BYTES, and ORs them over the CSR with ``np.bitwise_or.reduceat``.
+    That has no empty segment, so an isolated node's segment is the node
+    itself, whose column holds only its own bit, reached at level 0.  It keeps
+    the bits not yet reached and adds its level number to the bit planes of
+    the pairs it reached, plane b holding bit b of the distance.  The planes,
+    at most ceil(log2 n), are unpacked into the int16 matrix in blocks of
+    _BLOCK_ROWS sources, the rows of the symmetric matrix."""
     n = g.n
     words = -(-n // 64)
     level_cost = _WORD_COST * (g.indices.size + n) * words + _LEVEL_COST
@@ -463,14 +462,12 @@ def _bfs(g: Graph, budget: float) -> Optional[np.ndarray]:
 
     if not affordable(1):
         return None
-    # every array below is (words, n + 1) and contiguous: a strided view of n
-    # columns made each level's elementwise steps about 2.5 times slower
-    lonely = np.flatnonzero(np.diff(g.indptr, append=g.indptr[-1]) == 0)
-    src = np.insert(g.indices, g.indptr[lonely], n)  # an isolated node reads column n
-    starts = g.indptr + np.searchsorted(lonely, np.arange(n + 1))
-    block = max(1, _GATHER_BYTES // (8 * src.size))  # words per gather
+    lonely = np.flatnonzero(np.diff(g.indptr) == 0)
+    src = np.insert(g.indices, g.indptr[lonely], lonely)  # an isolated node reads its own column
+    starts = g.indptr[:n] + np.searchsorted(lonely, np.arange(n))
+    block = max(1, _GATHER_BYTES // (8 * src.size or 1))  # words per gather; no src at n = 0
     ids = np.arange(n)
-    front = np.zeros((words, n + 1), dtype=np.uint64)
+    front = np.zeros((words, n), dtype=np.uint64)
     front[ids >> 6, ids] = np.left_shift(np.uint64(1), (ids & 63).astype(np.uint64))
     unreached = ~front
     new = np.empty_like(front)
@@ -495,8 +492,8 @@ def _bfs(g: Graph, budget: float) -> Optional[np.ndarray]:
 
     def bits(x: np.ndarray, w: int) -> np.ndarray:  # [word, i, node]: source 64 word + i
         part = x[w:w + step].astype("<u8", copy=False)  # bit i in byte i >> 3, as unpacked
-        return np.unpackbits(part.view(np.uint8).reshape(len(part), n + 1, 8), axis=2,
-                             bitorder="little").transpose(0, 2, 1)[:, :, :n]
+        return np.unpackbits(part.view(np.uint8).reshape(len(part), n, 8), axis=2,
+                             bitorder="little").transpose(0, 2, 1)
 
     # whole words of rows, so that each block is a (words, 64, n) view
     dist = np.empty((64 * words, n), dtype=np.int16)
@@ -743,6 +740,7 @@ def shortest_path(g: Graph, u: int, v: int, distances: np.ndarray) -> Path:
     1-D of length n, that does not put u at distance 0, or where some node
     has no neighbor one level closer, is not u's and raises ValueError.
     """
+    u, v = _index(u), _index(v)
     for x in (u, v):
         if not 0 <= x < g.n:
             raise ValueError(f"node {x} out of range 0..{g.n - 1}")

@@ -52,6 +52,13 @@ def random_tree(n: int, seed: int) -> Graph:
     return Graph.from_edges(n, ((rng.randrange(i), i) for i in range(1, n)))
 
 
+def disjoint_union(*graphs: Graph) -> Graph:
+    """The graphs side by side, each one's ids shifted past those of the ones before."""
+    shift = list(itertools.accumulate((g.n for g in graphs), initial=0))
+    pairs = [(u + s, v + s) for g, s in zip(graphs, shift) for u, v in g.sorted_edges()]
+    return Graph.from_edges(shift[-1], pairs)
+
+
 def broom(n: int, leaves: int) -> Graph:
     """A path 0..h ending in the hub h = n - leaves - 1, whose ``leaves``
     leaves take the ids above it.  With about n / 2 leaves it makes the

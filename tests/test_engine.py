@@ -27,15 +27,9 @@ from addspan import engine
 from addspan.engine import potential_from_matrices
 from addspan.graph import MAX_K, canonical_edge, insert_edge
 
-from conftest import (MUTANT_CORPUS, clique_chain, leafed_core, projective_plane_incidence,
-                      random_tree)
+from conftest import (MUTANT_CORPUS, clique_chain, disjoint_union, leafed_core,
+                      projective_plane_incidence, random_tree)
 from oracles import capped_seed, potential_triu, reference_complete, reference_rows
-
-
-def disjoint_union(a: Graph, b: Graph) -> Graph:
-    return Graph.from_edges(
-        a.n + b.n, [*a.sorted_edges(), *((u + a.n, v + a.n) for u, v in b.sorted_edges())]
-    )
 
 
 _small_gnp = st.builds(
@@ -477,6 +471,13 @@ class TestRowTree:
             tracemalloc.stop()
         assert len(trace.steps) == 1499
         assert held <= 1024 * len(trace.steps)
+
+    def test_steps_and_paths_have_no_instance_dict(self):
+        # slotted: an instance dict each added about 90 B to a step of about 315
+        _, trace = build_spanner(gen_named("path", 5), 2)
+        assert trace.steps
+        for step in trace.steps:
+            assert not hasattr(step, "__dict__") and not hasattr(step.path, "__dict__")
 
 
 _HANDED_BACK_GRAPHS = {

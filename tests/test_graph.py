@@ -29,7 +29,7 @@ from addspan import (
 from addspan import graph
 from addspan.graph import MAX_NODES, _splitmix64_floats, check_k, insert_edge
 
-from conftest import broom, clique_chain, random_tree
+from conftest import broom, clique_chain, disjoint_union, random_tree
 from oracles import (SplitMix64, floyd_warshall, dist_matrix_to_float, largest_parity_sum,
                      naive_exceeds, naive_neighbors, parse_outcome)
 
@@ -46,12 +46,6 @@ def scipy_apsp(g: Graph) -> np.ndarray:
     m = csr_matrix((np.ones(g.indices.size), g.indices, g.indptr), shape=(g.n, g.n))
     d = scipy_shortest_path(m, directed=False, unweighted=True)
     return np.where(np.isinf(d), UNREACHABLE, d).astype(np.int64)
-
-
-def disjoint_union(*graphs: Graph) -> Graph:
-    shift = np.cumsum([0] + [g.n for g in graphs])
-    pairs = [(u + s, v + s) for g, s in zip(graphs, shift) for u, v in g.sorted_edges()]
-    return Graph.from_edges(int(shift[-1]), pairs)
 
 
 # apsp inputs: no square at all (n = 0 and 1, complete graphs), diameters
@@ -438,8 +432,12 @@ class TestGraphInvariants:
         ([("1", "2")], r"node id '1' is not an integer$"),
         (np.array([[0.0, 1.0], [1.0, 2.0]]), r"node id 0\.0 is not an integer$"),
         ([(1, 2), (0.5, 10 ** 40)], r"node id 0\.5 is not an integer$"),
+        # numpy infers bool: a cast would read (True, False) as the edge (0, 1)
+        ([(True, False)], r"node id True is not an integer$"),
+        (np.array([[1, 2], [0, 1]]) > 0, r"node id True is not an integer$"),
     ], ids=["loop-first", "range-first", "loop-out-of-range", "negative", "beyond-int64", "array",
-            "2^63", "2^64-1", "half", "near-int", "strings", "float-array", "float-beyond-int64"])
+            "2^63", "2^64-1", "half", "near-int", "strings", "float-array", "float-beyond-int64",
+            "bools", "bool-array"])
     def test_first_bad_edge_reported(self, edges, message):
         with pytest.raises(GraphFormatError, match=message):
             Graph.from_edges(3, edges)
@@ -492,9 +490,16 @@ class TestGraphInvariants:
         lambda: default_cap(2.5),
         lambda: seed_degree_capped(gen_named("path", 4), True),
         lambda: run_sweep("gnp", [8], [0.5], True, 2),
+        # node ids too: False read as 0 and then met an empty array, 4.0 a memoryview
+        lambda: shortest_path(gen_named("path", 5), False, 4, np.arange(5, dtype=np.int16)),
+        lambda: shortest_path(gen_named("path", 5), 0, 4.0, np.arange(5, dtype=np.int16)),
+        # (True, False) flagged the edge (0, 1) but added 1 to every degree
+        lambda: seed_degree_capped(gen_named("path", 5), 0).add_edge(True, False),
+        lambda: seed_degree_capped(gen_named("path", 5), 0).add_edge(0.5, 1),
     ], ids=["check_k", "verify_spanner", "from_edges", "gen_gnp", "gen_gnp-bool-seed",
             "gen_gnp-float-seed", "gen_named", "grid", "default_cap", "seed_degree_capped",
-            "run_sweep"])
+            "run_sweep", "shortest_path-bool", "shortest_path-float", "add_edge-bool",
+            "add_edge-float"])
     def test_counts_must_be_integers(self, call):
         with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
             call()
@@ -505,6 +510,12 @@ class TestGraphInvariants:
         assert gen_gnp(np.int32(5), 1.0, 0) == gen_named("complete", 5)
         assert default_cap(np.int64(27)) == 3
         assert seed_degree_capped(gen_named("path", 4), np.int64(1)).edge_count == 3
+        g = gen_named("path", 5)
+        p = shortest_path(g, np.int64(0), np.int32(4), apsp(g).dist[0])
+        assert p.nodes == (0, 1, 2, 3, 4) and {type(x) for x in p.nodes} == {int}
+        h = seed_degree_capped(g, 0)
+        h.add_edge(np.int64(0), np.int32(1))
+        assert h.deg.tolist() == [1, 1, 0, 0, 0] and h.edges() == {(0, 1)}
 
 
 class TestDistances:

@@ -612,8 +612,13 @@ MUTANTS = {
     ),
     # an isolated node then ORs the frontier of node 0 into its own
     "bfs-isolated-reads-a-real-column": (
-        graph, "_bfs", "np.insert(g.indices, g.indptr[lonely], n)",
+        graph, "_bfs", "np.insert(g.indices, g.indptr[lonely], lonely)",
         "np.insert(g.indices, g.indptr[lonely], 0)", bfs_matches_floyd_warshall,
+    ),
+    # no own column: reduceat gives an isolated node the next node's first neighbor
+    "bfs-isolated-segment-left-empty": (
+        graph, "_bfs", "np.flatnonzero(np.diff(g.indptr) == 0)", "np.array([], dtype=np.int64)",
+        bfs_matches_floyd_warshall,
     ),
     # 16,384 nodes would let a parity sum reach 2**24, where float32 rounds
     "max-nodes-2**14": (
