@@ -41,13 +41,13 @@ VIOLATION_COLUMNS = ["u", "v", "d_g", "d_h", "excess"]
 
 
 def _write_trace_csv(path: str, trace: CompletionTrace) -> None:
+    v, c = trace.potentials, trace.costs
     with open(path, "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(TRACE_COLUMNS)
         for i, s in enumerate(trace.steps):
             writer.writerow([
-                i, s.pair[0], s.pair[1], s.d_g, s.d_h_before, s.new_edges,
-                s.v_before, s.v_after, s.c_before, s.c_after,
+                i, *s.pair, s.d_g, s.d_h_before, s.new_edges, v[i], v[i + 1], c[i], c[i + 1],
             ])
 
 

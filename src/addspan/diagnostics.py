@@ -66,10 +66,8 @@ def check_2spanner_step_law(trace: CompletionTrace) -> list[int]:
         raise TraceContractError("step law needs a k=2 trace")
     if not trace.potentials_recorded:
         raise TraceContractError("trace was recorded without potentials")
-    return [
-        (s.c_after - 12 * s.v_after) - (s.c_before - 12 * s.v_before)
-        for s in trace.steps
-    ]
+    v, c = trace.potentials, trace.costs
+    return [(c[i + 1] - 12 * v[i + 1]) - (c[i] - 12 * v[i]) for i in range(len(trace.steps))]
 
 
 def measure_6spanner_step_ratio(trace: CompletionTrace) -> list[float]:
@@ -79,4 +77,5 @@ def measure_6spanner_step_ratio(trace: CompletionTrace) -> list[float]:
         raise TraceContractError("ratio report needs a k=6 trace")
     if not trace.potentials_recorded:
         raise TraceContractError("trace was recorded without potentials")
-    return [(s.v_after - s.v_before) / (s.c_after - s.c_before) for s in trace.steps]
+    v, c = trace.potentials, trace.costs
+    return [(v[i + 1] - v[i]) / (c[i + 1] - c[i]) for i in range(len(trace.steps))]

@@ -92,34 +92,40 @@ class SubgraphState:
 
 @dataclass(frozen=True, slots=True)
 class CompletionStep:
-    """One completion insertion: the violating pair and what it cost.
+    """One completion insertion: row u's violating pair and what it cost.
 
-    ``path`` holds only the hops the step walked: the tail of the pair's
-    ``shortest_path`` from the first node its row's earlier steps reached, or
-    from u.  ``d_h_before`` is UNREACHABLE when the pair was disconnected in H.
-    Potential/cost snapshots are None unless the run recorded them.
+    ``path`` holds only the hops the step walked, ending at v: the tail of the
+    pair's ``shortest_path`` from the first node its row's earlier steps
+    reached, or from u.  ``d_h_before`` is UNREACHABLE when H did not connect the pair.
     """
 
-    pair: Edge
+    u: int
     d_g: int
     d_h_before: int
     path: Path
     new_edges: int
-    v_before: Optional[int] = None
-    v_after: Optional[int] = None
-    c_before: Optional[int] = None
-    c_after: Optional[int] = None
+
+    @property
+    def pair(self) -> Edge:
+        return self.u, self.path.nodes[-1]
 
 
 @dataclass
 class CompletionTrace:
     """Ordered record of all completion steps of one run.  The graph's n and
-    H's final edge count are read off ``g`` and ``h``, not copied here."""
+    H's final edge count are read off ``g`` and ``h``, not copied here.
+    ``potentials`` and ``costs`` are None unless recorded, else the seed's
+    value and then one per step: step i goes from index i to i + 1."""
 
     k: int
     seed_edge_count: int
-    potentials_recorded: bool
     steps: list[CompletionStep] = field(default_factory=list)
+    potentials: Optional[list[int]] = None
+    costs: Optional[list[int]] = None
+
+    @property
+    def potentials_recorded(self) -> bool:
+        return self.potentials is not None
 
 
 def default_cap(n: int) -> int:
@@ -236,11 +242,11 @@ def complete(
     and checks, inserts and records only the hops it walked.  A violating v is
     never in the tree, so each step walks a new node, and a row n - 1 hops at most.
     Mutates and returns ``h`` together with the step trace.  With
-    ``record_potentials`` every step snapshots the potential and cost of
-    ``CONVENTIONS``: one O(n^2) potential sum for the seed, then each new
-    edge adds the change of its pair terms over the cells ``insert_edge``
-    repaired, and each step reads ``cost`` of its H.  After every step d_H(u, v)
-    must equal d_G(u, v), or SelfCheckError is raised.
+    ``record_potentials`` the trace gets the seed's potential and cost of
+    ``CONVENTIONS`` and each step's: one O(n^2) potential sum for the seed,
+    then each new edge adds the change of its pair terms over the cells
+    ``insert_edge`` repaired, and each step reads ``cost`` of its H.  After
+    every step d_H(u, v) must equal d_G(u, v), or SelfCheckError is raised.
 
     The build then checks its own result and raises SelfCheckError unless
     every edge of H has d_G = 1, no pair exceeds d_G + k, and the repaired d_H
@@ -261,9 +267,8 @@ def complete(
     seed_edges = h.edge_count
     steps: list[CompletionStep] = []
 
-    v_cur = c_cur = None
-    if record_potentials:
-        v_cur, c_cur = potential_from_matrices(dg, dh, slack), cost(h)
+    potentials = [potential_from_matrices(dg, dh, slack)] if record_potentials else None
+    costs = [cost(h)] if record_potentials else None
     ptr, indices = memoryview(g.indptr), memoryview(g.indices)
     for u in range(g.n):
         # the nodes the row's steps walked, from u: H holds the path from u to each
@@ -280,8 +285,7 @@ def complete(
             # the path up to nodes[0] is in H: only the hops after it are walked
             nodes = _walk_to_tree(ptr, indices, memoryview(dg_row), tree, v)
             tree.update(nodes)
-            v_before, c_before = v_cur, c_cur
-            added = 0
+            added = gain = 0
             for a, b in zip(nodes, nodes[1:]):
                 # the repaired d_H is exact: d_H(a, b) = 1 iff (a, b) is in H
                 if dh[a, b] == 1:
@@ -290,9 +294,10 @@ def complete(
                 cells = insert_edge(dh, a, b)
                 added += 1
                 if record_potentials:
-                    v_cur += potential_change(dg, cells, slack)
+                    gain += potential_change(dg, cells, slack)
             if record_potentials:
-                c_cur = cost(h)
+                potentials.append(potentials[-1] + gain)
+                costs.append(cost(h))
             # H now holds a shortest u-v path of G, so any other d_H is a stale
             # repair; the scan moves past the pair whether or not it holds
             if row[v] != dg_row[v]:
@@ -301,9 +306,7 @@ def complete(
                     "its shortest path was inserted: the repaired d_H is stale"
                 )
             steps.append(CompletionStep(
-                pair=(u, v), d_g=int(dg_row[v]), d_h_before=d_h_before, path=Path(nodes),
-                new_edges=added, v_before=v_before, v_after=v_cur,
-                c_before=c_before, c_after=c_cur,
+                u=u, d_g=int(dg_row[v]), d_h_before=d_h_before, path=Path(nodes), new_edges=added,
             ))
 
     spanner = h.to_graph()
@@ -316,9 +319,7 @@ def complete(
     if not _is_hop_distance(spanner, dh):
         raise SelfCheckError("self-check found that the repaired d_H is not the "
                              "hop-distance matrix of H")
-    return h, CompletionTrace(
-        k=k, seed_edge_count=seed_edges, potentials_recorded=record_potentials, steps=steps,
-    )
+    return h, CompletionTrace(k, seed_edges, steps, potentials, costs)
 
 
 def build_spanner(

@@ -93,8 +93,8 @@ class Graph:
         if not isinstance(edges, np.ndarray):
             edges = list(edges)
         pairs = np.asarray(edges)  # dtype inferred: a float or string id is not cast
-        if pairs.dtype.kind not in "iu":
-            # no edges, or ids beyond int64: keep them exact for the range check
+        if isinstance(edges, list) or pairs.dtype.kind not in "iu":
+            # each id of a list (numpy casts a bool among ints), exact beyond int64
             pairs = np.array(edges, dtype=object)
             for x in pairs.flat:
                 if isinstance(x, bool) or not isinstance(x, (int, np.integer)):

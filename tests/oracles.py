@@ -171,16 +171,17 @@ def reference_path(neighbors, dg: list[list[float]], u: int, v: int) -> tuple[in
     return tuple(reversed(nodes))
 
 
-def reference_complete(g: Graph, seed_edges, k: int) -> tuple[frozenset, list[tuple]]:
+def reference_complete(g: Graph, seed_edges, k: int) -> tuple[frozenset, tuple]:
     """Naive completion: one lexicographic pass over pairs u < v, inserting
     the lowest-id shortest G-path whenever d_H(u, v) > d_G(u, v) + k, with a
     fresh Floyd-Warshall of H after every insertion.
 
-    Returns H's final edges and one tuple per step: (pair, d_g, d_h_before,
-    walked nodes, new_edges, v_before, v_after, c_before, c_after), with
-    d_h_before = math.inf for pairs disconnected in H.  The walked nodes are
-    the path's tail from its last node that an earlier path of row u holds,
-    or from u itself; new_edges counts the whole path's hops not in H.
+    Returns H's final edges and its trace: the list of one tuple per step,
+    (pair, d_g, d_h_before, walked nodes, new_edges), with d_h_before =
+    math.inf for pairs disconnected in H, then the potential and the cost of
+    the seed and after each step, two lists.  The walked nodes are the path's
+    tail from its last node that an earlier path of row u holds, or from u
+    itself; new_edges counts the whole path's hops not in H.
     """
     n = g.n
     slack = {2: 3, 6: 5}.get(k, max(k - 1, 0))
@@ -211,7 +212,7 @@ def reference_complete(g: Graph, seed_edges, k: int) -> tuple[frozenset, list[tu
         return sum(d * d for d in deg)
 
     dh = dist_h()
-    v_cur, c_cur = potential(dh), cost()
+    potentials, costs = [potential(dh)], [cost()]
     steps = []
     for u in range(n):
         row = {u}  # the nodes of the paths inserted for row u
@@ -225,20 +226,20 @@ def reference_complete(g: Graph, seed_edges, k: int) -> tuple[frozenset, list[tu
             new_edges = len(hops - h)
             h |= hops
             d_h_before, dh = dh[u][v], dist_h()
-            v_after, c_after = potential(dh), cost()
-            steps.append(((u, v), int(dg[u][v]), d_h_before, walked,
-                          new_edges, v_cur, v_after, c_cur, c_after))
-            v_cur, c_cur = v_after, c_after
-    return frozenset(h), steps
+            steps.append(((u, v), int(dg[u][v]), d_h_before, walked, new_edges))
+            potentials.append(potential(dh))
+            costs.append(cost())
+    return frozenset(h), (steps, potentials, costs)
 
 
-def reference_rows(trace) -> list[tuple]:
-    """A library trace's steps as ``reference_complete`` lists them."""
-    return [
+def reference_rows(trace) -> tuple:
+    """A library trace's steps and series as ``reference_complete`` lists them."""
+    steps = [
         (s.pair, s.d_g, math.inf if s.d_h_before == UNREACHABLE else s.d_h_before,
-         s.path.nodes, s.new_edges, s.v_before, s.v_after, s.c_before, s.c_after)
+         s.path.nodes, s.new_edges)
         for s in trace.steps
     ]
+    return steps, trace.potentials, trace.costs
 
 
 def random_order_step_law(g: Graph, rng: random.Random) -> list[int]:

@@ -257,8 +257,9 @@ class TestStepRatio:
     def test_one_ratio_per_step(self):
         # a 3-clique chain takes 2 completion steps at k=6, one new edge each
         _, trace = build_spanner(clique_chain(3, 4), 6, record_potentials=True)
+        v = trace.potentials
         assert measure_6spanner_step_ratio(trace) == [
-            (s.v_after - s.v_before) / s.new_edges for s in trace.steps
+            (after - before) / s.new_edges for s, before, after in zip(trace.steps, v, v[1:])
         ] == [72.0, 144.0]
 
     def test_leafed_cores_make_the_completion_work(self):
@@ -279,15 +280,15 @@ class TestStepRatio:
         for seed in range(6):
             g = gen_gnp(16, 0.2, seed)
             _, trace = build_spanner(g, 6, record_potentials=True)
-            for s in trace.steps:
-                assert s.v_after >= s.v_before
+            for before, after in zip(trace.potentials, trace.potentials[1:]):
+                assert after >= before
 
     def test_single_step_ratio_definition(self):
         g = gen_named("path", 2)
         _, trace = build_spanner(g, 2, record_potentials=True)
         assert len(trace.steps) == 1
-        s = trace.steps[0]
-        assert (s.v_after - s.v_before) / s.new_edges == s.v_after - s.v_before
+        gain = trace.potentials[1] - trace.potentials[0]
+        assert gain / trace.steps[0].new_edges == gain
 
     def test_wrong_trace_kind_rejected(self):
         g = gen_named("complete", 4)
@@ -298,6 +299,6 @@ class TestStepRatio:
     def test_potential_monotone_along_trace(self):
         g = gen_gnp(14, 0.3, 2)
         _, trace = build_spanner(g, 2, record_potentials=True)
-        for s in trace.steps:
-            assert s.v_after >= s.v_before
-            assert s.c_after >= s.c_before
+        for i in range(len(trace.steps)):
+            assert trace.potentials[i + 1] >= trace.potentials[i]
+            assert trace.costs[i + 1] >= trace.costs[i]

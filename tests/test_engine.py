@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -222,6 +223,26 @@ class TestComplete:
         assert all(s.new_edges == 1 for s in trace.steps)
         assert [s.pair for s in trace.steps] == [(0, 1), (0, 2), (0, 3)]
 
+    @pytest.mark.parametrize("record", [True, False])
+    def test_trace_stores_each_fact_once(self, record):
+        # a step holds no potential or cost and no v: the trace holds each series
+        # once, the seed's value first, and v ends the step's walked path
+        assert [f.name for f in dataclasses.fields(engine.CompletionStep)] == [
+            "u", "d_g", "d_h_before", "path", "new_edges"]
+        assert [f.name for f in dataclasses.fields(engine.CompletionTrace)] == [
+            "k", "seed_edge_count", "steps", "potentials", "costs"]
+        g = gen_named("cycle", 9)
+        _, trace = build_spanner(g, 2, record_potentials=record)
+        assert [s.pair for s in trace.steps] == [(s.u, s.path.nodes[-1]) for s in trace.steps] \
+            == [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (2, 5)]
+        if record:
+            assert len(trace.potentials) == len(trace.costs) == len(trace.steps) + 1
+        else:
+            assert trace.potentials is None and trace.costs is None
+        assert trace.potentials_recorded is record
+        with pytest.raises(AttributeError):
+            trace.potentials_recorded = not record
+
     @pytest.mark.parametrize("k", [0, 2, 6])
     @pytest.mark.parametrize("seed", range(4))
     def test_tree_completes_to_itself(self, k, seed):
@@ -339,10 +360,10 @@ class TestReferenceCompletion:
     @settings(max_examples=120, deadline=None)
     def test_matches_reference_complete(self, g, k, capped):
         seed = seed_degree_capped(g, default_cap(g.n) if capped else 0)
-        ref_edges, ref_steps = reference_complete(g, seed.edges(), k)
+        ref_edges, ref_trace = reference_complete(g, seed.edges(), k)
         h, trace = complete(g, seed, k, record_potentials=True)
         assert h.edges() == ref_edges
-        assert reference_rows(trace) == ref_steps
+        assert reference_rows(trace) == ref_trace
         if capped == (k == 6):  # the pipeline's own seed: capped for k = 6 only
             built, built_trace = build_spanner(g, k, record_potentials=True)
             assert built.edges() == ref_edges
@@ -352,12 +373,11 @@ class TestReferenceCompletion:
     def test_matches_reference_at_k_ceiling(self, seed):
         # slack k - 1 is largest here; potentials must not wrap in int64
         g = disjoint_union(gen_gnp(7, 0.4, seed), gen_named("path", 5))
-        ref_edges, ref_steps = reference_complete(g, frozenset(), MAX_K)
+        ref_edges, (ref_steps, ref_potentials, _) = reference_complete(g, frozenset(), MAX_K)
         h, trace = complete(g, seed_degree_capped(g, 0), MAX_K, record_potentials=True)
         assert h.edges() == ref_edges
-        assert [(s.pair, s.v_before, s.v_after) for s in trace.steps] == [
-            (r[0], r[5], r[6]) for r in ref_steps
-        ]
+        assert [s.pair for s in trace.steps] == [r[0] for r in ref_steps]
+        assert trace.potentials == ref_potentials
 
     @pytest.mark.parametrize("core", [12, 16])
     def test_matches_reference_on_leafed_cores(self, core):
@@ -365,10 +385,10 @@ class TestReferenceCompletion:
         g = leafed_core(core, 0.3, 0)
         seed = seed_degree_capped(g, default_cap(g.n))
         assert seed.edge_count == g.n - core
-        ref_edges, ref_steps = reference_complete(g, seed.edges(), 6)
+        ref_edges, ref_trace = reference_complete(g, seed.edges(), 6)
         h, trace = complete(g, seed, 6, record_potentials=True)
         assert trace.steps and h.edges() == ref_edges
-        assert reference_rows(trace) == ref_steps
+        assert reference_rows(trace) == ref_trace
 
     @pytest.mark.parametrize("t", [2, 3, 4, 5])
     @pytest.mark.parametrize("s", [4, 5, 6, 7])
@@ -377,11 +397,11 @@ class TestReferenceCompletion:
         g = clique_chain(t, s)
         assert s > default_cap(g.n) + 1
         seed = seed_degree_capped(g, default_cap(g.n))
-        ref_edges, ref_steps = reference_complete(g, seed.edges(), 6)
+        ref_edges, ref_trace = reference_complete(g, seed.edges(), 6)
         h, trace = complete(g, seed, 6, record_potentials=True)
         assert len(trace.steps) == t - 1
         assert h.edges() == ref_edges
-        assert reference_rows(trace) == ref_steps
+        assert reference_rows(trace) == ref_trace
 
     def test_stale_distances_raise_instead_of_looping(self, monkeypatch):
         monkeypatch.setattr(engine, "insert_edge", lambda dist, a, b: None)
@@ -461,7 +481,7 @@ class TestRowTree:
 
     def test_trace_holds_no_full_paths(self):
         # path-1500's 1499 steps have 1,124,250 full-path hops and walk 1499:
-        # a trace that kept its full paths held about 6.2 KiB per step, this one 0.4
+        # a trace that kept its full paths held about 6.2 KiB per step, this one 0.25
         g = gen_named("path", 1500)
         tracemalloc.start()
         try:
@@ -473,7 +493,7 @@ class TestRowTree:
         assert held <= 1024 * len(trace.steps)
 
     def test_steps_and_paths_have_no_instance_dict(self):
-        # slotted: an instance dict each added about 90 B to a step of about 315
+        # slotted: an instance dict each added about 80 B to a step of about 230
         _, trace = build_spanner(gen_named("path", 5), 2)
         assert trace.steps
         for step in trace.steps:
@@ -597,12 +617,11 @@ class TestRunningPotential:
             cost = int((deg ** 2).sum()) if k == 2 else h.edge_count
             return potential_triu(dg, apsp(h).dist, slack), cost
 
-        v, c = snapshot()
+        snapshots = [snapshot()]
         for s in trace.steps:
-            assert (s.v_before, s.c_before) == (v, c)
             edges.update((min(a, b), max(a, b)) for a, b in s.path.hops())
-            v, c = snapshot()
-            assert (s.v_after, s.c_after) == (v, c)
+            snapshots.append(snapshot())
+        assert (trace.potentials, trace.costs) == tuple(map(list, zip(*snapshots)))
 
     @pytest.mark.parametrize("slack", [3, 5, MAX_K - 1])
     def test_change_over_unreachable_old_cells(self, slack):

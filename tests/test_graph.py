@@ -435,9 +435,12 @@ class TestGraphInvariants:
         # numpy infers bool: a cast would read (True, False) as the edge (0, 1)
         ([(True, False)], r"node id True is not an integer$"),
         (np.array([[1, 2], [0, 1]]) > 0, r"node id True is not an integer$"),
+        # numpy infers int64 for a bool among ints: a cast would read (True, 2) as (1, 2)
+        ([(True, 2)], r"node id True is not an integer$"),
+        ([(1, 2), (0, True)], r"node id True is not an integer$"),
     ], ids=["loop-first", "range-first", "loop-out-of-range", "negative", "beyond-int64", "array",
             "2^63", "2^64-1", "half", "near-int", "strings", "float-array", "float-beyond-int64",
-            "bools", "bool-array"])
+            "bools", "bool-array", "bool-among-ints", "bool-after-ints"])
     def test_first_bad_edge_reported(self, edges, message):
         with pytest.raises(GraphFormatError, match=message):
             Graph.from_edges(3, edges)

@@ -47,7 +47,8 @@ from oracles import (capped_seed, dist_matrix_to_float, floyd_warshall, naive_ex
                      naive_neighbors, parse_outcome, potential_triu, reference_complete,
                      reference_path, reference_rows)
 
-NAMESPACES = (graph, graph.Graph, engine, engine.SubgraphState, diagnostics, sweep, cli, addspan)
+NAMESPACES = (graph, graph.Graph, engine, engine.SubgraphState, engine.CompletionStep, diagnostics,
+              sweep, cli, addspan)
 
 
 # edge lists for the parser: regular texts first, then each kind of line the
@@ -64,7 +65,8 @@ def install(monkeypatch, owner, name: str, old: str, new: str) -> None:
     the result in wherever the package binds the original, rows of its
     function tables included."""
     original = vars(owner)[name]
-    function = getattr(original, "__func__", original)  # a classmethod's function
+    # a classmethod's function, or a property's getter
+    function = getattr(original, "__func__", getattr(original, "fget", original))
     if inspect.isfunction(function):
         source = textwrap.dedent(inspect.getsource(function))
         namespace = dict(function.__globals__)
@@ -237,13 +239,31 @@ def complete_matches_reference() -> None:
     for g in CORPUS:
         for k, cap in ((2, 0), (6, engine.default_cap(g.n))):
             seed = engine.seed_degree_capped(g, cap)
-            ref_edges, ref_steps = reference_complete(g, seed.edges(), k)
+            ref_edges, ref_trace = reference_complete(g, seed.edges(), k)
             try:
                 h, trace = engine.complete(g, seed, k, record_potentials=True)
             except Exception as exc:
                 raise AssertionError(f"the build raised {exc!r}") from None
             assert h.edges() == ref_edges
-            assert reference_rows(trace) == ref_steps
+            assert reference_rows(trace) == ref_trace
+
+
+def trace_csv_matches_reference() -> None:
+    """The trace CSV of each k=2 build from no edges holds the reference
+    completion's steps, each with the potential and cost before and after it."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for g in CORPUS:
+            _, (steps, v, c) = reference_complete(g, frozenset(), 2)
+            expected = [
+                [i, *pair, d_g, graph.UNREACHABLE if d_h == math.inf else d_h, new_edges,
+                 v[i], v[i + 1], c[i], c[i + 1]]
+                for i, (pair, d_g, d_h, _, new_edges) in enumerate(steps)
+            ]
+            _, trace = engine.complete(g, engine.SubgraphState(g), 2, record_potentials=True)
+            cli._write_trace_csv(f"{tmp}/trace.csv", trace)
+            header, *rows = Path(f"{tmp}/trace.csv").read_text().splitlines()
+            assert header.split(",") == cli.TRACE_COLUMNS
+            assert [[int(x) for x in row.split(",")] for row in rows] == expected
 
 
 def add_edge_rejects_non_host_edges() -> None:
@@ -422,7 +442,7 @@ MUTANTS = {
         insert_edge_repairs_only_c_contiguous,
     ),
     "potential-frozen": (
-        engine, "complete", "v_cur += potential_change(dg, cells, slack)", "v_cur += 0",
+        engine, "complete", "gain += potential_change(dg, cells, slack)", "gain += 0",
         complete_matches_reference,
     ),
     "potential-change-counts-mirror": (
@@ -440,7 +460,21 @@ MUTANTS = {
         engine, "cost_degsq", "int(h.deg @ h.deg)", "int(h.deg.sum())", complete_matches_reference,
     ),
     "complete-cost-kept": (
-        engine, "complete", "c_cur = cost(h)", "c_cur = c_before", complete_matches_reference,
+        engine, "complete", "costs.append(cost(h))", "costs.append(costs[-1])",
+        complete_matches_reference,
+    ),
+    # the cost series then holds one value per step, each read after the step
+    "complete-series-without-seed": (
+        engine, "complete", "costs = [cost(h)] if", "costs = [] if", complete_matches_reference,
+    ),
+    # the first step of a row walks from u itself
+    "step-pair-reads-path-start": (
+        engine.CompletionStep, "pair", "self.path.nodes[-1]", "self.path.nodes[0]",
+        complete_matches_reference,
+    ),
+    "trace-csv-v_before-is-v_after": (
+        cli, "_write_trace_csv", "v[i], v[i + 1]", "v[i + 1], v[i + 1]",
+        trace_csv_matches_reference,
     ),
     "add_edge-one-end": (
         engine.SubgraphState, "add_edge", "    self.deg[v] += 1\n", "", seed_matches_capped_seed,
