@@ -235,12 +235,15 @@ def complete(
     Pairs u < v are scanned lexicographically in one forward pass: row u's
     scan resumes after the pair it just repaired, so the loop ends after at
     most n(n-1)/2 steps.  Disconnected pairs of G are skipped (H never
-    connects what G does not).  d_H is one APSP of the seed, repaired in
-    place by ``insert_edge`` for every new edge.  Each row keeps the tree of
-    nodes its steps walked, from u: a step walks back from v only to the first
-    tree node (``graph._walk_to_tree``), whose path prefix is already in H,
-    and checks, inserts and records only the hops it walked.  A violating v is
-    never in the tree, so each step walks a new node, and a row n - 1 hops at most.
+    connects what G does not).  The pair limit is made once, for all of d_G,
+    and a row is scanned only if it holds a violating pair at the start: d_H
+    never grows, so no other row gets one.  d_H is one APSP of the seed,
+    repaired in place by ``insert_edge`` for every new edge.  Each row keeps
+    the tree of nodes its steps walked, from u: a step walks back from v only
+    to the first tree node (``graph._walk_to_tree``), whose path prefix is
+    already in H, and checks, inserts and records only the hops it walked.  A
+    violating v is never in the tree, so each step walks a new node, and a row
+    n - 1 hops at most.
     Mutates and returns ``h`` together with the step trace.  With
     ``record_potentials`` the trace gets the seed's potential and cost of
     ``CONVENTIONS`` and each step's: one O(n^2) potential sum for the seed,
@@ -248,12 +251,13 @@ def complete(
     ``insert_edge`` repaired, and each step reads ``cost`` of its H.  After
     every step d_H(u, v) must equal d_G(u, v), or SelfCheckError is raised.
 
-    The build then checks its own result and raises SelfCheckError unless
-    every edge of H has d_G = 1, no pair exceeds d_G + k, and the repaired d_H
-    is H's hop-distance matrix.  That last check is ``graph._is_hop_distance``,
-    a local certificate in O(m_H n) time and row-block memory, run after every
-    reference to d_G is dropped: it runs no APSP of H.  Neither matrix outlives
-    the call.
+    The build then drops the scan's limit matrix and checks its own result
+    with limits of its own, so a wrong scan limit fails the check too.  It
+    raises SelfCheckError unless every edge of H has d_G = 1, no pair exceeds
+    d_G + k, and the repaired d_H is H's hop-distance matrix.  That last
+    check is ``graph._is_hop_distance``, a local certificate in O(m_H n) time
+    and row-block memory, run after every reference to d_G is dropped: it
+    runs no APSP of H.  Neither matrix outlives the call.
     """
     check_k(k)
     if h.host != g:
@@ -270,12 +274,13 @@ def complete(
     potentials = [potential_from_matrices(dg, dh, slack)] if record_potentials else None
     costs = [cost(h)] if record_potentials else None
     ptr, indices = memoryview(g.indptr), memoryview(g.indices)
-    for u in range(g.n):
+    # the pair rule of ``exceeds``, d_H read as uint16 above a limit made once; d_H
+    # never grows, so a row with no violating pair now never gets one
+    dh_u16, limits = dh.view(np.uint16), _pair_limit(dg, k)
+    for u in np.flatnonzero((dh_u16 > limits).any(axis=1)).tolist():
         # the nodes the row's steps walked, from u: H holds the path from u to each
         tree = {u}
-        dg_row, row = dg[u], dh[u]
-        # the pair rule of ``exceeds``: row u of d_H, read as uint16, above its limit
-        limit, row_u16 = _pair_limit(dg_row, k), row.view(np.uint16)
+        dg_row, row, row_u16, limit = dg[u], dh[u], dh_u16[u], limits[u]
         # v is the last column checked: each pair (u, w) with w <= v holds, and keeps
         # holding since d_H never grows (for w < u, row w settled it)
         v = u
@@ -309,6 +314,8 @@ def complete(
                 u=u, d_g=int(dg_row[v]), d_h_before=d_h_before, path=Path(nodes), new_edges=added,
             ))
 
+    # the self-check makes its own limit, so a wrong scan limit fails it too
+    limits = limit = None
     spanner = h.to_graph()
     if not _is_subgraph(dg, spanner):
         raise SelfCheckError("spanner is not a subgraph of the input graph")

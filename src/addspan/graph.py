@@ -598,6 +598,12 @@ def insert_edge(
     The near sets hold finite distances only, so a new one is at most
     2 (MAX_NODES - 1) + 1, which int16 holds.
 
+    When b is isolated and a is not b (near_b is {b} and d(a, b) is
+    UNREACHABLE; a neighbor of b would join near_b), the block is column b
+    over a's component.  Every cell of it goes from UNREACHABLE to
+    d(x, a) + 1, so column b and row b are written with no gather or compare.
+    A self-loop (a = b) has near sets {a} and changes nothing.
+
     Returns ``(x, y, old, new)``: the changed pairs (x[i], y[i]) with their
     distances before and after.  ``dist`` must be a C-contiguous int16
     matrix, as ``apsp`` returns, since the cells are written through its flat
@@ -613,6 +619,13 @@ def insert_edge(
     ua, ub = da.view(np.uint16), db.view(np.uint16)
     near_a = (ua < ub - 1).nonzero()[0]
     near_b = (ub < ua - 1).nonzero()[0]
+    if near_b.size == 1 and ub[a] == 0xFFFF:
+        # b is isolated: the block is column b over a's component, all UNREACHABLE
+        new = da[near_a] + 1
+        cells = (near_a, np.full_like(near_a, b), db[near_a], new)
+        dist[near_a, b] = new
+        db[near_a] = new
+        return cells
     cells = np.add.outer(near_a * n, near_b)
     old = flat[cells]
     via = np.add.outer(da[near_a] + 1, db[near_b])

@@ -584,6 +584,24 @@ class TestHandedBackDistances:
         assert trace.steps and dg_alive == [False]
         assert vars(h).keys() == {"host", "deg", "_in_h"}
 
+    def test_build_peak_per_cell(self):
+        # d_G, d_H, the scan's limit matrix and its start's row mask hold 7 B per
+        # cell, as many as the self-check's ``exceeds`` with a limit of its own:
+        # 7.13 B measured.  A scan limit, or a row view of it, kept into the
+        # self-check adds 2 B there.  The star's 2047 inserts each attach an
+        # isolated node, and its matrices outweigh the rest of the build
+        n = 2048
+        build_spanner(gen_named("star", 64), 2)  # numpy's one-time set-up stays out
+        g = gen_named("star", n)
+        tracemalloc.start()
+        try:
+            _, trace = build_spanner(g, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(trace.steps) == n - 1
+        assert peak <= 8 * n * n
+
 
 _RUNNING_POTENTIAL_GRAPHS = {
     "gnp-200": gen_gnp(200, 0.05, 1),

@@ -698,6 +698,35 @@ class TestDistances:
         assert old.tolist() == [3] and new.tolist() == [1]
         assert np.array_equal(dist, apsp(gen_named("cycle", 4)).dist)
 
+    # path 0-1-2-3, then 4 and 5 isolated, 6-7 an edge: b = 4 joins a's
+    # component or another isolated node, in either order of a and b
+    @pytest.mark.parametrize("a, b", [(1, 4), (3, 4), (5, 4), (4, 5), (7, 4), (4, 1)])
+    def test_insert_edge_attaching_an_isolated_node(self, a, b):
+        # the edge joins two components, so every cell between them changes
+        # from UNREACHABLE: with b isolated that block is column b over a's
+        # component, written without the gather, and returned the same way
+        edges = [(0, 1), (1, 2), (2, 3), (6, 7)]
+        dist = apsp(Graph.from_edges(8, edges)).dist
+        d = dist.tolist()
+        x, y, old, new = insert_edge(dist, a, b)
+        assert np.array_equal(dist, apsp(Graph.from_edges(8, [*edges, (a, b)])).dist)
+        # the brute-force block: each unordered pair once, a's side first, row-major
+        block = [(p, q) for p in range(8) for q in range(8)
+                 if d[a][p] != UNREACHABLE and d[b][q] != UNREACHABLE]
+        assert list(zip(x.tolist(), y.tolist())) == block
+        assert old.tolist() == [UNREACHABLE] * len(block)
+        assert new.tolist() == [d[a][p] + 1 + d[b][q] for p, q in block]
+        assert (x.dtype, y.dtype, old.dtype, new.dtype) == (np.intp, np.intp, np.int16, np.int16)
+
+    @pytest.mark.parametrize("edges", [[], [(0, 1), (1, 2)], [(0, 1), (1, 2), (2, 0)]])
+    def test_insert_edge_self_loop_changes_nothing(self, edges):
+        dist = apsp(Graph.from_edges(4, edges)).dist
+        before = dist.copy()
+        for a in range(4):
+            x, y, old, new = insert_edge(dist, a, a)
+            assert x.size == y.size == old.size == new.size == 0
+            assert np.array_equal(dist, before)
+
     @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint16, np.uint64, np.float64])
     def test_insert_edge_refuses_other_dtypes(self, dtype):
         # the rows are read through a uint16 view, which only int16 cells fit

@@ -111,6 +111,17 @@ def insert_edge_matches_apsp() -> None:
             assert dist.tolist() == graph.apsp(prefix).dist.tolist()
 
 
+def insert_edge_self_loop_changes_nothing() -> None:
+    """A self-loop (a, a) shortens no path: no cell changes and no pair is
+    returned, with no edges inserted yet and with all of them."""
+    for g in CORPUS:
+        for dist in (graph.apsp(graph.Graph.from_edges(g.n, [])).dist, graph.apsp(g).dist):
+            before = dist.copy()
+            for a in range(g.n):
+                assert graph.insert_edge(dist, a, a)[0].size == 0, a
+                assert (dist == before).all(), a
+
+
 def insert_edge_repairs_only_c_contiguous() -> None:
     """A Fortran-order or strided matrix is refused and left as it was: its
     flat view would be a copy that takes the repair instead."""
@@ -386,6 +397,16 @@ def complete_outcome(g: graph.Graph, k: int, **names):
             return str(exc)
 
 
+def builds_pass_own_self_check() -> None:
+    """Every build of the corpus from no edges, at k = 0 and k = 2, passes its
+    own self-check.  Nothing else is compared, so a scan fault that this
+    catches is one the self-check finds by itself."""
+    for g in CORPUS:
+        for k in (0, 2):
+            outcome = complete_outcome(g, k)
+            assert isinstance(outcome, engine.SubgraphState), (k, outcome)
+
+
 def complete_catches_stale_repair() -> None:
     """A repaired cell left one too high where no scan looks fails the build's
     self-check, though H itself is a valid spanner; the true d_H passes."""
@@ -435,6 +456,14 @@ MUTANTS = {
     # d(x, a) + 2 = d(x, b) puts x in near_a; d(x, a) + 1 = d(x, b) would change nothing
     "insert_edge-near-set-off-by-one": (
         graph, "insert_edge", "(ua < ub - 1)", "(ua < ub - 2)", insert_edge_matches_apsp,
+    ),
+    "insert_edge-isolated-column-no-mirror": (
+        graph, "insert_edge", "        db[near_a] = new\n", "", insert_edge_matches_apsp,
+    ),
+    # near sets {a} of a self-loop then look like an isolated b, and d(a, a) becomes 1
+    "insert_edge-isolated-guard-size-only": (
+        graph, "insert_edge", "near_b.size == 1 and ub[a] == 0xFFFF", "near_b.size == 1",
+        insert_edge_self_loop_changes_nothing,
     ),
     "insert_edge-no-contiguity-guard": (
         graph, "insert_edge", "if not dist.flags.c_contiguous or dist.dtype != np.int16:",
@@ -494,6 +523,16 @@ MUTANTS = {
     "complete-scan-resumes-one-late": (
         engine, "complete", "[v + 1:] > limit[v + 1:]).nonzero()[0]).size:\n            v += 1 +",
         "[v + 2:] > limit[v + 2:]).nonzero()[0]).size:\n            v += 2 +",
+        complete_matches_reference,
+    ),
+    # pairs with d_H = d_G + k + 1 stay: the self-check forms its own limits and counts them
+    "complete-scan-limit-k-plus-1": (
+        engine, "complete", "_pair_limit(dg, k)\n", "_pair_limit(dg, k + 1)\n",
+        builds_pass_own_self_check,
+    ),
+    # no row has every pair violating (d_H(u, u) = 0), so the scan visits none
+    "complete-row-filter-all": (
+        engine, "complete", "limits).any(axis=1)", "limits).all(axis=1)",
         complete_matches_reference,
     ),
     "exceeds-ge": (
@@ -588,8 +627,8 @@ MUTANTS = {
         seidel_matches_floyd_warshall,
     ),
     "complete-writes-dg": (
-        engine, "complete", "        dg_row, row = dg[u], dh[u]\n",
-        "        dg_row, row = dg[u], dh[u]\n        dg_row[u] = 0\n",
+        engine, "complete", " = dg[u], dh[u], dh_u16[u], limits[u]\n",
+        " = dg[u], dh[u], dh_u16[u], limits[u]\n        dg_row[u] = 0\n",
         complete_keeps_dg_read_only,
     ),
     "self-check-no-fresh-comparison": (
