@@ -17,7 +17,7 @@ import sys
 from pathlib import Path as FilePath
 from typing import Sequence
 
-from .diagnostics import verify_spanner
+from .diagnostics import Violation, verify_spanner
 from .engine import CompletionTrace, SelfCheckError, build_spanner
 from .graph import (
     NAMED_FAMILIES,
@@ -27,17 +27,12 @@ from .graph import (
     read_edge_list,
     serialize_edge_list,
 )
-from .sweep import fit_exponent, run_sweep
+from .sweep import SweepRecord, fit_exponent, run_sweep
 
 TRACE_COLUMNS = [
     "step", "u", "v", "d_g", "d_h_before", "new_edges",
     "v_before", "v_after", "c_before", "c_after",
 ]
-SWEEP_COLUMNS = [
-    "family", "n", "p_or_param", "seed", "k", "input_edges", "seed_edges",
-    "final_edges", "ratio_32", "ratio_43", "steps", "wall_time_ms",
-]
-VIOLATION_COLUMNS = ["u", "v", "d_g", "d_h", "excess"]
 
 
 def _write_trace_csv(path: str, trace: CompletionTrace) -> None:
@@ -97,9 +92,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     violations = verify_spanner(read_edge_list(args.graph), read_edge_list(args.spanner), args.k)
     if violations:
         writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(VIOLATION_COLUMNS)
-        for x in violations:
-            writer.writerow([x.u, x.v, x.d_g, x.d_h, x.excess])
+        writer.writerow(Violation._fields)
+        writer.writerows(violations)
         return 1
     print(f"valid additive {args.k}-spanner")
     return 0
@@ -122,13 +116,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     records = run_sweep(args.family, n_values, p_values, args.seeds, args.k)
     with open(args.out, "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(SWEEP_COLUMNS)
-        for r in records:
-            writer.writerow([
-                r.family, r.n, r.p_or_param, r.seed, r.k, r.input_edges,
-                r.seed_edges, r.final_edges, f"{r.ratio_32:.6f}",
-                f"{r.ratio_43:.6f}", r.steps, f"{r.wall_time_ms:.3f}",
-            ])
+        writer.writerow(SweepRecord._fields)
+        writer.writerows(r._replace(ratio_32=f"{r.ratio_32:.6f}", ratio_43=f"{r.ratio_43:.6f}",
+                                    wall_time_ms=f"{r.wall_time_ms:.3f}") for r in records)
     for p in dict.fromkeys(r.p_or_param for r in records):
         group = [r for r in records if r.p_or_param == p]
         label = f"family={args.family}" + (f" p={p}" if p else "")

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -16,9 +16,9 @@ class TraceContractError(ValueError):
     """Trace is of the wrong k or was recorded without potentials."""
 
 
-@dataclass(frozen=True)
-class Violation:
-    """A pair whose subgraph distance exceeds the additive budget.
+class Violation(NamedTuple):
+    """A pair whose subgraph distance exceeds the additive budget, and a row
+    of ``verify``'s table.
 
     ``d_h`` is UNREACHABLE when the pair is disconnected in H; ``excess`` is
     then infinite.
@@ -44,13 +44,11 @@ def verify_spanner(g: Graph, h: Graph, k: int) -> list[Violation]:
         raise ValueError("spanner is not a subgraph of the input graph")
     indptr = np.concatenate((h.indptr, np.full(g.n - h.n, h.indptr[-1])))  # isolated tail
     dh = apsp(Graph(g.n, indptr, h.indices)).dist
-    out = []
-    for u, v in np.argwhere(np.triu(exceeds(dg, dh, k), 1)):
-        u, v = int(u), int(v)
-        d_g, d_h = int(dg[u, v]), int(dh[u, v])  # Python ints, not int16 scalars
-        excess = math.inf if d_h == UNREACHABLE else float(d_h - d_g)
-        out.append(Violation(u, v, d_g, d_h, excess))
-    return out
+    u, v = np.triu(exceeds(dg, dh, k), 1).nonzero()
+    rows = zip(u.tolist(), v.tolist(), dg[u, v].tolist(), dh[u, v].tolist())
+    # Python ints and floats, not int16 scalars; the pairs H disconnects share one inf
+    return [Violation(a, b, d_g, d_h, math.inf if d_h == UNREACHABLE else float(d_h - d_g))
+            for a, b, d_g, d_h in rows]
 
 
 def check_cauchy_bound(h: SubgraphState) -> bool:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -12,9 +12,8 @@ from .engine import build_spanner
 from .graph import _index, gen_gnp, gen_named
 
 
-@dataclass(frozen=True)
-class SweepRecord:
-    """One benchmark row of a size-scaling sweep."""
+class SweepRecord(NamedTuple):
+    """One benchmark row of a size-scaling sweep, and a row of its CSV."""
 
     family: str
     n: int

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -17,10 +18,13 @@ from addspan import (
     run_sweep,
     serialize_edge_list,
 )
-from addspan.cli import SWEEP_COLUMNS, TRACE_COLUMNS, main
+from addspan.cli import TRACE_COLUMNS, main
 from addspan.graph import MAX_K
 
 from conftest import stale_insert_edge
+
+SWEEP_HEADER = ("family,n,p_or_param,seed,k,input_edges,seed_edges,final_edges,"
+                "ratio_32,ratio_43,steps,wall_time_ms")
 
 
 def run(args):
@@ -407,6 +411,13 @@ class TestVerify:
         assert lines[0] == "u,v,d_g,d_h,excess"
         assert lines[1] == "0,4,1,4,3.0"
 
+    def test_violation_csv_infinite_excess(self, tmp_path, capsys):
+        # node 2 is isolated in H: its pairs have d_H UNREACHABLE and an inf excess
+        g = write_graph(tmp_path, "p3.txt", "n 3\n0 1\n1 2\n")
+        s = write_graph(tmp_path, "sub.txt", "n 3\n0 1\n")
+        assert run(["verify", "--graph", g, "--spanner", s, "--k", "2"]) == 1
+        assert capsys.readouterr().out == "u,v,d_g,d_h,excess\n0,2,2,-1,inf\n1,2,1,-1,inf\n"
+
     def test_not_subgraph(self, tmp_path):
         g = write_graph(tmp_path, "k4.txt", "n 4\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")
         s = write_graph(tmp_path, "bad.txt", "n 5\n0 4\n")
@@ -429,7 +440,7 @@ class TestSweep:
         assert run(["sweep", "--family", "gnp", "--n", "8,12,16", "--p", "0.5",
                     "--seeds", "2", "--k", "2", "--out", out]) == 0
         lines = (tmp_path / "sweep.csv").read_text().splitlines()
-        assert lines[0] == ",".join(SWEEP_COLUMNS)
+        assert lines[0] == SWEEP_HEADER
         assert len(lines) == 1 + 3 * 2
         printed = capsys.readouterr().out
         assert "slope=" in printed and "max_ratio_32=" in printed
@@ -442,6 +453,16 @@ class TestSweep:
         assert len(lines) == 4
         # a path is its own spanner: m = n - 1, slope just under 1
         assert "slope=" in capsys.readouterr().out
+
+    def test_row_formats(self, tmp_path):
+        # the ratios to six places, the wall time to three, no p for a named family
+        out = tmp_path / "sweep.csv"
+        assert run(["sweep", "--family", "path", "--n", "4,8,16", "--k", "2",
+                    "--out", str(out)]) == 0
+        *row, wall_time_ms = out.read_text().splitlines()[1].split(",")
+        # m = 3: 3 / 4**1.5 and 3 / 4**(4/3)
+        assert row == ["path", "4", "", "0", "2", "3", "0", "3", "0.375000", "0.472470", "3"]
+        assert re.fullmatch(r"\d+\.\d{3}", wall_time_ms)
 
     def test_fit_omitted_when_too_small(self, tmp_path, capsys):
         out = str(tmp_path / "sweep.csv")
@@ -519,7 +540,7 @@ class TestSweep:
         assert run(["sweep", "--family", "gnp", "--n", "10,14,18", "--p", "0.3",
                     "--seeds", "1", "--k", "6", "--out", str(out)]) == 0
         for line in out.read_text().splitlines()[1:]:
-            row = dict(zip(SWEEP_COLUMNS, line.split(",")))
+            row = dict(zip(SWEEP_HEADER.split(","), line.split(",")))
             assert int(row["final_edges"]) <= int(row["input_edges"])
             assert int(row["seed_edges"]) <= int(row["final_edges"])
             n, m = int(row["n"]), int(row["final_edges"])

@@ -48,6 +48,15 @@ class TestVerify:
         x = violations[0]
         assert (x.u, x.v, x.d_g, x.d_h, x.excess) == (0, 4, 1, 4, 3.0)
 
+    def test_rows_hold_python_numbers(self):
+        # a half spanner has finite and infinite excesses; no field is a numpy scalar
+        g = gen_gnp(60, 0.1, 1)
+        h = Graph.from_edges(g.n, g.sorted_edges()[::2])
+        violations = verify_spanner(g, h, 0)
+        assert {x.excess == math.inf for x in violations} == {False, True}
+        for x in violations:
+            assert [type(f) for f in x] == [int, int, int, int, float]
+
     def test_identity_subgraph(self):
         g = gen_gnp(15, 0.3, 1)
         assert verify_spanner(g, SubgraphState(g, g.sorted_edges()).to_graph(), 0) == []

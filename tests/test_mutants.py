@@ -18,8 +18,6 @@ left out.
 Dropping the ``0 < pairs`` guard of ``_seidel``'s squaring is no mutant either:
 the square of an edgeless graph adds no pair, so the loop stops after one
 product with the same answer; the guard only saves that product.
-Flipping ``_bfs``'s choice between its two gathers is no mutant: both give
-the same matrix, and the choice only sets the speed.
 ``_is_hop_distance`` has no upper bound hi <= f + 1 over the neighbors to
 drop: the edges are symmetric, so lo == f - 1 at each end of an edge already
 keeps its two cells within 1, and a certificate with that bound gives the same
@@ -226,6 +224,23 @@ def verify_rejects_larger_spanner() -> None:
         assert str(exc) == "spanner is not a subgraph of the input graph"
     else:
         raise AssertionError("a spanner on more nodes than its graph passed")
+
+
+def verify_matches_floyd_warshall() -> None:
+    """The rows are the pairs u < v with d_H > d_G + k in lexicographic order,
+    each with its excess d_H - d_G, inf where H disconnects the pair, for
+    spanners of no edges, every other edge and all edges, and k from 0 to 2."""
+    for g in CORPUS:
+        dg = floyd_warshall(g)
+        for h in (graph.Graph.from_edges(g.n, []),
+                  graph.Graph.from_edges(g.n, g.sorted_edges()[::2]), g):
+            dh = floyd_warshall(h)
+            for k in (0, 1, 2):
+                assert diagnostics.verify_spanner(g, h, k) == [
+                    (u, v, dg[u][v], graph.UNREACHABLE if dh[u][v] == math.inf else dh[u][v],
+                     dh[u][v] - dg[u][v])
+                    for u in range(g.n) for v in range(u + 1, g.n)
+                    if dg[u][v] < math.inf and dh[u][v] > dg[u][v] + k]
 
 
 def seed_matches_capped_seed() -> None:
@@ -719,6 +734,14 @@ MUTANTS = {
     "verify_spanner-no-size-guard": (
         diagnostics, "verify_spanner", "apsp(g).dist if h.n <= g.n else None", "apsp(g).dist",
         verify_rejects_larger_spanner,
+    ),
+    "verify_spanner-no-triu": (
+        diagnostics, "verify_spanner", "np.triu(exceeds(dg, dh, k), 1)", "exceeds(dg, dh, k)",
+        verify_matches_floyd_warshall,
+    ),
+    "verify_spanner-excess-reversed": (
+        diagnostics, "verify_spanner", "float(d_h - d_g)", "float(d_g - d_h)",
+        verify_matches_floyd_warshall,
     ),
 }
 
