@@ -9,7 +9,7 @@ import numpy as np
 from .engine import CompletionTrace, SubgraphState, cost_degsq
 # unused here: perfbench's tracer looks the potential up as a name of this module
 from .engine import potential_from_matrices  # noqa: F401
-from .graph import UNREACHABLE, Graph, _is_subgraph, apsp, check_k, exceeds
+from .graph import UNREACHABLE, Graph, _is_subgraph, _pair_blocks, apsp, check_k
 
 
 class TraceContractError(ValueError):
@@ -37,18 +37,22 @@ def verify_spanner(g: Graph, h: Graph, k: int) -> list[Violation]:
     isolated nodes of G), else the pairs with d_H(u, v) > d_G(u, v) + k, empty
     when H is valid.  Pairs disconnected in G are skipped; k lies in 0..MAX_K.
     Both APSPs stay: unlike the build's self-check, which certifies the d_H
-    that ``complete`` repaired, this has no d_H to certify."""
+    that ``complete`` repaired, this has no d_H to certify.  The rows hold
+    Python ints and floats, and the pairs H disconnects share one inf."""
     check_k(k)
     dg = apsp(g).dist if h.n <= g.n else None  # no APSP for an H on more nodes
     if dg is None or not _is_subgraph(dg, h):
         raise ValueError("spanner is not a subgraph of the input graph")
     indptr = np.concatenate((h.indptr, np.full(g.n - h.n, h.indptr[-1])))  # isolated tail
     dh = apsp(Graph(g.n, indptr, h.indices)).dist
-    u, v = np.triu(exceeds(dg, dh, k), 1).nonzero()
-    rows = zip(u.tolist(), v.tolist(), dg[u, v].tolist(), dh[u, v].tolist())
-    # Python ints and floats, not int16 scalars; the pairs H disconnects share one inf
-    return [Violation(a, b, d_g, d_h, math.inf if d_h == UNREACHABLE else float(d_h - d_g))
-            for a, b, d_g, d_h in rows]
+    violations = []
+    for r, _, viol in _pair_blocks(dg, dh, k):
+        u, v = viol.nonzero()
+        u += r
+        rows = zip(u.tolist(), v.tolist(), dg[u, v].tolist(), dh[u, v].tolist())
+        violations += (Violation(a, b, d_g, d_h, math.inf if d_h == UNREACHABLE else
+                                 float(d_h - d_g)) for a, b, d_g, d_h in rows)
+    return violations
 
 
 def check_cauchy_bound(h: SubgraphState) -> bool:

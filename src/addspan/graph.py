@@ -397,8 +397,8 @@ NAMED_FAMILIES = ("path", "cycle", "complete", "star", "grid")
 # APSP / deterministic shortest paths
 # ---------------------------------------------------------------------------
 
-#: Rows per block of Seidel's products, of ``_bfs``'s unpacking and of
-#: ``_is_hop_distance``, which bounds their temporaries.
+#: Rows per block of Seidel's products, of ``_bfs``'s unpacking, of
+#: ``_is_hop_distance`` and of ``_pair_blocks``, which bounds their temporaries.
 _BLOCK_ROWS = 1024
 #: Bytes of frontier words that one gather of a ``_bfs`` level reads at most.
 _GATHER_BYTES = 32 << 20
@@ -648,11 +648,10 @@ def _as_uint16(d: np.ndarray) -> np.ndarray:
 
 
 def _pair_limit(dg: np.ndarray, k: int) -> np.ndarray:
-    """The largest d_H the additive-spanner pair rule allows, one uint16 per
-    cell of the int16 distances ``dg``: d_G + min(k, MAX_NODES) where G
-    connects the pair, 0xFFFF where it does not.  Clamping k to MAX_NODES
-    changes no answer, since a finite d_H is below MAX_NODES, and it is not
-    clamped to the array's length, which may be a slice of a row."""
+    """The largest d_H the additive-spanner pair rule allows, one uint16 per cell
+    of the int16 distances ``dg``: d_G + min(k, MAX_NODES) where G connects the
+    pair, 0xFFFF where it does not.  Clamping k to MAX_NODES changes no answer,
+    as a finite d_H is below it; k is not clamped to the array's length."""
     slack = min(_index(k), MAX_NODES)
     # UNREACHABLE (0xFFFF) is first lowered by slack, so adding it back saturates;
     # both Python ints fit uint16, so numpy 1's value-based casting and numpy 2's
@@ -662,12 +661,16 @@ def _pair_limit(dg: np.ndarray, k: int) -> np.ndarray:
     return limit
 
 
-def exceeds(dg: np.ndarray, dh: np.ndarray, k: int) -> np.ndarray:
-    """The additive-spanner pair rule: mask of the pairs connected in G with
-    d_H UNREACHABLE or d_H > d_G + k.  ``dg`` and ``dh`` are matching int16
-    distance rows, slices or matrices, compared as uint16 against
-    ``_pair_limit``; ``k`` is in 0..MAX_K."""
-    return _as_uint16(dh) > _pair_limit(dg, k)
+def _pair_blocks(dg: np.ndarray, dh: np.ndarray,
+                 k: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """The pair rule over the pairs x < y of the int16 n x n matrices ``dg``
+    and ``dh``, in blocks of _BLOCK_ROWS rows, each made when asked for: its
+    first row r, its rows' ``_pair_limit``, 0xFFFF (which no d_H exceeds) at
+    y <= x, and the mask of the cells whose uint16 d_H is above the limit."""
+    for r in range(0, dg.shape[0], _BLOCK_ROWS):
+        limits = _pair_limit(dg[r:r + _BLOCK_ROWS], k)
+        limits[np.tri(*limits.shape, r, dtype=bool)] = 0xFFFF
+        yield r, limits, _as_uint16(dh[r:r + _BLOCK_ROWS]) > limits
 
 
 def _is_subgraph(dg: np.ndarray, h: Graph) -> bool:

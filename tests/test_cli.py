@@ -146,10 +146,11 @@ class TestBuild:
         assert first[:6] == ["0", "0", "1", "1", "-1", "1"]
 
     def test_self_check_failure_writes_nothing(self, tmp_path, capsys, monkeypatch):
-        # a scan whose pair rule never fires keeps the empty seed of C5, and the
-        # build's final count, through ``graph.exceeds``, finds all 10 pairs unspanned
-        monkeypatch.setattr(addspan.engine, "_pair_limit",
-                            lambda dg, k: np.full(dg.shape, 0xFFFF, np.uint16))
+        # a scan whose sweep yields no block keeps the empty seed of C5, and the
+        # build's final count, through a sweep of its own, finds all 10 pairs unspanned
+        sweeps = iter([lambda dg, dh, k: iter(()), addspan.engine._pair_blocks])
+        monkeypatch.setattr(addspan.engine, "_pair_blocks",
+                            lambda dg, dh, k: next(sweeps)(dg, dh, k))
         g = write_graph(tmp_path, "c5.txt", "0 1\n1 2\n2 3\n3 4\n0 4\n")
         out, trace = tmp_path / "sp.txt", tmp_path / "trace.csv"
         assert run(["build", "--input", g, "--k", "2", "--out", str(out),

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,11 +23,12 @@ from addspan import (
     measure_6spanner_step_ratio,
     verify_spanner,
 )
+from addspan import graph
 from addspan.engine import potential_from_matrices
 from addspan.graph import MAX_K, MAX_NODES
 
-from conftest import (clique_chain, gnp_corpus_params, leafed_core, named_corpus_graphs,
-                      projective_plane_incidence)
+from conftest import (MUTANT_CORPUS, clique_chain, gnp_corpus_params, leafed_core,
+                      named_corpus_graphs, projective_plane_incidence)
 from oracles import matrix_power_distances, potential_triu, potential_v, random_order_step_law
 
 
@@ -125,6 +127,39 @@ class TestVerify:
             if oracle_g[u][v] < math.inf and oracle_h[u][v] > oracle_g[u][v] + k
         ]
         assert [(x.u, x.v) for x in verify_spanner(g, h.to_graph(), k)] == expected
+
+
+class TestVerifyInRowBlocks:
+    """Above _BLOCK_ROWS nodes ``verify_spanner`` sweeps the pairs in several
+    row blocks; forced here with small blocks."""
+
+    def test_rows_match_one_block(self, monkeypatch):
+        # blocks of 7 rows, on graphs whose n is no multiple of 7, and on one of 6
+        # nodes, which is one block: spanners of no edges, every other edge and all
+        cases = [(g, h, k) for g in MUTANT_CORPUS for k in (0, 1, 2)
+                 for h in (Graph.from_edges(g.n, []),
+                           Graph.from_edges(g.n, g.sorted_edges()[::2]), g)]
+        expected = [verify_spanner(g, h, k) for g, h, k in cases]
+        assert sum(map(len, expected)) > 0
+        monkeypatch.setattr(graph, "_BLOCK_ROWS", 7)
+        assert [verify_spanner(g, h, k) for g, h, k in cases] == expected
+
+    def test_valid_spanner_peak_per_cell_in_small_blocks(self, monkeypatch):
+        # d_G and d_H hold 4 B per cell; in blocks of 128 rows the sweep's limits and
+        # mask add little: 5.41 B measured, where its n x n limit, mask and triangle
+        # held 7.00
+        monkeypatch.setattr(graph, "_BLOCK_ROWS", 128)
+        n = 2048
+        g = gen_gnp(n, 0.01, 1)
+        verify_spanner(gen_named("star", 64), gen_named("star", 64), 2)  # numpy's set-up
+        tracemalloc.start()
+        try:
+            violations = verify_spanner(g, g, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert violations == []
+        assert peak <= 6 * n * n
 
 
 class TestPotential:

@@ -24,7 +24,7 @@ from addspan import (
     shortest_path,
     verify_spanner,
 )
-from addspan import engine
+from addspan import engine, graph
 from addspan.engine import potential_from_matrices
 from addspan.graph import MAX_K, canonical_edge, insert_edge
 
@@ -177,6 +177,15 @@ class TestSubgraphState:
         h = SubgraphState(gen_named("path", 4), [(0, 1), (1, 2), (2, 3)])
         with pytest.raises(ValueError, match=r"^node -?\d out of range 0\.\.3$"):
             h.bfs_row(source)
+
+    @pytest.mark.parametrize("source", [True, 1.0])
+    def test_bfs_row_source_is_a_count(self, source):
+        # numpy would read True as a bool index, the whole matrix as a 1 x n x n
+        # array, and 1.0 raise IndexError; a numpy integer is a node id
+        h = SubgraphState(gen_named("path", 4), [(0, 1), (1, 2), (2, 3)])
+        with pytest.raises(TypeError):
+            h.bfs_row(source)
+        assert h.bfs_row(np.int64(1)).tolist() == [1, 0, 1, 2]
 
     @given(completion_graphs, st.data())
     @settings(max_examples=80, deadline=None)
@@ -507,6 +516,22 @@ _HANDED_BACK_GRAPHS = {
 }
 
 
+class TestRowBlocks:
+    """Above _BLOCK_ROWS nodes the scan and the self-check sweep the pairs in
+    several row blocks; forced here with blocks of 7 rows, on graphs whose n is
+    no multiple of 7, and on one of 6 nodes, which is one block."""
+
+    @pytest.mark.parametrize("k", [0, 2, 6])
+    def test_builds_match_one_block(self, monkeypatch, k):
+        graphs = [*MUTANT_CORPUS, leafed_core(20, 0.3, 0)]
+        builds = [build_spanner(g, k, record_potentials=True) for g in graphs]
+        assert sum(len(trace.steps) for _, trace in builds) >= 15
+        monkeypatch.setattr(graph, "_BLOCK_ROWS", 7)
+        for g, (h, trace) in zip(graphs, builds):
+            h7, trace7 = build_spanner(g, k, record_potentials=True)
+            assert h7.edges() == h.edges() and trace7 == trace
+
+
 def spied_build(monkeypatch, g: Graph, k: int) -> tuple[SubgraphState, np.ndarray, np.ndarray]:
     """``build_spanner(g, k)`` with spies on ``engine.apsp`` and the certificate
     ``engine._is_hop_distance``: H, the d_G that apsp returned and the repaired
@@ -584,13 +609,10 @@ class TestHandedBackDistances:
         assert trace.steps and dg_alive == [False]
         assert vars(h).keys() == {"host", "deg", "_in_h"}
 
-    def test_build_peak_per_cell(self):
-        # d_G, d_H, the scan's limit matrix and its start's row mask hold 7 B per
-        # cell, as many as the self-check's ``exceeds`` with a limit of its own:
-        # 7.13 B measured.  A scan limit, or a row view of it, kept into the
-        # self-check adds 2 B there.  The star's 2047 inserts each attach an
-        # isolated node, and its matrices outweigh the rest of the build
-        n = 2048
+    @staticmethod
+    def star_build_peak(n: int) -> int:
+        """The peak of a k=2 build of the n-node star, whose n - 1 inserts each
+        attach an isolated node, so that its matrices outweigh the rest of the build."""
         build_spanner(gen_named("star", 64), 2)  # numpy's one-time set-up stays out
         g = gen_named("star", n)
         tracemalloc.start()
@@ -600,7 +622,21 @@ class TestHandedBackDistances:
         finally:
             tracemalloc.stop()
         assert len(trace.steps) == n - 1
-        assert peak <= 8 * n * n
+        return peak
+
+    def test_build_peak_per_cell(self):
+        # two blocks of 1024 rows: d_G and d_H, 4 B per cell, and a sweep's limits and
+        # mask of the block it makes and of the one before, 3 B: 7.14 B measured.  A
+        # scan row's limit kept as a view of its block into the self-check adds 1 B
+        n = 2048
+        assert self.star_build_peak(n) <= 8 * n * n
+
+    def test_build_peak_per_cell_in_small_blocks(self, monkeypatch):
+        # blocks of 128 rows make the sweeps' 3 B per cell of two blocks a sixteenth
+        # of that: 4.51 B measured, where n x n limits and masks held 7.13
+        monkeypatch.setattr(graph, "_BLOCK_ROWS", 128)
+        n = 2048
+        assert self.star_build_peak(n) <= 6 * n * n
 
 
 _RUNNING_POTENTIAL_GRAPHS = {

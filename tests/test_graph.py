@@ -872,26 +872,50 @@ def pair_rule_cases(draw):
     return apsp(g).dist, apsp(Graph.from_edges(g.n, h)).dist, k
 
 
+def swept(dg: np.ndarray, dh: np.ndarray, k: int, block_rows: int):
+    """``_pair_blocks``'s masks and limits in blocks of ``block_rows`` rows,
+    put back together as n x n arrays, and the blocks' first rows."""
+    n = dg.shape[0]
+    mask, limits, starts = np.zeros((n, n), bool), np.zeros((n, n), np.uint16), []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(graph, "_BLOCK_ROWS", block_rows)
+        for r, block_limits, block_mask in graph._pair_blocks(dg, dh, k):
+            starts.append(r)
+            limits[r:r + len(block_limits)] = block_limits
+            mask[r:r + len(block_mask)] = block_mask
+    return mask, limits, starts
+
+
 class TestPairRule:
-    @given(pair_rule_cases(), st.data())
+    @given(pair_rule_cases(), st.integers(1, 13), st.data())
     @settings(max_examples=120)
-    def test_matches_naive_rule(self, case, data):
-        # whole matrices, rows, offset slices of rows and offset submatrices
+    def test_matches_naive_rule(self, case, block_rows, data):
+        # the sweep in blocks of 1 to 13 rows, the last one full or short, holds the
+        # naive rule on the pairs x < y and their limits, and 0xFFFF, which no
+        # d_H exceeds, at y <= x; ``_pair_limit`` alone holds the rule on offset
+        # submatrices, rows and offset slices of rows
         dg, dh, k = case
         n = dg.shape[0]
+        mask, limits, starts = swept(dg, dh, k, block_rows)
+        assert starts == list(range(0, n, block_rows))
+        assert np.array_equal(mask, np.triu(naive_exceeds(dg, dh, k), 1))
+        limit = np.where(dg == UNREACHABLE, 0xFFFF, dg.astype(np.int64) + min(k, MAX_NODES))
+        assert np.array_equal(limits, np.where(np.tri(n, n, 0, dtype=bool), 0xFFFF, limit))
         r = data.draw(st.integers(0, max(n - 1, 0)))
         lo = data.draw(st.integers(0, n))
         hi = data.draw(st.integers(lo, n))
         rows = (np.s_[r], np.s_[r, lo:hi]) if n else ()
-        for at in (np.s_[:, :], np.s_[lo:, lo:hi], *rows):
+        for at in (np.s_[lo:, lo:hi], *rows):
             expected = naive_exceeds(dg[at], dh[at], k)
-            assert np.array_equal(graph.exceeds(dg[at], dh[at], k), expected)
+            assert np.array_equal(dh[at].view(np.uint16) > graph._pair_limit(dg[at], k), expected)
 
     def test_k_is_not_clamped_to_the_slice_length(self):
         # d_H = 7 is within d_G + 5 = 8 on a slice of 2 cells as on any other
-        dg, dh = np.full(2, 3, dtype=np.int16), np.full(2, 7, dtype=np.int16)
-        assert not graph.exceeds(dg, dh, 5).any()
-        assert graph.exceeds(dg, dh, 3).all()
+        assert graph._pair_limit(np.full(2, 3, dtype=np.int16), 5).tolist() == [8, 8]
+        dg, dh = np.int16([[0, 3], [3, 0]]), np.int16([[0, 7], [7, 0]])
+        [(_, _, within)] = graph._pair_blocks(dg, dh, 5)
+        [(_, _, beyond)] = graph._pair_blocks(dg, dh, 3)
+        assert not within.any() and beyond.tolist() == [[False, True], [False, False]]
 
     @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint16, np.float64])
     def test_refuses_other_dtypes(self, dtype):
@@ -900,16 +924,17 @@ class TestPairRule:
         other = dist.astype(dtype)
         for dg, dh in ((other, dist), (dist, other)):
             with pytest.raises(ValueError, match="int16"):
-                graph.exceeds(dg, dh, 2)
+                list(graph._pair_blocks(dg, dh, 2))
         with pytest.raises(ValueError, match="int16"):
             graph._pair_limit(other, 2)
 
     def test_limit_is_uint16(self):
-        # numpy integer k of any width: the limit stays uint16 and never promotes
+        # numpy integer k of any width: the limit, and the sweep's, stays uint16
+        # and never promotes
         dg = apsp(Graph.from_edges(3, [(0, 1)])).dist
         for k in (2, np.int64(2), np.uint8(2), graph.MAX_K):
-            limit = graph._pair_limit(dg, k)
-            assert limit.dtype == np.uint16
+            [(_, limits, _)] = graph._pair_blocks(dg, dg, k)
+            assert graph._pair_limit(dg, k).dtype == limits.dtype == np.uint16
         assert graph._pair_limit(dg, 2).tolist() == [[2, 3, 0xFFFF], [3, 2, 0xFFFF],
                                                     [0xFFFF, 0xFFFF, 2]]
 

@@ -174,23 +174,45 @@ def host_is_exact_0_spanner() -> None:
         assert diagnostics.verify_spanner(g, g, 0) == []
 
 
-def exceeds_matches_naive_rule() -> None:
-    """The pair rule equals the int64 rule with k unclamped on matrices,
-    rows and offset slices of rows, k up to MAX_K; any exception is a defect."""
+def pair_limit_matches_naive_rule() -> None:
+    """Against ``_pair_limit``, d_H read as uint16 violates as the int64 rule with
+    k unclamped says, on matrices, rows and offset slices of rows, k up to
+    MAX_K; any exception is a defect."""
     try:
         for g in CORPUS:
             dg = graph.apsp(g).dist
             dh = graph.apsp(graph.Graph.from_edges(g.n, g.sorted_edges()[::2])).dist
             for k in (0, 1, 2, 6, g.n - 1, g.n, graph.MAX_NODES, graph.MAX_K):
                 for at in (np.s_[:, :], np.s_[0], np.s_[g.n - 1, 1:], np.s_[1, 2:4]):
-                    assert (graph.exceeds(dg[at], dh[at], k)
-                            == naive_exceeds(dg[at], dh[at], k)).all(), (k, at)
+                    violating = dh[at].view(np.uint16) > graph._pair_limit(dg[at], k)
+                    assert (violating == naive_exceeds(dg[at], dh[at], k)).all(), (k, at)
         # a 2-cell slice: d_H = 7 is within d_G + 5 = 8, whatever the slice's length
-        assert not graph.exceeds(np.int16([3, 3]), np.int16([7, 7]), 5).any()
+        assert graph._pair_limit(np.int16([3, 3]), 5).tolist() == [8, 8]
     except AssertionError:
         raise
     except Exception as exc:
         raise AssertionError(f"the pair rule raised {exc!r}") from None
+
+
+def pair_blocks_match_naive_rule() -> None:
+    """In blocks of 7 rows and in one block, the sweep's masks, put back
+    together, are the naive rule on the pairs x < y, and its blocks start every
+    _BLOCK_ROWS rows, for each graph's d_G against the d_H of every other edge
+    and a d_H UNREACHABLE in every cell, the diagonal too."""
+    for block_rows in (7, graph._BLOCK_ROWS):
+        with pytest.MonkeyPatch.context() as patch:
+            # the name ``_pair_blocks`` itself reads, which a mutant copies
+            patch.setitem(graph._pair_blocks.__globals__, "_BLOCK_ROWS", block_rows)
+            for g in CORPUS:
+                dg = graph.apsp(g).dist
+                for dh in (graph.apsp(graph.Graph.from_edges(g.n, g.sorted_edges()[::2])).dist,
+                           np.full_like(dg, graph.UNREACHABLE)):
+                    mask, starts = np.zeros(dg.shape, bool), []
+                    for r, _, viol in graph._pair_blocks(dg, dh, 2):
+                        starts.append(r)
+                        mask[r:r + len(viol)] |= viol
+                    assert starts == list(range(0, g.n, block_rows)), (block_rows, starts)
+                    assert (mask == np.triu(naive_exceeds(dg, dh, 2), 1)).all(), block_rows
 
 
 def potential_matches_full_sums() -> None:
@@ -229,18 +251,22 @@ def verify_rejects_larger_spanner() -> None:
 def verify_matches_floyd_warshall() -> None:
     """The rows are the pairs u < v with d_H > d_G + k in lexicographic order,
     each with its excess d_H - d_G, inf where H disconnects the pair, for
-    spanners of no edges, every other edge and all edges, and k from 0 to 2."""
+    spanners of no edges, every other edge and all edges, k from 0 to 2, and
+    the pairs swept in blocks of 7 rows and in one block."""
     for g in CORPUS:
         dg = floyd_warshall(g)
         for h in (graph.Graph.from_edges(g.n, []),
                   graph.Graph.from_edges(g.n, g.sorted_edges()[::2]), g):
             dh = floyd_warshall(h)
-            for k in (0, 1, 2):
-                assert diagnostics.verify_spanner(g, h, k) == [
+            for k, block_rows in itertools.product((0, 1, 2), (7, graph._BLOCK_ROWS)):
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setitem(graph._pair_blocks.__globals__, "_BLOCK_ROWS", block_rows)
+                    rows = diagnostics.verify_spanner(g, h, k)
+                assert rows == [
                     (u, v, dg[u][v], graph.UNREACHABLE if dh[u][v] == math.inf else dh[u][v],
                      dh[u][v] - dg[u][v])
                     for u in range(g.n) for v in range(u + 1, g.n)
-                    if dg[u][v] < math.inf and dh[u][v] > dg[u][v] + k]
+                    if dg[u][v] < math.inf and dh[u][v] > dg[u][v] + k], block_rows
 
 
 def seed_matches_capped_seed() -> None:
@@ -432,12 +458,12 @@ def complete_catches_stale_repair() -> None:
 
 
 def complete_counts_violations() -> None:
-    """A scan whose pair rule never fires keeps the empty seed of C5, which
-    leaves all 10 pairs unspanned, and the build's final count says so."""
-    def no_limit(dg, k):
-        return np.full(dg.shape, 0xFFFF, np.uint16)
-
-    outcome = complete_outcome(gen_named("cycle", 5), 2, _pair_limit=no_limit)
+    """A scan whose sweep yields no block keeps the empty seed of C5, which
+    leaves all 10 pairs unspanned, and the build's final count, with a sweep of
+    its own, says so."""
+    sweeps = iter([lambda dg, dh, k: iter(()), graph._pair_blocks])
+    outcome = complete_outcome(gen_named("cycle", 5), 2,
+                               _pair_blocks=lambda dg, dh, k: next(sweeps)(dg, dh, k))
     assert outcome == "self-check found 10 violations", outcome
 
 
@@ -540,35 +566,51 @@ MUTANTS = {
         "[v + 2:] > limit[v + 2:]).nonzero()[0]).size:\n            v += 2 +",
         complete_matches_reference,
     ),
-    # pairs with d_H = d_G + k + 1 stay: the self-check forms its own limits and counts them
+    # the scan's own sweep: pairs with d_H = d_G + k + 1 stay, and only the
+    # self-check's sweep, at k, counts them
     "complete-scan-limit-k-plus-1": (
-        engine, "complete", "_pair_limit(dg, k)\n", "_pair_limit(dg, k + 1)\n",
-        builds_pass_own_self_check,
+        engine, "complete", "viol in _pair_blocks(dg, dh, k)\n",
+        "viol in _pair_blocks(dg, dh, k + 1)\n", builds_pass_own_self_check,
     ),
-    # no row has every pair violating (d_H(u, u) = 0), so the scan visits none
+    # no row has every pair x < y violating (y <= x never does), so the scan visits none
     "complete-row-filter-all": (
-        engine, "complete", "limits).any(axis=1)", "limits).all(axis=1)",
-        complete_matches_reference,
+        engine, "complete", "viol.any(axis=1)", "viol.all(axis=1)", complete_matches_reference,
     ),
+    # the sweep's compare, which ``graph.exceeds`` made before the sweep had its own
     "exceeds-ge": (
-        graph, "exceeds", "_as_uint16(dh) > _pair_limit", "_as_uint16(dh) >= _pair_limit",
-        host_is_exact_0_spanner,
+        graph, "_pair_blocks", "_as_uint16(dh[r:r + _BLOCK_ROWS]) > limits",
+        "_as_uint16(dh[r:r + _BLOCK_ROWS]) >= limits", host_is_exact_0_spanner,
+    ),
+    # d(x, x) = 0 never violates, but an UNREACHABLE diagonal cell of d_H does
+    "pair-blocks-diagonal-leak": (
+        graph, "_pair_blocks", "np.tri(*limits.shape, r, dtype=bool)",
+        "np.tri(*limits.shape, r - 1, dtype=bool)", pair_blocks_match_naive_rule,
+    ),
+    # right in the first block only: later blocks keep their pairs y < x
+    "pair-blocks-lower-leak": (
+        graph, "_pair_blocks", "np.tri(*limits.shape, r, dtype=bool)",
+        "np.tri(*limits.shape, 0, dtype=bool)", pair_blocks_match_naive_rule,
+    ),
+    # one row between blocks is never swept
+    "pair-blocks-stride": (
+        graph, "_pair_blocks", "range(0, dg.shape[0], _BLOCK_ROWS)",
+        "range(0, dg.shape[0], _BLOCK_ROWS + 1)", pair_blocks_match_naive_rule,
     ),
     # d_G + k in int16: numpy 2 refuses a k beyond int16, numpy 1 wraps it
     "pair-limit-formed-in-int16": (
         graph, "_pair_limit",
         "limit = np.minimum(_as_uint16(dg), 0xFFFF - slack)\n    limit += slack",
         "limit = np.where(dg == UNREACHABLE, -1, dg + k).astype(np.int16).view(np.uint16)",
-        exceeds_matches_naive_rule,
+        pair_limit_matches_naive_rule,
     ),
     "pair-limit-unclamped": (
         graph, "_pair_limit", "slack = min(_index(k), MAX_NODES)", "slack = k",
-        exceeds_matches_naive_rule,
+        pair_limit_matches_naive_rule,
     ),
     # exact on whole rows, where a finite d_H is below the length, but not on slices
     "pair-limit-clamped-to-length": (
         graph, "_pair_limit", "min(_index(k), MAX_NODES)", "min(_index(k), dg.shape[-1])",
-        exceeds_matches_naive_rule,
+        pair_limit_matches_naive_rule,
     ),
     "shortest_path-highest-predecessor": (
         graph, "_walk_to_tree", "indices[ptr[cur]:ptr[cur + 1]]:",
@@ -642,8 +684,8 @@ MUTANTS = {
         seidel_matches_floyd_warshall,
     ),
     "complete-writes-dg": (
-        engine, "complete", " = dg[u], dh[u], dh_u16[u], limits[u]\n",
-        " = dg[u], dh[u], dh_u16[u], limits[u]\n        dg_row[u] = 0\n",
+        engine, "complete", " = dg[u], dh[u], dh_u16[u]\n",
+        " = dg[u], dh[u], dh_u16[u]\n        dg_row[u] = 0\n",
         complete_keeps_dg_read_only,
     ),
     "self-check-no-fresh-comparison": (
@@ -670,7 +712,8 @@ MUTANTS = {
         hop_distance_certificate_matches_apsp,
     ),
     "self-check-no-violation-count": (
-        engine, "complete", "np.count_nonzero(np.triu(exceeds(dg, dh, k), 1))", "0",
+        engine, "complete",
+        "sum(np.count_nonzero(viol) for _, _, viol in _pair_blocks(dg, dh, k))", "0",
         complete_counts_violations,
     ),
     "cli-main-without-self-check-clause": (
@@ -735,9 +778,10 @@ MUTANTS = {
         diagnostics, "verify_spanner", "apsp(g).dist if h.n <= g.n else None", "apsp(g).dist",
         verify_rejects_larger_spanner,
     ),
+    # the sweep's triangle, which ``verify_spanner`` cut itself before the sweep had its own
     "verify_spanner-no-triu": (
-        diagnostics, "verify_spanner", "np.triu(exceeds(dg, dh, k), 1)", "exceeds(dg, dh, k)",
-        verify_matches_floyd_warshall,
+        graph, "_pair_blocks", "        limits[np.tri(*limits.shape, r, dtype=bool)] = 0xFFFF\n",
+        "", verify_matches_floyd_warshall,
     ),
     "verify_spanner-excess-reversed": (
         diagnostics, "verify_spanner", "float(d_h - d_g)", "float(d_g - d_h)",
