@@ -10,7 +10,7 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
@@ -402,38 +402,57 @@ NAMED_FAMILIES = ("path", "cycle", "complete", "star", "grid")
 _BLOCK_ROWS = 1024
 #: Bytes of frontier words that one gather of a ``_bfs`` level reads at most.
 _GATHER_BYTES = 32 << 20
+#: ``_bfs`` pads every neighbor list to the largest degree D while that n x D
+#: table holds at most this many times 2m + n entries; a skewed degree
+#: sequence keeps the CSR's segments.
+_PAD_RATIO = 1.25
 #: ``apsp``'s cost model, in Seidel's float32 multiply-adds: one gathered
 #: frontier word of a ``_bfs`` level, and the fixed cost of a level.
 _WORD_COST = 200
-_LEVEL_COST = 500_000
+_LEVEL_COST = 150_000
 
 
 def apsp(g: Graph) -> DistanceMatrix:
     """All-pairs hop distances: ``dist[u]`` is the hop-distance row of u, a
     C-contiguous int16 matrix, exact since a distance is at most n - 1 < MAX_NODES.
 
-    Two kernels give the same matrix, and the route reads only n, m and the
-    levels run, never a clock.  ``_bfs`` runs one BFS from all n sources at
-    once; a level costs c = _WORD_COST (2m + n) ceil(n / 64) + _LEVEL_COST
-    multiply-adds, its gathered frontier words and its fixed cost.
-    ``_seidel`` spends at least 2 ceil(log2(L + 1)) - 1 products of n**3
-    multiply-adds on any graph of diameter above L.  After L levels, ``_bfs``
-    runs the next one only while (L + 1) c is below that, and otherwise
-    ``apsp`` returns ``_seidel``'s matrix; when the second level already fails,
-    before any BFS allocation.  So by the model ``apsp`` costs at most about
-    twice the cheaper kernel: levels given up after L cost less than Seidel's
-    own bill on a graph of diameter at least L, and a finished BFS of a graph
-    of diameter D, D + 1 levels, costs less than Seidel's bill for D + 1.
+    An edgeless graph, the empty seed of every k != 6 build, runs no kernel:
+    its matrix is 0 on the diagonal and UNREACHABLE elsewhere.  Otherwise two
+    kernels give the same matrix, and the route reads only n, m, the degree
+    sequence and the levels run, never a clock.  ``_bfs`` runs one BFS from
+    all n sources at once; a level costs c = _WORD_COST e ceil(n / 64) +
+    _LEVEL_COST multiply-adds, its gathered frontier words and its fixed
+    cost, e being the entries of the gather it chose from the degrees: n D
+    for the padded table, D the largest degree, or 2m plus the isolated nodes
+    for the CSR's segments.  ``_seidel`` spends at least 2 ceil(log2(L + 1)) - 1
+    products of n**3 multiply-adds on any graph of diameter above L.  After
+    L levels, ``_bfs`` runs the next one only while (L + 1) c is below that,
+    and otherwise ``apsp`` returns ``_seidel``'s matrix; when the second
+    level already fails, before any BFS allocation.  So by the model ``apsp``
+    costs at most about twice the cheaper kernel: levels given up after L
+    cost less than Seidel's own bill on a graph of diameter at least L, and a
+    finished BFS of a graph of diameter D, D + 1 levels, costs less than
+    Seidel's bill for D + 1.
 
-    The weights were checked by timing both kernels with one BLAS thread on
-    a 2-core x86-64 VM, on 18 grids, paths, cycles, G(n, p) graphs and a k=6
-    seed with n = 64 to 2048, a level's time counted in its graph's Seidel
-    product time over n**3: a level took 0.24 to 1.7 times c, 1.2 in the
-    median.  c errs high on paths and cycles of up to 200 nodes, whose levels
-    are mostly numpy's per-call cost, and on G(n, p) graphs of mean degree
-    38 or more: so a path that the BFS cannot win gives up early."""
-    dist = _bfs(g, g.n ** 3)
-    return DistanceMatrix(g.n, _seidel(g) if dist is None else dist)
+    The weights were fitted by timing both kernels with one BLAS thread on
+    a 2-core x86-64 VM, on 18 graphs with n = 64 to 2048: grids of side 8,
+    18, 32 and 45, paths and cycles of 64, 160 or 200, 1024 and 2048 nodes,
+    G(150, 0.05), G(384, 0.5), G(1024, 0.05), G(1024, 0.5), G(2048, 0.01)
+    and the k=6 seed of G(384, 0.5).  A level's time, counted in its
+    graph's Seidel time per product over n**3, took 0.33 to 1.9 times c,
+    0.96 in the median.  c errs high on the padded gathers of dense G(n, p)
+    graphs and on graphs of 64 nodes, and low on segment gathers of a few
+    levels, whose set-up and unpacking weigh most.  On every graph of the
+    set ``apsp`` took at most 1.15 times the cheaper kernel alone, in medians
+    of 3 to 41 interleaved runs, the most where it ran that kernel; path-160
+    runs all 160 levels, 1.07 times Seidel's time."""
+    n = g.n
+    if not g.indices.size:  # edgeless: 0 on the diagonal, UNREACHABLE elsewhere
+        dist = np.full((n, n), UNREACHABLE, dtype=np.int16)
+        np.fill_diagonal(dist, 0)
+        return DistanceMatrix(n, dist)
+    dist = _bfs(g, n ** 3)
+    return DistanceMatrix(n, _seidel(g) if dist is None else dist)
 
 
 def _bfs(g: Graph, budget: float) -> Optional[np.ndarray]:
@@ -445,28 +464,50 @@ def _bfs(g: Graph, budget: float) -> Optional[np.ndarray]:
     Bit i of row w, column v, stands for source 64 w + i at node v; a row of
     words is contiguous, so a block of words is a slice.  The frontier starts
     at each node's own bit.  A level gathers the frontier columns of each
-    node's neighbors with ``np.take``, in blocks of words that read at most
-    _GATHER_BYTES, and ORs them over the CSR with ``np.bitwise_or.reduceat``.
-    That has no empty segment, so an isolated node's segment is the node
-    itself, whose column holds only its own bit, reached at level 0.  It keeps
-    the bits not yet reached and adds its level number to the bit planes of
-    the pairs it reached, plane b holding bit b of the distance.  The planes,
-    at most ceil(log2 n), are unpacked into the int16 matrix in blocks of
-    _BLOCK_ROWS sources, the rows of the symmetric matrix."""
+    node's neighbors with one ``np.take``, in blocks of words that read at
+    most _GATHER_BYTES, and ORs them into one column per node.  The gather is
+    padded while its n x D table, D the largest degree, has at most
+    _PAD_RATIO times the 2m + n entries of the CSR: row j holds each node's
+    j-th neighbor, or the node itself past its degree, and the OR reduces
+    over the rows.  Otherwise ``np.bitwise_or.reduceat`` ORs the CSR's
+    segments; it has no empty segment, so an isolated node's segment is the
+    node itself.  A node's own column holds only pairs reached by the level
+    before, which the mask of unreached bits drops again.
+
+    A pair's distance is the number of levels at whose start it is still
+    unreached, counted in bit planes: at level L, plane b is XORed with the
+    unreached bits for each 2**b that divides L, which carries the count
+    from L - 1 to L, and ceil(log2 n) planes at most are kept.  A pair never
+    reached counted every level, so the planes are masked by the reached bits
+    before they are unpacked into the int16 matrix in blocks of _BLOCK_ROWS
+    sources, the rows of the symmetric matrix."""
     n = g.n
     words = -(-n // 64)
-    level_cost = _WORD_COST * (g.indices.size + n) * words + _LEVEL_COST
+    deg = np.diff(g.indptr)
+    width = int(deg.max(initial=0))
+    lonely = np.flatnonzero(deg == 0)
+    padded = n * width <= _PAD_RATIO * (g.indices.size + n)
+    entries = n * width if padded else g.indices.size + lonely.size
+    level_cost = _WORD_COST * entries * words + _LEVEL_COST
 
     def affordable(levels: int) -> bool:  # the next level, against Seidel on diameter > levels
         return (levels + 1) * level_cost < (2 * levels.bit_length() - 1) * budget
 
     if not affordable(1):
         return None
-    lonely = np.flatnonzero(np.diff(g.indptr) == 0)
-    src = np.insert(g.indices, g.indptr[lonely], lonely)  # an isolated node reads its own column
-    starts = g.indptr[:n] + np.searchsorted(lonely, np.arange(n))
-    block = max(1, _GATHER_BYTES // (8 * src.size or 1))  # words per gather; no src at n = 0
     ids = np.arange(n)
+    if padded:
+        src = np.tile(ids, (width, 1))  # each node's own column past its degree
+        src[np.arange(g.indices.size) - np.repeat(g.indptr[:n], deg), np.repeat(ids, deg)] = \
+            g.indices
+        combine = partial(np.bitwise_or.reduce, axis=1)  # a (words, D, n) gather's rows
+    else:  # reduceat has no empty segment: an isolated node's is its own column
+        src, starts = g.indices, g.indptr[:n]
+        if lonely.size:
+            src = np.insert(src, starts[lonely], lonely)
+            starts = starts + np.searchsorted(lonely, ids)
+        combine = partial(np.bitwise_or.reduceat, indices=starts, axis=1)
+    block = max(1, _GATHER_BYTES // (8 * src.size or 1))  # words per gather; no src at n = 0
     front = np.zeros((words, n), dtype=np.uint64)
     front[ids >> 6, ids] = np.left_shift(np.uint64(1), (ids & 63).astype(np.uint64))
     unreached = ~front
@@ -474,20 +515,21 @@ def _bfs(g: Graph, budget: float) -> Optional[np.ndarray]:
     planes: list[np.ndarray] = []
     for level in range(1, n + 1):  # level n at the latest reaches no pair
         for w in range(0, words, block):
-            np.bitwise_or.reduceat(np.take(front[w:w + block], src, axis=1), starts,
-                                   axis=1, out=new[w:w + block])
+            combine(np.take(front[w:w + block], src, axis=1), out=new[w:w + block])
         new &= unreached
         if not np.count_nonzero(new):
             break
-        unreached ^= new
         if level == 1 << len(planes):
             planes.append(np.zeros_like(front))
-        for b, plane in enumerate(planes):
-            if level >> b & 1:
-                plane |= new
+        for plane in planes[:(level & -level).bit_length()]:  # the planes 2**b divides level by
+            plane ^= unreached
+        unreached ^= new
         front, new = new, front
         if not affordable(level):
             return None
+    reached = ~unreached
+    for plane in planes:
+        plane &= reached  # a pair never reached counted every level
     step = max(1, _BLOCK_ROWS // 64)
 
     def bits(x: np.ndarray, w: int) -> np.ndarray:  # [word, i, node]: source 64 word + i
@@ -647,16 +689,16 @@ def _as_uint16(d: np.ndarray) -> np.ndarray:
     return d.view(np.uint16)
 
 
-def _pair_limit(dg: np.ndarray, k: int) -> np.ndarray:
+def _pair_limit(dg: np.ndarray, k: int, out: Optional[np.ndarray] = None) -> np.ndarray:
     """The largest d_H the additive-spanner pair rule allows, one uint16 per cell
-    of the int16 distances ``dg``: d_G + min(k, MAX_NODES) where G connects the
-    pair, 0xFFFF where it does not.  Clamping k to MAX_NODES changes no answer,
-    as a finite d_H is below it; k is not clamped to the array's length."""
+    of the int16 distances ``dg``, written to ``out`` if given: d_G + min(k, MAX_NODES)
+    where G connects the pair, 0xFFFF where it does not.  Clamping k to MAX_NODES
+    changes no answer, as a finite d_H is below it; k is not clamped to the array's length."""
     slack = min(_index(k), MAX_NODES)
     # UNREACHABLE (0xFFFF) is first lowered by slack, so adding it back saturates;
     # both Python ints fit uint16, so numpy 1's value-based casting and numpy 2's
     # weak scalars alike keep uint16
-    limit = np.minimum(_as_uint16(dg), 0xFFFF - slack)
+    limit = np.minimum(_as_uint16(dg), 0xFFFF - slack, out=out)
     limit += slack
     return limit
 
@@ -666,11 +708,17 @@ def _pair_blocks(dg: np.ndarray, dh: np.ndarray,
     """The pair rule over the pairs x < y of the int16 n x n matrices ``dg``
     and ``dh``, in blocks of _BLOCK_ROWS rows, each made when asked for: its
     first row r, its rows' ``_pair_limit``, 0xFFFF (which no d_H exceeds) at
-    y <= x, and the mask of the cells whose uint16 d_H is above the limit."""
+    y <= x, and the mask of the cells whose uint16 d_H is above the limit.
+    Each block is written over the one before, so one block is alive at a
+    time however long a caller keeps a reference: a caller copies what it keeps."""
+    n = dg.shape[0]
+    limit_rows = np.empty((min(n, _BLOCK_ROWS), n), dtype=np.uint16)
+    mask_rows = np.empty(limit_rows.shape, dtype=bool)
     for r in range(0, dg.shape[0], _BLOCK_ROWS):
-        limits = _pair_limit(dg[r:r + _BLOCK_ROWS], k)
+        limits = _pair_limit(dg[r:r + _BLOCK_ROWS], k, out=limit_rows[:n - r])
         limits[np.tri(*limits.shape, r, dtype=bool)] = 0xFFFF
-        yield r, limits, _as_uint16(dh[r:r + _BLOCK_ROWS]) > limits
+        yield r, limits, np.greater(_as_uint16(dh[r:r + _BLOCK_ROWS]), limits,
+                                    out=mask_rows[:len(limits)])
 
 
 def _is_subgraph(dg: np.ndarray, h: Graph) -> bool:

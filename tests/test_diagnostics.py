@@ -144,12 +144,9 @@ class TestVerifyInRowBlocks:
         monkeypatch.setattr(graph, "_BLOCK_ROWS", 7)
         assert [verify_spanner(g, h, k) for g, h, k in cases] == expected
 
-    def test_valid_spanner_peak_per_cell_in_small_blocks(self, monkeypatch):
-        # d_G and d_H hold 4 B per cell; in blocks of 128 rows the sweep's limits and
-        # mask add little: 5.41 B measured, where its n x n limit, mask and triangle
-        # held 7.00
-        monkeypatch.setattr(graph, "_BLOCK_ROWS", 128)
-        n = 2048
+    @staticmethod
+    def valid_spanner_peak(n: int) -> int:
+        """The peak of verifying G(n, 0.01) as its own spanner: no violation."""
         g = gen_gnp(n, 0.01, 1)
         verify_spanner(gen_named("star", 64), gen_named("star", 64), 2)  # numpy's set-up
         tracemalloc.start()
@@ -159,7 +156,21 @@ class TestVerifyInRowBlocks:
         finally:
             tracemalloc.stop()
         assert violations == []
-        assert peak <= 6 * n * n
+        return peak
+
+    def test_valid_spanner_peak_per_cell(self):
+        # two blocks of 1024 rows, each written over the one before: 6.39 B measured,
+        # set by apsp(H) beside d_G, where a block made beside the previous one held 7.01
+        n = 2048
+        assert self.valid_spanner_peak(n) <= 6.45 * n * n
+
+    def test_valid_spanner_peak_per_cell_in_small_blocks(self, monkeypatch):
+        # d_G and d_H hold 4 B per cell; in blocks of 128 rows the sweep's limits and
+        # mask add little: 5.33 B measured, where its n x n limit, mask and triangle
+        # held 7.00
+        monkeypatch.setattr(graph, "_BLOCK_ROWS", 128)
+        n = 2048
+        assert self.valid_spanner_peak(n) <= 6 * n * n
 
 
 class TestPotential:

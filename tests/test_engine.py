@@ -625,15 +625,15 @@ class TestHandedBackDistances:
         return peak
 
     def test_build_peak_per_cell(self):
-        # two blocks of 1024 rows: d_G and d_H, 4 B per cell, and a sweep's limits and
-        # mask of the block it makes and of the one before, 3 B: 7.14 B measured.  A
-        # scan row's limit kept as a view of its block into the self-check adds 1 B
+        # two blocks of 1024 rows, each written over the one before: 6.64 B measured,
+        # set by the certificate's block beside d_H, where a sweep's block made beside
+        # the previous one held 7.14
         n = 2048
-        assert self.star_build_peak(n) <= 8 * n * n
+        assert self.star_build_peak(n) <= 6.7 * n * n
 
     def test_build_peak_per_cell_in_small_blocks(self, monkeypatch):
-        # blocks of 128 rows make the sweeps' 3 B per cell of two blocks a sixteenth
-        # of that: 4.51 B measured, where n x n limits and masks held 7.13
+        # blocks of 128 rows make the sweeps' 3 B per cell of a block a sixteenth
+        # of that: 4.36 B measured, where n x n limits and masks held 7.13
         monkeypatch.setattr(graph, "_BLOCK_ROWS", 128)
         n = 2048
         assert self.star_build_peak(n) <= 6 * n * n

@@ -16,6 +16,7 @@ from addspan import (
     GraphFormatError,
     NoPathError,
     apsp,
+    build_spanner,
     default_cap,
     gen_gnp,
     gen_named,
@@ -86,6 +87,18 @@ WORD_BOUNDARY_CASES = [
     ("isolated-63-and-64", Graph.from_edges(
         130, [(u, u + 1) for u in range(129) if not {u, u + 1} & {63, 64}] + [(62, 65)])),
 ]
+
+
+def bfs_each_layout(g: Graph) -> list[np.ndarray]:
+    """``_bfs`` run to its last level with its gather forced each way: a
+    ``_PAD_RATIO`` of -1 sends every graph, an edgeless one too, to the CSR's
+    segments, and one of inf sends every graph to the padded table."""
+    matrices = []
+    for pad_ratio in (-1, math.inf):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(graph, "_PAD_RATIO", pad_ratio)
+            matrices.append(graph._bfs(g, math.inf))
+    return matrices
 
 
 @st.composite
@@ -564,16 +577,17 @@ class TestDistances:
         # apsp sends most of these small graphs to Seidel, so each kernel also runs by itself
         expected = scipy_apsp(g)
         assert np.array_equal(apsp(g).dist, expected)
-        assert np.array_equal(graph._bfs(g, math.inf), expected)
+        for bfs in bfs_each_layout(g):
+            assert np.array_equal(bfs, expected)
         assert np.array_equal(graph._seidel(g), expected)
 
     @pytest.mark.parametrize("label, g", WORD_BOUNDARY_CASES,
                              ids=[label for label, _ in WORD_BOUNDARY_CASES])
     def test_kernels_match_scipy_at_word_boundaries(self, label, g):
         expected = scipy_apsp(g)
-        bfs = graph._bfs(g, math.inf)
-        assert np.array_equal(bfs, expected)
-        assert bfs.dtype == np.int16 and bfs.flags.c_contiguous
+        for bfs in bfs_each_layout(g):
+            assert np.array_equal(bfs, expected)
+            assert bfs.dtype == np.int16 and bfs.flags.c_contiguous
         assert np.array_equal(graph._seidel(g), expected)
 
     def test_apsp_in_small_blocks_matches_scipy(self, monkeypatch):
@@ -587,35 +601,57 @@ class TestDistances:
 
     @pytest.mark.parametrize("gather_bytes", [8, 8 * 2 * 129, graph._GATHER_BYTES])
     def test_bfs_gathers(self, monkeypatch, gather_bytes):
-        # every graph with one word, a few, or all of them per gather
+        # every graph with one word, a few, or all of them per gather, in each layout
         monkeypatch.setattr(graph, "_GATHER_BYTES", gather_bytes)
         for label, g in APSP_CASES + WORD_BOUNDARY_CASES:
-            assert np.array_equal(graph._bfs(g, math.inf), scipy_apsp(g)), label
+            for bfs in bfs_each_layout(g):
+                assert np.array_equal(bfs, scipy_apsp(g)), label
 
     @given(small_graphs(max_n=12))
     @settings(max_examples=200)
     def test_bfs_equals_seidel(self, g):
-        assert np.array_equal(graph._bfs(g, math.inf), graph._seidel(g))
+        for bfs in bfs_each_layout(g):
+            assert np.array_equal(bfs, graph._seidel(g))
 
+    # the benchmark's graphs: the BFS's gather ("padded" or "segments") or Seidel
     @pytest.mark.parametrize("g, kernel", [
-        (gen_named("grid", 18), "bfs"),
-        (seed_degree_capped(gen_gnp(384, 0.5, 3), default_cap(384)).to_graph(), "bfs"),
-        (gen_gnp(150, 0.05, 3), "bfs"),
+        (gen_named("grid", 18), "padded"),
+        # m = 2639, but one node of degree 216: a padded table would hold 82,944 entries
+        (seed_degree_capped(gen_gnp(384, 0.5, 3), default_cap(384)).to_graph(), "segments"),
+        (gen_gnp(150, 0.05, 3), "segments"),
         (gen_gnp(384, 0.5, 3), "seidel"),
-        # 57 levels of 160, then Seidel's 15 products
-        (gen_named("path", 160), "seidel"),
-    ], ids=["grid-18", "gnp-384-0.5-k6-seed", "gnp-150-0.05", "gnp-384-0.5", "path-160"])
+        # all 160 levels on the BFS, where Seidel would make 15 products
+        (gen_named("path", 160), "padded"),
+        # m = 584 and a node of degree 197: a padded table would hold 75,648 entries
+        (build_spanner(gen_gnp(384, 0.5, 3), 2)[0].to_graph(), "segments"),
+    ], ids=["grid-18", "gnp-384-0.5-k6-seed", "gnp-150-0.05", "gnp-384-0.5", "path-160",
+            "gnp-384-0.5-k2-spanner"])
     def test_route(self, monkeypatch, g, kernel):
-        calls = []
+        kernels = []
+        seidel, take = graph._seidel, np.take
 
-        def spy(h):
-            calls.append(h)
-            return seidel(h)
+        class Numpy:  # numpy, with ``take`` noting its index's rank: 2 is the padded table
+            def __getattr__(self, name):
+                return getattr(np, name)
 
-        seidel = graph._seidel
-        monkeypatch.setattr(graph, "_seidel", spy)
+            def take(self, a, indices, **kwargs):
+                kernels.append("padded" if np.ndim(indices) == 2 else "segments")
+                return take(a, indices, **kwargs)
+
+        monkeypatch.setattr(graph, "np", Numpy())
+        monkeypatch.setattr(graph, "_seidel", lambda h: kernels.append("seidel") or seidel(h))
         assert np.array_equal(apsp(g).dist, scipy_apsp(g))
-        assert len(calls) == (kernel == "seidel")
+        assert set(kernels) == {kernel}
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 150])
+    def test_apsp_of_edgeless_graph_runs_no_kernel(self, monkeypatch, n):
+        # the empty seed of every k != 6 build
+        for kernel in ("_bfs", "_seidel"):
+            monkeypatch.setattr(graph, kernel, None)  # a call raises TypeError
+        g = Graph.from_edges(n, [])
+        d = apsp(g).dist
+        assert np.array_equal(d, scipy_apsp(g))
+        assert d.dtype == np.int16 and d.flags.c_contiguous
 
     @pytest.mark.parametrize("g", [
         *(broom(60, leaves) for leaves in range(58)),

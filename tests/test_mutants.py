@@ -142,13 +142,18 @@ def seidel_matches_floyd_warshall() -> None:
 
 
 def bfs_matches_floyd_warshall() -> None:
-    """The bit-parallel BFS by itself, run to its last level, equals the
+    """The bit-parallel BFS by itself, run to its last level with its gather
+    forced to the CSR's segments and then to the padded table, equals the
     textbook all-pairs distances; with isolated nodes after the edges of a
     path and of a star, and with sources in two words."""
-    for g in (*CORPUS, Graph.from_edges(7, [(0, 1), (1, 2), (2, 3)]),
-              Graph.from_edges(8, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5)]),
-              gen_named("cycle", 70)):
-        assert dist_matrix_to_float(graph._bfs(g, math.inf)) == floyd_warshall(g)
+    for pad_ratio in (-1, math.inf):
+        with pytest.MonkeyPatch.context() as patch:
+            # the globals that the installed ``_bfs``, a mutant too, reads
+            patch.setitem(graph._bfs.__globals__, "_PAD_RATIO", pad_ratio)
+            for g in (*CORPUS, Graph.from_edges(7, [(0, 1), (1, 2), (2, 3)]),
+                      Graph.from_edges(8, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5)]),
+                      gen_named("cycle", 70)):
+                assert dist_matrix_to_float(graph._bfs(g, math.inf)) == floyd_warshall(g)
 
 
 def max_nodes_keeps_parity_sums_in_float32() -> None:
@@ -578,8 +583,7 @@ MUTANTS = {
     ),
     # the sweep's compare, which ``graph.exceeds`` made before the sweep had its own
     "exceeds-ge": (
-        graph, "_pair_blocks", "_as_uint16(dh[r:r + _BLOCK_ROWS]) > limits",
-        "_as_uint16(dh[r:r + _BLOCK_ROWS]) >= limits", host_is_exact_0_spanner,
+        graph, "_pair_blocks", "np.greater(", "np.greater_equal(", host_is_exact_0_spanner,
     ),
     # d(x, x) = 0 never violates, but an UNREACHABLE diagonal cell of d_H does
     "pair-blocks-diagonal-leak": (
@@ -599,7 +603,7 @@ MUTANTS = {
     # d_G + k in int16: numpy 2 refuses a k beyond int16, numpy 1 wraps it
     "pair-limit-formed-in-int16": (
         graph, "_pair_limit",
-        "limit = np.minimum(_as_uint16(dg), 0xFFFF - slack)\n    limit += slack",
+        "limit = np.minimum(_as_uint16(dg), 0xFFFF - slack, out=out)\n    limit += slack",
         "limit = np.where(dg == UNREACHABLE, -1, dg + k).astype(np.int16).view(np.uint16)",
         pair_limit_matches_naive_rule,
     ),
@@ -738,17 +742,30 @@ MUTANTS = {
     "bfs-no-unreached-mask": (
         graph, "_bfs", "        new &= unreached\n", "", bfs_matches_floyd_warshall,
     ),
+    # the planes XORed after ``unreached ^= new``, with unreached & ~new: they then
+    # count the levels after a pair's first, its distance less one
     "bfs-records-level-minus-one": (
-        graph, "_bfs", "if level >> b & 1:", "if level - 1 >> b & 1:", bfs_matches_floyd_warshall,
+        graph, "_bfs", "plane ^= unreached\n", "plane ^= unreached & ~new\n",
+        bfs_matches_floyd_warshall,
+    ),
+    # a pair of two components then reads the count of every level run, not UNREACHABLE
+    "bfs-planes-not-masked": (
+        graph, "_bfs", "        plane &= reached  # a pair never reached counted every level\n",
+        "        pass\n", bfs_matches_floyd_warshall,
+    ),
+    # a node below the largest degree then ORs the frontier of node 0 into its own
+    "bfs-pad-reads-node-0": (
+        graph, "_bfs", "np.tile(ids, (width, 1))", "np.zeros((width, n), dtype=ids.dtype)",
+        bfs_matches_floyd_warshall,
     ),
     # an isolated node then ORs the frontier of node 0 into its own
     "bfs-isolated-reads-a-real-column": (
-        graph, "_bfs", "np.insert(g.indices, g.indptr[lonely], lonely)",
-        "np.insert(g.indices, g.indptr[lonely], 0)", bfs_matches_floyd_warshall,
+        graph, "_bfs", "np.insert(src, starts[lonely], lonely)",
+        "np.insert(src, starts[lonely], 0)", bfs_matches_floyd_warshall,
     ),
     # no own column: reduceat gives an isolated node the next node's first neighbor
     "bfs-isolated-segment-left-empty": (
-        graph, "_bfs", "np.flatnonzero(np.diff(g.indptr) == 0)", "np.array([], dtype=np.int64)",
+        graph, "_bfs", "        if lonely.size:\n", "        if False:\n",
         bfs_matches_floyd_warshall,
     ),
     # 16,384 nodes would let a parity sum reach 2**24, where float32 rounds
