@@ -61,23 +61,25 @@ def check_cauchy_bound(h: SubgraphState) -> bool:
     return h.host.n * cost_degsq(h) >= 4 * h.edge_count ** 2
 
 
+def _step_changes(trace: CompletionTrace, k: int, use: str) -> np.ndarray:
+    """Each step's int64 change of the potential, then of the cost, which its
+    new edges raise; TraceContractError unless ``trace`` is a k-trace with potentials."""
+    if trace.k != k:
+        raise TraceContractError(f"{use} needs a k={k} trace")
+    if not trace.potentials_recorded:
+        raise TraceContractError("trace was recorded without potentials")
+    return np.diff(np.array([trace.potentials, trace.costs], dtype=np.int64))
+
+
 def check_2spanner_step_law(trace: CompletionTrace) -> list[int]:
     """Per-step change of (squared-degree cost - 12 * potential) along a
     2-spanner trace.  The companion assertion is that every delta is <= 0."""
-    if trace.k != 2:
-        raise TraceContractError("step law needs a k=2 trace")
-    if not trace.potentials_recorded:
-        raise TraceContractError("trace was recorded without potentials")
-    v, c = trace.potentials, trace.costs
-    return [(c[i + 1] - 12 * v[i + 1]) - (c[i] - 12 * v[i]) for i in range(len(trace.steps))]
+    dv, dc = _step_changes(trace, 2, "step law")
+    return (dc - 12 * dv).tolist()
 
 
 def measure_6spanner_step_ratio(trace: CompletionTrace) -> list[float]:
     """Per-step potential gain per new edge along a 6-spanner trace; reported,
     never asserted (the analysis hides its constant)."""
-    if trace.k != 6:
-        raise TraceContractError("ratio report needs a k=6 trace")
-    if not trace.potentials_recorded:
-        raise TraceContractError("trace was recorded without potentials")
-    v, c = trace.potentials, trace.costs
-    return [(v[i + 1] - v[i]) / (c[i + 1] - c[i]) for i in range(len(trace.steps))]
+    dv, dc = _step_changes(trace, 6, "ratio report")
+    return (dv / dc).tolist()

@@ -728,45 +728,39 @@ def _is_subgraph(dg: np.ndarray, h: Graph) -> bool:
 
 def _is_hop_distance(h: Graph, d: np.ndarray) -> bool:
     """Whether the int16 matrix ``d`` is H's hop-distance matrix, certified
-    column by column in O(m_H n) with no APSP.  Read as uint16, with lo the
-    least d(y, z) over the neighbors y of x (UNREACHABLE if x has none), it is
-    exactly when:
+    in O(m_H n) with no APSP.  Read as uint16, it is exactly when d = step,
+    d after one BFS step: step(x, z) is 0 at x = z, else 1 + the least d(y, z)
+    over the neighbors y of x capped at 0xFFFE (the cap if x has none), so a
+    cell that reaches nothing steps to UNREACHABLE with no wrap.
 
-    - the diagonal is 0 and no other cell is 0;
-    - every finite d(x, z) > 0 has lo = d(x, z) - 1;
-    - every UNREACHABLE d(x, z) has lo UNREACHABLE.
-
-    Following lo from a finite d(x, z) walks that many edges down to the one 0
-    of column z, so d(x, z) is at least the distance.  Along a shortest x-z
-    path, each node's d is finite, since its neighbor toward z has a finite d,
-    and at most 1 above that neighbor's, since it is lo + 1; so d(x, z) is at
-    most the distance.  Both ends of an edge hold lo = d - 1, so its two cells
-    are within 1 with no bound on the neighbors' largest d.
+    H's matrix is a fixed point, as a distance is at most n - 1 < 0xFFFE.
+    Conversely, at a fixed point a finite d(x, z) off the diagonal has a
+    neighbor one lower: that chain visits distinct nodes down to the column's
+    one 0, at z, so d(x, z) is at least the distance and at most n - 1.  No cap
+    then applies along a shortest x-z path, each node at most 1 above the next:
+    so d(x, z) is finite and at most the distance when that path exists.
 
     Rows go in blocks of _BLOCK_ROWS in order of falling H-degree, so the rows
     with a neighbor of rank j are a prefix of their block: one gather and one
     minimum per rank, and no temporary larger than a block."""
     n, indptr, indices = h.n, h.indptr, h.indices
-    if d.shape != (n, n) or d.diagonal().any():
+    if d.shape != (n, n):
         return False
     du = _as_uint16(d)
     deg = np.diff(indptr)
     order = np.argsort(-deg, kind="stable")
-    zeros = 0
     for r in range(0, n, _BLOCK_ROWS):
         rows = order[r:r + _BLOCK_ROWS]
         rank, start = deg[rows], indptr[rows]
-        lo = np.full((rows.size, n), 0xFFFF, dtype=np.uint16)
+        step = np.full((rows.size, n), 0xFFFE, dtype=np.uint16)
         for j in range(int(rank[0])):
             c = np.count_nonzero(rank > j)
-            np.minimum(lo[:c], du[indices[start[:c] + j]], out=lo[:c])
-        f = du[rows]
-        zero = f == 0
-        zeros += np.count_nonzero(zero)
-        # f - 1 wraps only at f = 0, which needs nothing of lo
-        if not np.where(f != 0xFFFF, (lo == f - 1) | zero, lo == 0xFFFF).all():
+            np.minimum(step[:c], du[indices[start[:c] + j]], out=step[:c])
+        step += 1
+        step[np.arange(rows.size), rows] = 0
+        if not np.array_equal(du[rows], step):
             return False
-    return zeros == n
+    return True
 
 
 def _walk_to_tree(ptr: memoryview, indices: memoryview, dist: memoryview,

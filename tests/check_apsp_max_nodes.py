@@ -8,10 +8,13 @@ broom's parity products reach the largest partial sums.  The routed ``apsp``
 runs too (a sparse tree, so it takes the bit-parallel BFS, whose gather keeps
 the CSR's segments: a table padded to the hub's degree would take 256 MiB per
 word of sources).  Then the self-check's certificate,
-``graph._is_hop_distance``, must accept that exact matrix and reject it with
-its longest distance one too high, which takes its uint16 f - 1 and f + 1 to
-the largest n.  Prints the wall times and the peak RSS after each graph, and
-exits 1 on the first row block that differs or a wrong verdict.  Peaks near
+``graph._is_hop_distance``, must accept that exact matrix, in which d equals
+its BFS step at the largest distances an n = MAX_NODES graph holds.  It must
+reject it with its longest distance, from the path's end to a leaf, one too
+high, and with the hub's cell of that leaf UNREACHABLE, which each other
+leaf's step, capped at 0xFFFE below it, saturates to UNREACHABLE.  Prints
+the wall times and the peak RSS after each graph, and exits 1 on the first
+row block that differs or a wrong verdict.  Peaks near
 730 MiB, in Seidel's products; the BFS takes about half Seidel's time.
 
     PYTHONPATH=src python tests/check_apsp_max_nodes.py
@@ -75,13 +78,18 @@ def main() -> int:
         return 1
     certify = time.perf_counter() - start
     far = tuple(int(i) for i in np.unravel_index(np.argmax(dist), dist.shape))
-    dist[far] += 1  # the longest distance, from the path's end to a leaf
-    if _is_hop_distance(g, dist):
-        print(f"the certificate accepts the matrix with cell {far} one too high")
-        return 1
+    hub = int(np.argmax(np.diff(g.indptr)))
+    for cell, value, what in ((far, dist[far] + 1, "one too high"),
+                              ((hub, far[1]), UNREACHABLE, "UNREACHABLE")):
+        e = dist.copy()
+        e[cell] = value
+        if _is_hop_distance(g, e):
+            print(f"the certificate accepts the matrix with cell {cell} {what}")
+            return 1
     print(f"broom n={g.n}, hub degree {MAX_NODES // 2}: _seidel and apsp equal scipy's BFS, "
-          f"and the certificate accepts it and rejects one cell off; _seidel {seidel:.1f} s, "
-          f"apsp {routed:.1f} s, certificate {certify:.2f} s, peak {peak_mib():.0f} MiB")
+          f"and the certificate accepts it and rejects two one-cell changes; _seidel "
+          f"{seidel:.1f} s, apsp {routed:.1f} s, certificate {certify:.2f} s, "
+          f"peak {peak_mib():.0f} MiB")
     return 0
 
 

@@ -18,10 +18,10 @@ left out.
 Dropping the ``0 < pairs`` guard of ``_seidel``'s squaring is no mutant either:
 the square of an edgeless graph adds no pair, so the loop stops after one
 product with the same answer; the guard only saves that product.
-``_is_hop_distance`` has no upper bound hi <= f + 1 over the neighbors to
-drop: the edges are symmetric, so lo == f - 1 at each end of an edge already
-keeps its two cells within 1, and a certificate with that bound gives the same
-verdict; its ``lo <= f - 1`` mutant is the one that loses the bound.
+``_is_hop_distance`` has no upper bound over the neighbors to drop: the
+edges are symmetric, so d = step at each end of an edge already keeps its two
+cells within 1, and a certificate with that bound gives the same verdict; its
+``>=`` mutant, which lets a cell sit above its step, is the one that loses it.
 """
 import __future__
 
@@ -371,13 +371,16 @@ def shortest_path_refuses_other_rows() -> None:
 
 def hop_distance_certificate_matches_apsp() -> None:
     """The certificate accepts a matrix exactly when it is apsp's, on each
-    graph's matrix and these changes of its column 0: one cell one off or
-    UNREACHABLE, and the column read as the BFS from another node (n zeros,
-    one off the diagonal) or from node 0 and another (two zeros)."""
+    graph's matrix and these changes of its column 0: its finite cells one
+    higher, one cell one off or UNREACHABLE, and the column read as the BFS
+    from another node (n zeros, one off the diagonal) or from node 0 and
+    another (two zeros)."""
     for g in CORPUS:
         d = graph.apsp(g).dist
         assert graph._is_hop_distance(g, d)
-        changed = []
+        e = d.copy()
+        e[:, 0] += d[:, 0] != graph.UNREACHABLE
+        changed = [e]
         for x in range(1, g.n):
             for value in (d[x, 0] + 1, d[x, 0] - 1, graph.UNREACHABLE):
                 e = d.copy()
@@ -696,23 +699,41 @@ MUTANTS = {
         engine, "complete", "not _is_hop_distance(spanner, dh)", "False",
         complete_catches_stale_repair,
     ),
-    # a column read as the BFS from two sources holds every local condition
+    # the zeros taken where d has them: a column read as the BFS from two sources,
+    # or from another node, is then a fixed point
     "hop-distance-no-zero-count": (
-        graph, "_is_hop_distance", "return zeros == n", "return True",
-        hop_distance_certificate_matches_apsp,
+        graph, "_is_hop_distance", "step[np.arange(rows.size), rows] = 0",
+        "step[du[rows] == 0] = 0", hop_distance_certificate_matches_apsp,
     ),
-    # a column read as the BFS from another node has n zeros, one off the diagonal
+    # the diagonal read from d: column 0 one higher, its own cell 1, is then a fixed point
     "hop-distance-no-diagonal-check": (
-        graph, "_is_hop_distance", " or d.diagonal().any()", "",
+        graph, "_is_hop_distance", "rows] = 0", "rows] = du[rows, rows]",
         hop_distance_certificate_matches_apsp,
     ),
-    # lo == f - 1 is also the upper bound: with <=, a cell may sit any height above
+    # d = step is also the upper bound: with >=, a cell may sit any height above
     "hop-distance-lo-at-most": (
-        graph, "_is_hop_distance", "lo == f - 1", "lo <= f - 1",
+        graph, "_is_hop_distance", "np.array_equal(du[rows], step)", "(du[rows] >= step).all()",
         hop_distance_certificate_matches_apsp,
     ),
+    # an UNREACHABLE cell then passes whatever its step
     "hop-distance-no-unreachable-row": (
-        graph, "_is_hop_distance", "lo == 0xFFFF)", "True)",
+        graph, "_is_hop_distance", "np.array_equal(du[rows], step)",
+        "((du[rows] == step) | (du[rows] == 0xFFFF)).all()",
+        hop_distance_certificate_matches_apsp,
+    ),
+    # uncapped, a cell that reaches nothing steps from 0xFFFF to 0
+    "hop-distance-uncapped": (
+        graph, "_is_hop_distance", "n), 0xFFFE,", "n), 0xFFFF,",
+        hop_distance_certificate_matches_apsp,
+    ),
+    # a block's i-th row is node rows[i] of the degree order, not node r + i
+    "hop-distance-diagonal-at-block-positions": (
+        graph, "_is_hop_distance", "step[np.arange(rows.size), rows]",
+        "step[np.arange(rows.size), np.arange(r, r + rows.size)]",
+        hop_distance_certificate_matches_apsp,
+    ),
+    "hop-distance-no-increment": (
+        graph, "_is_hop_distance", "        step += 1\n", "",
         hop_distance_certificate_matches_apsp,
     ),
     "self-check-no-violation-count": (
